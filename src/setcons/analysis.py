@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bindyn import equilibria as binary_equilibria
-from .bindyn import is_vnn_attractive
 from .boolmat import (
     BoolMatrix,
     Permutation,
@@ -26,7 +24,7 @@ from .boolmat import (
 )
 from .caps import DEFAULT, Caps
 from .encoding import EncodedSystem, Partition, translate_map
-from .errors import CapExceeded
+from .errors import CapExceeded, SetconsError
 from .expr import LinearSetMap, SetMap
 from .intervals import IntervalSet
 
@@ -117,25 +115,34 @@ class ContractivityVerdict:
         }
 
 
-def is_contractive_sbm(f: SetMap, partition: Partition | None = None) -> ContractivityVerdict:
+def is_contractive_sbm(
+    f: SetMap, partition: Partition | None = None, caps: Caps = DEFAULT
+) -> ContractivityVerdict:
     """Decide global contractivity on the incidence matrix's 0/1 projection.
 
     The map must be constant-free (augment first).  With a partition, the
     verdict is cross-validated against nilpotency of the translated map's
-    n*kappa block incidence; the two can never disagree.
+    n*kappa block incidence; the two can never disagree.  That matrix is
+    refused when n*kappa exceeds ``caps.matrix_dim``.
     """
     if f.constants:
         raise ValueError("contractivity needs a constant-free map; augment it first")
+    if partition is not None and f.arity * partition.kappa > caps.matrix_dim:
+        raise CapExceeded(
+            f"the block incidence of {f.arity} variables on {partition.kappa} cells has "
+            f"dimension {f.arity * partition.kappa} (cap {caps.matrix_dim})"
+        )
     shadow = f.incidence()
     witness = find_strict_triangular_permutation(shadow)
     if partition is not None:
         enc = translate_map(f, partition)
         big_verdict = is_nilpotent(enc.map.incidence)
         if big_verdict != (witness is not None):
-            raise AssertionError("projection and encoded-map verdicts disagree")
+            raise SetconsError("projection and encoded-map verdicts disagree")
     if witness is None:
         cycle = find_dependency_cycle(shadow)
-        assert cycle is not None
+        if cycle is None:
+            raise SetconsError("no strict triangular order and no dependency cycle found")
         return ContractivityVerdict(False, cycle=cycle)
     q = nilpotency_index(shadow)
     return ContractivityVerdict(True, witness=witness, q=q)
@@ -161,7 +168,8 @@ def global_fixed_point(
     k = f.frozen_count
     if k and start[f.arity - k :] != f.frozen_values:
         raise ValueError("frozen components of the start must carry their pinned values")
-    assert verdict.q is not None
+    if verdict.q is None:
+        raise SetconsError("a contractive verdict must carry its round bound q")
     state = start
     for _ in range(verdict.q):
         state = f.eval(state)
@@ -171,7 +179,7 @@ def global_fixed_point(
     for _ in range(verdict.q):
         check = f.eval(check)
     if check != state:
-        raise AssertionError("two starts reached different fixed points")
+        raise SetconsError("two starts reached different fixed points")
     return state
 
 
@@ -310,7 +318,3 @@ def consensus_region(linear: LinearSetMap) -> ConsensusVerdict:
         region = region & row_union
     return ConsensusVerdict(not region.is_empty(), region)
 
-
-def binary_vnn_verdicts(f, caps: Caps = DEFAULT) -> list[tuple[tuple[int, ...], bool]]:
-    """Every equilibrium of a binary map with its attractiveness verdict."""
-    return [(x, is_vnn_attractive(f, x)) for x in binary_equilibria(f, caps)]

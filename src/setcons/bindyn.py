@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .boolmat import BoolMatrix, column_at_most_one, is_nilpotent, nilpotency_index
 from .caps import DEFAULT, Caps
-from .errors import CapExceeded, OrbitLimitError
+from .errors import CapExceeded, OrbitLimitError, SetconsError
 
 State = tuple[int, ...]
 
@@ -97,10 +97,6 @@ class BinaryMap:
         for _ in range(steps):
             x = self.step(x)
         return x
-
-
-def step(f: BinaryMap, x: State) -> State:
-    return f.step(x)
 
 
 @dataclass(frozen=True)
@@ -242,6 +238,7 @@ def binary_contractivity(
     if not is_nilpotent(m):
         return BinaryContraction(False)
     q = nilpotency_index(m)
-    assert q is not None and q <= f.n
+    if q is None or q > f.n:
+        raise SetconsError(f"nilpotency index {q} of a nilpotent {f.n}x{f.n} matrix")
     fixed = f.iterate((0,) * f.n, q)
     return BinaryContraction(True, q, fixed)

@@ -46,7 +46,7 @@ def _prepared(spec: dsl.SystemSpec, caps: caps_mod.Caps, extra_sets=()):
 def _cmd_analyze(args, caps) -> dict:
     spec = _load(args.file)
     base, aug, partition, names = _prepared(spec, caps)
-    verdict = analysis.is_contractive_sbm(aug, partition)
+    verdict = analysis.is_contractive_sbm(aug, partition, caps)
     report = {
         "contractive": verdict.contractive,
         "witness_order": [names[i] for i in verdict.witness.order] if verdict.witness else None,

@@ -1,11 +1,15 @@
 """Partition of the universe into cells and the bit-vector encoding of sets.
 
-The m distinguished generator sets cut the universe into at most 2**m
-nonempty cells; every set built from the generators by union, intersection
-and complement is an exact union of cells and therefore round-trips through
-a kappa-bit vector (bit h = overlap with cell h).  A constant-free update
-map translates into kappa independent copies of one n-bit binary map, which
-is where all convergence questions are decided.
+The m distinguished generator sets cut the universe into nonempty cells:
+at most 2**m of them, and at most 2d+1 when the generators and the universe
+have d distinct finite endpoints.  The cells are found by one sweep over
+those endpoints, so building the partition costs time linear in d for each
+generator, never 2**m; the ``generators`` cap still counts m.  Every set
+built from the generators by union, intersection and complement is an
+exact union of cells and therefore round-trips through a kappa-bit vector
+(bit h = overlap with cell h).  A constant-free update map translates into
+kappa independent copies of one n-bit binary map, which is where all
+convergence questions are decided.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .boolmat import BoolMatrix
 from .caps import DEFAULT, Caps
 from .errors import CapExceeded, CellEncodingError
 from .expr import SetExpr, SetMap, bit_evaluate
-from .intervals import IntervalSet, Universe
+from .intervals import Interval, IntervalSet, Universe, elementary_pieces
 
 Bits = tuple[int, ...]
 
@@ -29,7 +33,10 @@ class Partition:
 
     Cells are listed with the all-generators-in signature first, then in
     decreasing order of the signature read as a binary number whose most
-    significant bit says "inside generator 1".
+    significant bit says "inside generator 1".  :func:`build_partition`
+    finds them by an endpoint sweep, in time linear in the number of
+    distinct endpoints for each generator, and never visits an empty
+    signature.
     """
 
     generators: tuple[IntervalSet, ...]
@@ -79,7 +86,15 @@ class Partition:
 def build_partition(
     generators: Sequence[IntervalSet], universe: Universe, caps: Caps = DEFAULT
 ) -> Partition:
-    """Compute all nonempty signature cells of the generator family."""
+    """Compute all nonempty signature cells of the generator family.
+
+    The distinct finite endpoints of the generators and the universe cut
+    the line into elementary pieces (:func:`~setcons.intervals.elementary_pieces`).
+    Each set holds a piece wholly or not at all, so one merge walk per set
+    labels every piece, and a cell is the union of the universe's pieces
+    that share a signature.  With d distinct endpoints that is 2d+1 pieces,
+    at most that many cells, and O(m*d) work after sorting the endpoints.
+    """
     gens = tuple(generators)
     for g in gens:
         if not universe.contains_set(g):
@@ -87,20 +102,32 @@ def build_partition(
     m = len(gens)
     if m > caps.generators:
         raise CapExceeded(f"{m} generators would create up to 2**{m} cells (cap {caps.generators})")
-    complements = [universe.complement(g) for g in gens]
-    signatures = []
-    regions = []
-    for code in range((1 << m) - 1, -1, -1):
-        sig = tuple((code >> (m - 1 - i)) & 1 for i in range(m))
-        region = universe.carrier
-        for i, bit in enumerate(sig):
-            region = region & (gens[i] if bit else complements[i])
-            if region.is_empty():
-                break
-        if not region.is_empty():
-            signatures.append(sig)
-            regions.append(region)
-    return Partition(gens, universe, tuple(signatures), tuple(regions))
+    pieces = elementary_pieces(gens + (universe.carrier,))
+    codes = [0] * len(pieces)
+    for g in gens:
+        codes = [(code << 1) | bit for code, bit in zip(codes, _membership(g, pieces))]
+    cells: dict[int, list[Interval]] = {}
+    for piece, code, inside in zip(pieces, codes, _membership(universe.carrier, pieces)):
+        if inside:
+            cells.setdefault(code, []).append(piece)
+    order = sorted(cells, reverse=True)
+    signatures = tuple(tuple((code >> (m - 1 - i)) & 1 for i in range(m)) for code in order)
+    regions = tuple(IntervalSet.from_intervals(cells[code]) for code in order)
+    return Partition(gens, universe, signatures, regions)
+
+
+def _membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:
+    """1 for every piece inside ``s``, else 0, for ascending pieces that
+    each lie wholly inside or outside ``s``: one merge walk."""
+    spans = s.intervals
+    n = len(spans)
+    j = 0
+    out = []
+    for piece in pieces:
+        while j < n and spans[j].hi_key < piece.lo_key:
+            j += 1
+        out.append(1 if j < n and spans[j].lo_key <= piece.lo_key else 0)
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,16 @@ equality decidable and bit-stable.  Finite endpoints are rationals
 are always open.
 
 The union/intersection/complement trio is the core; difference and symmetric
-difference are defined on top of it.
+difference are defined on top of it.  Because every operand is already
+sorted and canonical, union, intersection and the subset test are single
+linear merges over the two interval tuples (two pointers, no re-sorting),
+and complement is one pass over the gaps.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Union as _Union
 
@@ -87,14 +90,24 @@ def _succ(hi_key):
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """A single nonempty interval with exact endpoint closedness."""
+    """A single nonempty interval with exact endpoint closedness.
+
+    ``lo_key``/``hi_key`` are the sort keys of the first and last point the
+    interval contains; they are derived from the endpoints, computed once,
+    and take no part in equality or hashing.
+    """
 
     lo: Endpoint
     hi: Endpoint
+    lo_key: tuple = field(init=False, repr=False, compare=False)
+    hi_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if _lo_key(self.lo) > _hi_key(self.hi):
+        lo_key, hi_key = _lo_key(self.lo), _hi_key(self.hi)
+        if lo_key > hi_key:
             raise ValueError(f"empty interval: {self}")
+        object.__setattr__(self, "lo_key", lo_key)
+        object.__setattr__(self, "hi_key", hi_key)
 
     @classmethod
     def make(cls, lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> "Interval":
@@ -125,14 +138,6 @@ class Interval:
     def singleton(cls, p) -> "Interval":
         return cls.make(p, p, True, True)
 
-    @property
-    def lo_key(self):
-        return _lo_key(self.lo)
-
-    @property
-    def hi_key(self):
-        return _hi_key(self.hi)
-
     def contains(self, p) -> bool:
         key = (as_value(p), 0)
         return self.lo_key <= key <= self.hi_key
@@ -150,7 +155,11 @@ class Interval:
 
 def _canonical(spans: Iterable[Interval]) -> tuple[Interval, ...]:
     """Sort and merge overlapping or adjacent intervals."""
-    ordered = sorted(spans, key=lambda iv: (iv.lo_key, iv.hi_key))
+    return _join_sorted(sorted(spans, key=lambda iv: (iv.lo_key, iv.hi_key)))
+
+
+def _join_sorted(ordered: Iterable[Interval]) -> tuple[Interval, ...]:
+    """Merge overlapping or adjacent intervals given in ascending lo_key order."""
     out: list[Interval] = []
     for iv in ordered:
         if out and iv.lo_key <= _succ(out[-1].hi_key):
@@ -212,22 +221,63 @@ class IntervalSet:
         return self.contains(p)
 
     def is_subset(self, other: "IntervalSet") -> bool:
-        return (self & other) == self
+        # Each interval of self must lie inside one interval of other: the
+        # first one of other that does not end before it starts.
+        theirs = other.intervals
+        n = len(theirs)
+        j = 0
+        for a in self.intervals:
+            while j < n and theirs[j].hi_key < a.lo_key:
+                j += 1
+            if j == n or theirs[j].lo_key > a.lo_key or a.hi_key > theirs[j].hi_key:
+                return False
+        return True
 
     # -- core operations -------------------------------------------------
 
     def __or__(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(_canonical(self.intervals + other.intervals))
+        mine, theirs = self.intervals, other.intervals
+        if not theirs:
+            return self
+        if not mine:
+            return other
+        # One merge of the two sorted tuples by lo_key, then one joining pass.
+        na, nb = len(mine), len(theirs)
+        ordered: list[Interval] = []
+        i = j = 0
+        while i < na and j < nb:
+            if mine[i].lo_key <= theirs[j].lo_key:
+                ordered.append(mine[i])
+                i += 1
+            else:
+                ordered.append(theirs[j])
+                j += 1
+        ordered += mine[i:] or theirs[j:]
+        return IntervalSet(_join_sorted(ordered))
 
     def __and__(self, other: "IntervalSet") -> "IntervalSet":
-        raw = []
-        for a in self.intervals:
-            for b in other.intervals:
-                lo = a.lo if a.lo_key >= b.lo_key else b.lo
-                hi = a.hi if a.hi_key <= b.hi_key else b.hi
-                if _lo_key(lo) <= _hi_key(hi):
-                    raw.append(Interval(lo, hi))
-        return IntervalSet(_canonical(raw))
+        # Every nonempty a & b of two canonical operands is a whole component
+        # of the result, and the two-pointer sweep meets them in order, so
+        # the pieces are canonical as they come.
+        mine, theirs = self.intervals, other.intervals
+        na, nb = len(mine), len(theirs)
+        out: list[Interval] = []
+        i = j = 0
+        while i < na and j < nb:
+            a, b = mine[i], theirs[j]
+            if a.hi_key <= b.hi_key:
+                first_end = a
+                i += 1
+            else:
+                first_end = b
+                j += 1
+            last_start = a if a.lo_key >= b.lo_key else b
+            if last_start.lo_key <= first_end.hi_key:
+                if last_start is first_end:
+                    out.append(last_start)
+                else:
+                    out.append(Interval(last_start.lo, first_end.hi))
+        return IntervalSet(tuple(out))
 
     def complement_line(self) -> "IntervalSet":
         """Complement relative to the whole extended real line."""
@@ -276,6 +326,28 @@ class IntervalSet:
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.intervals)
+
+
+def elementary_pieces(sets: Iterable[IntervalSet]) -> tuple[Interval, ...]:
+    """The line cut at every finite endpoint of ``sets``, in ascending order:
+    each endpoint as a point and each gap between or around endpoints as an
+    open interval.  Every set built from ``sets`` by union, intersection and
+    complement holds each piece wholly or not at all."""
+    values = sorted({
+        ep.value
+        for s in sets
+        for iv in s.intervals
+        for ep in (iv.lo, iv.hi)
+        if not isinstance(ep.value, float)
+    })
+    pieces = []
+    below = Endpoint(NEG_INF, False)
+    for v in values:
+        pieces.append(Interval(below, Endpoint(v, False)))
+        pieces.append(Interval.singleton(v))
+        below = Endpoint(v, False)
+    pieces.append(Interval(below, Endpoint(POS_INF, False)))
+    return tuple(pieces)
 
 
 _EMPTY = IntervalSet(())

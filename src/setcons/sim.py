@@ -172,16 +172,20 @@ def simulate(
             consensus = final[0]
     final_bits = encoded[transient] if closed else encoded[-1]
     distances = tuple(sum(a ^ b for a, b in zip(bits, final_bits)) for bits in encoded)
+    # Every state is a union of cells, so an agent's gap to the closure
+    # state is the union of the cells where their bits differ.
     window = sampling_window(spec.universe)
-    final_state = states[transient] if closed else states[-1]
+    k = partition.kappa
+    cell_lengths = [region.measure(window) for region in partition.regions]
     distance_lengths = tuple(
         float(
             sum(
-                (s ^ t).measure(window)
-                for s, t in zip(state[:n_visible], final_state[:n_visible])
+                cell_lengths[b % k]
+                for b in range(n_visible * k)
+                if bits[b] != final_bits[b]
             )
         )
-        for state in states
+        for bits in encoded
     )
     return Trajectory(
         agents=spec.variables,

@@ -4,7 +4,9 @@ import pytest
 
 from setcons import (
     BoolMatrix,
+    ContractivityVerdict,
     IntervalSet,
+    SetconsError,
     SetMap,
     Universe,
     augment_constants,
@@ -185,6 +187,18 @@ def test_global_fixed_point_constant_map():
 def test_global_fixed_point_rejects_noncontractive():
     with pytest.raises(ValueError):
         global_fixed_point(cyclic3_map(), CYCLIC3_START)
+
+
+def test_global_fixed_point_disagreement_is_an_error():
+    # A forged verdict whose round bound is too small: the runs from the
+    # start and from its complement end apart, which must raise (also under
+    # python -O) rather than return a wrong fixed point.
+    aug = augment_constants(pinned6_map())
+    start = (IntervalSet.empty(),) * 6 + aug.frozen_values
+    with pytest.raises(SetconsError, match="different fixed points"):
+        global_fixed_point(aug, start, verdict=ContractivityVerdict(True, q=1))
+    with pytest.raises(SetconsError, match="round bound"):
+        global_fixed_point(aug, start, verdict=ContractivityVerdict(True))
 
 
 def test_equilibria_cap():

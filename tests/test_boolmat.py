@@ -85,6 +85,14 @@ def test_dimension_mismatch():
         BoolMatrix.identity(2) @ BoolMatrix.identity(3)
 
 
+def test_dimension_cap_is_a_cap_error():
+    from setcons.caps import DEFAULT
+    from setcons.errors import CapExceeded
+
+    with pytest.raises(CapExceeded):
+        BoolMatrix.zero(DEFAULT.matrix_dim + 1)
+
+
 def test_nilpotency_references():
     assert not is_nilpotent(REF3_B)
     assert not is_nilpotent(BoolMatrix.identity(3))

@@ -142,3 +142,14 @@ def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "cap exceeded" in err
+
+
+def test_matrix_dim_cap_exit_code(files, capsys, monkeypatch):
+    # pinned6 has 7 variables after augmentation, so its block incidence
+    # needs more than 20 rows; the cap is reported, not raised.
+    monkeypatch.setenv("SETCONS_CAPS", "matrix_dim=20")
+    code, out, err = run(capsys, "analyze", files["pinned6"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cap exceeded: the block incidence of 7 variables")
+    assert "(cap 20)" in err

@@ -1,0 +1,128 @@
+"""Differential tests: the linear-time interval algebra, the endpoint-sweep
+partition and the cell-sum distance lengths against the reference versions
+in ``oracles.py`` and against pointwise membership."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from setcons import Interval, IntervalSet, Universe, build_partition, parse, simulate
+from setcons.sim import sampling_window
+
+from helpers import assert_same_membership, iv, probe_points
+from oracles import (
+    pairwise_and,
+    resorting_or,
+    set_level_distance_lengths,
+    signature_scan_partition,
+    subset_via_and,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+# Fixed example sequences keep the suite deterministic, so no example
+# database is kept either.
+CHECK = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+# Endpoints on a half-unit grid, so that shared endpoints, touching
+# intervals and single points come up often.
+grid = st.integers(0, 16).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def intervals(draw):
+    a, b = sorted((draw(grid), draw(grid)))
+    if a == b and draw(st.booleans()):
+        return Interval.singleton(a)
+    lo = float("-inf") if draw(st.integers(0, 7)) == 0 else a
+    hi = float("inf") if draw(st.integers(0, 7)) == 0 else b
+    if lo == hi:
+        return Interval.singleton(a)
+    return Interval.make(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+interval_sets = st.lists(intervals(), max_size=6).map(IntervalSet.from_intervals)
+
+universes = st.sampled_from([
+    Universe.of(Interval.closed(0, 8)),
+    Universe.of(Interval.closed_open(0, float("inf"))),
+    Universe.real_line(),
+    Universe(iv("[0,2] | (3,5) | [6,6] | (7,inf)")),
+])
+
+
+def assert_canonical(s: IntervalSet) -> None:
+    for a, b in zip(s.intervals, s.intervals[1:]):
+        # b starts strictly after the first position past a's end.
+        assert (a.hi.value, (0 if a.hi.closed else -1) + 1) < (b.lo.value, 0 if b.lo.closed else 1)
+
+
+@CHECK
+@given(interval_sets, interval_sets)
+@example(iv("[0,1]"), iv("[1,2]"))
+@example(iv("[0,1)"), iv("(1,2]"))
+@example(iv("[0,1) | [2,3]"), iv("[1,2)"))
+def test_and_matches_pairwise_oracle(a, b):
+    got = a & b
+    assert got == pairwise_and(a, b)
+    assert_canonical(got)
+    assert_same_membership(got, lambda x, y: x and y, a, b)
+
+
+@CHECK
+@given(interval_sets, interval_sets)
+@example(iv("[0,1)"), iv("[1,2]"))
+@example(iv("[0,1)"), iv("(1,2]"))
+@example(iv("[0,1] | [4,5]"), iv("(1,2) | [2,4)"))
+def test_or_matches_resorting_oracle(a, b):
+    got = a | b
+    assert got == resorting_or(a, b)
+    assert_canonical(got)
+    assert_same_membership(got, lambda x, y: x or y, a, b)
+
+
+@CHECK
+@given(interval_sets, interval_sets)
+@example(iv("[1,2]"), iv("[0,1) | (1,3]"))
+@example(iv("(1,2)"), iv("[1,2]"))
+@example(iv("[1,2]"), iv("(1,2]"))
+def test_is_subset_matches_oracle(a, b):
+    got = a.is_subset(b)
+    assert got == subset_via_and(a, b)
+    assert got == all(b.contains(p) for p in probe_points(a, b) if a.contains(p))
+    assert (a & b).is_subset(a) and a.is_subset(a | b)
+
+
+@CHECK
+@given(interval_sets, interval_sets)
+def test_derived_operations_membership(a, b):
+    assert_same_membership(a - b, lambda x, y: x and not y, a, b)
+    assert_same_membership(a ^ b, lambda x, y: x != y, a, b)
+    assert_same_membership(a.complement_line(), lambda x: not x, a)
+
+
+@CHECK
+@given(universes, st.lists(interval_sets, max_size=4))
+@example(Universe.of(Interval.closed(0, 8)), [iv("[1,1]"), iv("[1,2]"), iv("[2,2] | (2,3)")])
+@example(Universe.of(Interval.closed(0, 8)), [iv("[0,1)"), iv("[1,2]"), iv("(2,8]")])
+@example(Universe.real_line(), [iv("(-inf,0]"), iv("[0,inf)"), iv("[0,0]")])
+def test_partition_matches_signature_scan(universe, sets):
+    gens = [s & universe.carrier for s in sets]
+    p = build_partition(gens, universe)
+    assert (p.signatures, p.regions) == signature_scan_partition(gens, universe)
+    # Each generator is exactly the union of the cells inside it.
+    for i, g in enumerate(gens):
+        assert p.decode([sig[i] for sig in p.signatures]) == g
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SAMPLES.glob("*.sbm"))), st.integers(0, 10_000))
+def test_distance_lengths_match_set_level(path, seed):
+    spec = parse(path.read_text())
+    traj = simulate(spec, seed=seed, random_init=True)
+    window = sampling_window(spec.universe)
+    assert traj.distance_lengths == set_level_distance_lengths(traj, window)

@@ -63,6 +63,22 @@ def test_simulate_contractive_invariants():
     assert len(finals) == 1
 
 
+def test_simulate_long_chain_closes_on_its_constant():
+    # Xi = X(i-1) & C with a 60-interval C: each round intersects large sets,
+    # which must stay linear in their sizes for this to run in about a second.
+    n = 20
+    c_text = " | ".join(f"[{10 * i},{10 * i + 5}{')' if i % 2 else ']'}" for i in range(60))
+    lines = ["universe [0,600]", f"const C = {c_text}"]
+    lines += [f"state X{i} = empty" for i in range(n)]
+    lines += ["rule X0 = C"] + [f"rule X{i} = X{i - 1} & C" for i in range(1, n)]
+    traj = simulate(parse("\n".join(lines) + "\n"))
+    assert traj.closed
+    assert (traj.transient, traj.period) == (n, 1)
+    assert traj.consensus == iv(c_text)
+    assert traj.distances[n] == 0 and traj.distance_lengths[n] == 0.0
+    assert traj.distance_lengths[0] == n * 60 * 5
+
+
 def test_simulate_budget_exhaustion_reported():
     spec = parse(CYCLIC3_TEXT)
     traj = simulate(spec, max_rounds=1)
