@@ -9,13 +9,11 @@ from .analysis import (
     CellEquilibriaReport,
     ConsensusVerdict,
     ContractivityVerdict,
-    check_distance_bound,
     consensus_region,
     equilibria_sbm,
     global_fixed_point,
     incidence_apply,
     is_contractive_sbm,
-    is_locally_attractive_direct,
     is_locally_attractive_sbm,
     set_distance,
 )
@@ -28,7 +26,6 @@ from .bindyn import (
     discrete_derivative,
     equilibria,
     is_vnn_attractive,
-    is_vnn_attractive_direct,
     orbit,
     semantic_incidence,
 )
@@ -47,7 +44,7 @@ from .boolmat import (
 )
 from .caps import Caps
 from .dsl import Diagnostic, DslError, SystemSpec, parse, pretty_print, to_json
-from .encoding import EncodedSystem, Partition, block_incidence_check, build_partition, translate_map
+from .encoding import EncodedSystem, Partition, build_partition, translate_map
 from .errors import CapExceeded, CellEncodingError, OrbitLimitError, SetconsError
 from .expr import (
     Complement,
@@ -65,7 +62,6 @@ from .expr import (
     Var,
     as_linear,
     augment_constants,
-    check_composition_bound,
     compose,
     desugar,
     normal_form,

@@ -52,41 +52,13 @@ def incidence_apply(b: BoolMatrix, d: Sequence[IntervalSet]) -> SetVector:
     return tuple(out)
 
 
-def check_distance_bound(f: SetMap, x: Sequence[IntervalSet], y: Sequence[IntervalSet]) -> bool:
-    """Whether distance(f(x), f(y)) is componentwise inside B(f) * distance(x, y).
-
-    Always true; exposed as a test utility.
-    """
-    lhs = set_distance(f.eval(x), f.eval(y))
-    rhs = incidence_apply(f.incidence(), set_distance(x, y))
-    return all(l.is_subset(r) for l, r in zip(lhs, rhs))
-
-
-def find_bound_counterexample(
-    f: SetMap, m: BoolMatrix, partition: Partition, caps: Caps = DEFAULT
-) -> tuple[SetVector, SetVector] | None:
-    """A state pair violating the distance bound for a candidate matrix ``m``.
-
-    Exists exactly when ``m`` misses a live dependency of ``f``; the pair is
-    built from one cell region and a binary witness of that dependency.
-    """
-    from .bindyn import dependency_witness, semantic_incidence
-
-    enc = translate_map(f, partition)
-    live = semantic_incidence(enc.cell_map(0), caps)
-    for i in range(f.arity):
-        for j in range(f.arity):
-            if live.entry(i, j) and not m.entry(i, j):
-                bits = dependency_witness(enc.cell_map(0), i, j, caps)
-                assert bits is not None
-                region = partition.regions[0]
-                x = tuple(region if b else IntervalSet.empty() for b in bits)
-                y = x[:j] + (x[j] ^ region,) + x[j + 1 :]
-                lhs = set_distance(f.eval(x), f.eval(y))
-                rhs = incidence_apply(m, set_distance(x, y))
-                assert not lhs[i].is_subset(rhs[i])
-                return x, y
-    return None
+def _check_matrix_dim(f: SetMap, partition: Partition, caps: Caps) -> None:
+    """Refuse a matrix over the n*kappa bits of the translated map above the cap."""
+    if f.arity * partition.kappa > caps.matrix_dim:
+        raise CapExceeded(
+            f"the block incidence of {f.arity} variables on {partition.kappa} cells has "
+            f"dimension {f.arity * partition.kappa} (cap {caps.matrix_dim})"
+        )
 
 
 @dataclass(frozen=True)
@@ -127,11 +99,8 @@ def is_contractive_sbm(
     """
     if f.constants:
         raise ValueError("contractivity needs a constant-free map; augment it first")
-    if partition is not None and f.arity * partition.kappa > caps.matrix_dim:
-        raise CapExceeded(
-            f"the block incidence of {f.arity} variables on {partition.kappa} cells has "
-            f"dimension {f.arity * partition.kappa} (cap {caps.matrix_dim})"
-        )
+    if partition is not None:
+        _check_matrix_dim(f, partition, caps)
     shadow = f.incidence()
     witness = find_strict_triangular_permutation(shadow)
     if partition is not None:
@@ -256,9 +225,13 @@ def _expand_equilibria(enc: EncodedSystem, per_cell) -> list[SetVector]:
     return out
 
 
-def is_locally_attractive_sbm(f: SetMap, x_eq: Sequence[IntervalSet], partition: Partition) -> bool:
+def is_locally_attractive_sbm(
+    f: SetMap, x_eq: Sequence[IntervalSet], partition: Partition, caps: Caps = DEFAULT
+) -> bool:
     """Attractiveness of an equilibrium in its one-complemented-component
-    neighborhood, decided on the translated map's derivative."""
+    neighborhood, decided on the translated map's derivative.  That matrix
+    has dimension n*kappa and is refused above ``caps.matrix_dim``."""
+    _check_matrix_dim(f, partition, caps)
     x_eq = tuple(x_eq)
     if f.eval(x_eq) != x_eq:
         raise ValueError("not an equilibrium")
@@ -269,28 +242,6 @@ def is_locally_attractive_sbm(f: SetMap, x_eq: Sequence[IntervalSet], partition:
     bits = enc.encode_state(x_eq)
     d = enc.derivative_at(bits)
     return is_nilpotent(d) and column_at_most_one(d)
-
-
-def is_locally_attractive_direct(f: SetMap, x_eq: Sequence[IntervalSet]) -> bool:
-    """The same property checked by direct set-level simulation over the
-    neighborhood (each neighbor complements one whole component)."""
-    x_eq = tuple(x_eq)
-    if f.eval(x_eq) != x_eq:
-        raise ValueError("not an equilibrium")
-    hood = [x_eq] + [
-        x_eq[:j] + (f.universe.complement(x_eq[j]),) + x_eq[j + 1 :] for j in range(f.arity)
-    ]
-    hood_set = set(hood)
-    for y in hood:
-        if f.eval(y) not in hood_set:
-            return False
-    for y in hood:
-        state = y
-        for _ in range(f.arity):
-            state = f.eval(state)
-        if state != x_eq:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -179,11 +179,6 @@ def dependency_witness(f: BinaryMap, i: int, j: int, caps: Caps = DEFAULT) -> St
     return None
 
 
-def vnn(x: State) -> list[State]:
-    """The state plus its n one-bit-flip neighbors."""
-    return [tuple(x)] + [flip(tuple(x), j) for j in range(len(x))]
-
-
 def is_vnn_attractive(f: BinaryMap, x_eq: State) -> bool:
     """Neighborhood attractiveness decided on the derivative at the
     equilibrium: it must be nilpotent with at most one entry per column."""
@@ -191,22 +186,6 @@ def is_vnn_attractive(f: BinaryMap, x_eq: State) -> bool:
         raise ValueError(f"{format_bits(tuple(x_eq))} is not an equilibrium")
     d = discrete_derivative(f, x_eq)
     return is_nilpotent(d) and column_at_most_one(d)
-
-
-def is_vnn_attractive_direct(f: BinaryMap, x_eq: State) -> bool:
-    """Same property by direct simulation: one step never leaves the
-    neighborhood and every neighbor is absorbed within n steps."""
-    x_eq = tuple(x_eq)
-    if f.step(x_eq) != x_eq:
-        raise ValueError(f"{format_bits(x_eq)} is not an equilibrium")
-    hood = set(vnn(x_eq))
-    for y in hood:
-        if f.step(y) not in hood:
-            return False
-    for y in hood:
-        if f.iterate(y, f.n) != x_eq:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

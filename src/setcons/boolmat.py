@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .caps import DEFAULT, Caps
-from .errors import CapExceeded
 from .intervals import IntervalSet, Universe
 
 
@@ -34,8 +32,6 @@ class BoolMatrix:
     def __post_init__(self):
         if self.n < 0 or len(self.rows) != self.n:
             raise ValueError("row count must equal the declared dimension")
-        if self.n > DEFAULT.matrix_dim:
-            raise CapExceeded(f"matrix dimension {self.n} exceeds cap {DEFAULT.matrix_dim}")
         mask = (1 << self.n) - 1
         for r in self.rows:
             if r & ~mask:

@@ -67,7 +67,7 @@ def _cmd_analyze(args, caps) -> dict:
         fixed = analysis.global_fixed_point(aug, start, verdict=verdict)
         local = {
             "equilibrium": [str(s) for s in fixed[: len(spec.variables)]],
-            "attractive": analysis.is_locally_attractive_sbm(aug, fixed, partition),
+            "attractive": analysis.is_locally_attractive_sbm(aug, fixed, partition, caps),
         }
     report["local"] = local
     return report

@@ -15,7 +15,12 @@ Rule expressions use ``|`` union, ``&`` intersection, ``~`` complement,
 ``\\`` difference, ``^`` symmetric difference, with ``~`` binding tightest,
 then ``&``, then ``\\``/``^``, then ``|``.  ``X`` denotes the universe and
 ``empty`` the empty set.  Numbers are decimal rationals (``7``, ``3.5``,
-``1/3``); ``inf``/``-inf`` mark unbounded endpoints.
+``1/3``); ``inf``/``-inf`` mark unbounded endpoints.  Parentheses nest at
+most :data:`MAX_NESTING` levels deep; ``~`` may repeat any number of times.
+
+The only option is ``max_rounds``, the simulator's round budget (the
+``simulate --rounds`` flag overrides it).  Resource caps are set through
+the ``SETCONS_CAPS`` environment variable, not in the file.
 """
 
 from __future__ import annotations
@@ -42,7 +47,10 @@ from .expr import (
 from .intervals import Interval, IntervalSet, Universe, as_value
 
 KEYWORDS = {"universe", "const", "state", "rule", "option", "empty", "X", "inf"}
-OPTION_KEYS = {"max_rounds", "generators", "enumeration", "listing"}
+OPTION_KEYS = {"max_rounds"}
+# Parenthesis depth allowed in one rule; the parser descends a few Python
+# frames per level, so a fixed bound keeps it far from the recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current expression
         self.diagnostics: list[Diagnostic] = []
 
     # -- token plumbing ----------------------------------------------------
@@ -263,13 +272,24 @@ class _Parser:
         return left
 
     def parse_atom(self, names) -> SetExpr:
+        complements = 0
+        while self.at_punct("~"):
+            self.advance()
+            complements += 1
+        atom = self.parse_operand(names)
+        for _ in range(complements):
+            atom = Complement(atom)
+        return atom
+
+    def parse_operand(self, names) -> SetExpr:
         tok = self.peek()
-        if self.at_punct("~"):
-            self.advance()
-            return Complement(self.parse_atom(names))
         if self.at_punct("("):
+            if self.depth == MAX_NESTING:
+                self.fail(tok, f"parentheses nested deeper than {MAX_NESTING} levels")
             self.advance()
+            self.depth += 1
             inner = self.parse_expr(names)
+            self.depth -= 1
             self.expect_punct(")")
             return inner
         if tok.kind == "IDENT":

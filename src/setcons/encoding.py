@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bindyn import BinaryMap, discrete_derivative, semantic_incidence
+from .bindyn import BinaryMap, discrete_derivative
 from .boolmat import BoolMatrix
 from .caps import DEFAULT, Caps
 from .errors import CapExceeded, CellEncodingError
-from .expr import SetExpr, SetMap, bit_evaluate
+from .expr import BITS, SetMap, bind, fold
 from .intervals import Interval, IntervalSet, Universe, elementary_pieces
 
 Bits = tuple[int, ...]
@@ -154,19 +154,13 @@ class EncodedSystem:
         return self.partition.kappa
 
     def _cell_step(self, h: int):
-        n = self.arity
-        first_frozen = n - self.set_map.frozen_count
-        comps: tuple[SetExpr, ...] = self.set_map.components
-        pinned = tuple(self.pinned_bits[j][h] for j in range(self.set_map.frozen_count))
+        k = self.set_map.frozen_count
+        programs = self.set_map.programs[: self.arity - k]
+        pinned = tuple(self.pinned_bits[j][h] for j in range(k))
 
         def fn(bits):
-            out = []
-            for i in range(n):
-                if i >= first_frozen:
-                    out.append(pinned[i - first_frozen])
-                else:
-                    out.append(bit_evaluate(comps[i], bits))
-            return tuple(out)
+            leaf = bind(bits)
+            return tuple([fold(program, leaf, BITS) for program in programs]) + pinned
 
         return fn
 
@@ -228,13 +222,3 @@ def translate_map(f: SetMap, partition: Partition) -> EncodedSystem:
         raise ValueError("translate_map needs a constant-free map; augment it first")
     pinned = tuple(partition.encode(v) for v in f.frozen_values)
     return EncodedSystem(f, partition, pinned)
-
-
-def block_incidence_check(f: SetMap, partition: Partition, caps: Caps = DEFAULT) -> bool:
-    """Structural check of the translated map's incidence: the dependency
-    matrix extracted from the per-cell binary map, blown up cell-blockwise,
-    must equal the source map's incidence Kroneckered with the identity."""
-    enc = translate_map(f, partition)
-    observed = semantic_incidence(enc.cell_map(0), caps).kron_identity(enc.kappa)
-    expected = f.incidence().kron_identity(enc.kappa)
-    return observed == expected

@@ -6,10 +6,31 @@ intersection and complement at the core; difference and symmetric difference
 desugar into those three.  Maps referencing named constants can be rewritten
 into constant-free form by :func:`augment_constants`, which turns every
 constant into a trailing frozen state variable.
+
+Every question asked of an expression is one walk and one fold.
+:func:`postorder` flattens a tree, with an explicit stack, into its
+program: the nodes with every child before its parent.  :func:`fold` runs a
+program bottom-up on a value stack, given a ``leaf`` function for the
+variables and named constants and an ``ops`` table from every other node
+type to a function of its children's values.  The algebras are:
+
+- interval sets (:func:`set_ops`): ``| & ^`` and the universe's complement,
+  for :func:`evaluate` and :meth:`SetMap.eval`;
+- ints (:func:`bit_ops`): ``| & ^`` and complement ``x ^ mask``, for
+  :func:`bit_evaluate` and the encoding's cell maps with mask 1, and for
+  :func:`normal_form`'s bit-sliced truth tables with one bit per input;
+- trees: node constructors, for :func:`augment_constants` and
+  :func:`compose`, and the rewrite rules of :func:`desugar`;
+- text: ``(text, precedence)`` pairs, for :func:`expr_to_text`.
+
+:func:`variables_of` and :func:`constants_of` scan a program.  A SetMap
+compiles each component once, so expressions of any depth are evaluated
+without recursion.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -89,42 +110,132 @@ class SymDiff(SetExpr):
     right: SetExpr
 
 
+# -- the one walk and the one fold ---------------------------------------------
+
+# Children of each operator node.  The literals X and empty are the nullary
+# operators of an algebra (its top and bottom); Var and ConstRef are the
+# leaves, whose values come from the caller's ``leaf`` function.
+_ARITY = {UniverseLit: 0, EmptyLit: 0, Complement: 1, Union: 2, Intersect: 2, Difference: 2, SymDiff: 2}
+
+
+def postorder(e: SetExpr) -> tuple[SetExpr, ...]:
+    """The nodes of ``e``, every child before its parent and left subtrees
+    before right ones: the program that :func:`fold` runs.  The walk keeps
+    its own stack, so an expression of any depth is safe."""
+    out = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        arity = _ARITY.get(type(node))
+        if arity == 2:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif arity == 1:
+            stack.append(node.child)
+        elif arity is None and type(node) not in (Var, ConstRef):
+            raise TypeError(f"unknown node {node!r}")
+    out.reverse()
+    return tuple(out)
+
+
+def fold(program: Sequence[SetExpr], leaf, ops):
+    """Evaluate a :func:`postorder` program bottom-up on a value stack.
+
+    A Var or ConstRef node is replaced by ``leaf(node)``; any other node by
+    ``ops[type(node)]`` applied to the values of its children (none for the
+    literals, one for Complement, left and right for the rest).
+    """
+    stack = []
+    push, pop = stack.append, stack.pop
+    for node in program:
+        kind = type(node)
+        arity = _ARITY.get(kind)
+        if arity is None:
+            push(leaf(node))
+        elif arity == 2:
+            right = pop()
+            push(ops[kind](pop(), right))
+        elif arity == 1:
+            push(ops[kind](pop()))
+        else:
+            push(ops[kind]())
+    return pop()
+
+
+def bind(values: Sequence, constants: Mapping = {}):
+    """The ``leaf`` function reading Var i as ``values[i]`` and a named
+    constant from ``constants``."""
+
+    def leaf(node):
+        if type(node) is Var:
+            return values[node.index]
+        try:
+            return constants[node.name]
+        except KeyError:
+            raise ValueError(f"unbound constant {node.name!r}") from None
+
+    return leaf
+
+
+def set_ops(universe: Universe) -> dict:
+    """The algebra of interval sets inside ``universe``."""
+    complement = universe.complement
+    return {
+        UniverseLit: lambda: universe.carrier,
+        EmptyLit: IntervalSet.empty,
+        Union: operator.or_,
+        Intersect: operator.and_,
+        Complement: complement,
+        Difference: lambda left, right: left & complement(right),
+        SymDiff: operator.xor,
+    }
+
+
+def bit_ops(mask: int) -> dict:
+    """The algebra of ints as bit vectors under ``mask``: with mask 1 the
+    two-element algebra {0, 1}, with a wider mask one bit per evaluation."""
+    return {
+        UniverseLit: lambda: mask,
+        EmptyLit: lambda: 0,
+        Union: operator.or_,
+        Intersect: operator.and_,
+        Complement: lambda x: x ^ mask,
+        Difference: lambda left, right: left & (right ^ mask),
+        SymDiff: operator.xor,
+    }
+
+
+BITS = bit_ops(1)
+
+# Trees: every node rebuilt from its rewritten children.
+_TREE = {kind: kind for kind in _ARITY}
+_DESUGAR = {
+    **_TREE,
+    Difference: lambda left, right: Intersect(left, Complement(right)),
+    SymDiff: lambda left, right: Union(Intersect(Complement(left), right), Intersect(left, Complement(right))),
+}
+
+
 def desugar(e: SetExpr) -> SetExpr:
     """Rewrite difference/symmetric difference into the core three ops."""
-    if isinstance(e, (Var, ConstRef, UniverseLit, EmptyLit)):
-        return e
-    if isinstance(e, Union):
-        return Union(desugar(e.left), desugar(e.right))
-    if isinstance(e, Intersect):
-        return Intersect(desugar(e.left), desugar(e.right))
-    if isinstance(e, Complement):
-        return Complement(desugar(e.child))
-    if isinstance(e, Difference):
-        return Intersect(desugar(e.left), Complement(desugar(e.right)))
-    if isinstance(e, SymDiff):
-        l, r = desugar(e.left), desugar(e.right)
-        return Union(Intersect(Complement(l), r), Intersect(l, Complement(r)))
-    raise TypeError(f"unknown node {e!r}")
+    return fold(postorder(e), lambda node: node, _DESUGAR)
+
+
+def _variables(program: Sequence[SetExpr]) -> set[int]:
+    return {node.index for node in program if type(node) is Var}
+
+
+def _constants(program: Sequence[SetExpr]) -> set[str]:
+    return {node.name for node in program if type(node) is ConstRef}
 
 
 def variables_of(e: SetExpr) -> set[int]:
-    if isinstance(e, Var):
-        return {e.index}
-    if isinstance(e, (ConstRef, UniverseLit, EmptyLit)):
-        return set()
-    if isinstance(e, Complement):
-        return variables_of(e.child)
-    return variables_of(e.left) | variables_of(e.right)
+    return _variables(postorder(e))
 
 
 def constants_of(e: SetExpr) -> set[str]:
-    if isinstance(e, ConstRef):
-        return {e.name}
-    if isinstance(e, (Var, UniverseLit, EmptyLit)):
-        return set()
-    if isinstance(e, Complement):
-        return constants_of(e.child)
-    return constants_of(e.left) | constants_of(e.right)
+    return _constants(postorder(e))
 
 
 def evaluate(
@@ -133,91 +244,49 @@ def evaluate(
     constants: Mapping[str, IntervalSet],
     universe: Universe,
 ) -> IntervalSet:
-    if isinstance(e, Var):
-        return state[e.index]
-    if isinstance(e, ConstRef):
-        try:
-            return constants[e.name]
-        except KeyError:
-            raise ValueError(f"unbound constant {e.name!r}") from None
-    if isinstance(e, UniverseLit):
-        return universe.carrier
-    if isinstance(e, EmptyLit):
-        return IntervalSet.empty()
-    if isinstance(e, Union):
-        return evaluate(e.left, state, constants, universe) | evaluate(e.right, state, constants, universe)
-    if isinstance(e, Intersect):
-        return evaluate(e.left, state, constants, universe) & evaluate(e.right, state, constants, universe)
-    if isinstance(e, Complement):
-        return universe.complement(evaluate(e.child, state, constants, universe))
-    if isinstance(e, Difference):
-        left = evaluate(e.left, state, constants, universe)
-        right = evaluate(e.right, state, constants, universe)
-        return left & universe.complement(right)
-    if isinstance(e, SymDiff):
-        left = evaluate(e.left, state, constants, universe)
-        right = evaluate(e.right, state, constants, universe)
-        return left ^ right
-    raise TypeError(f"unknown node {e!r}")
+    return fold(postorder(e), bind(state, constants), set_ops(universe))
 
 
 def bit_evaluate(e: SetExpr, bits: Sequence[int], const_bits: Mapping[str, int] = {}) -> int:
     """Evaluate an expression in the two-element algebra {0, 1}."""
-    if isinstance(e, Var):
-        return bits[e.index]
-    if isinstance(e, ConstRef):
-        try:
-            return const_bits[e.name]
-        except KeyError:
-            raise ValueError(f"unbound constant {e.name!r}") from None
-    if isinstance(e, UniverseLit):
-        return 1
-    if isinstance(e, EmptyLit):
-        return 0
-    if isinstance(e, Union):
-        return bit_evaluate(e.left, bits, const_bits) | bit_evaluate(e.right, bits, const_bits)
-    if isinstance(e, Intersect):
-        return bit_evaluate(e.left, bits, const_bits) & bit_evaluate(e.right, bits, const_bits)
-    if isinstance(e, Complement):
-        return 1 - bit_evaluate(e.child, bits, const_bits)
-    if isinstance(e, Difference):
-        return bit_evaluate(e.left, bits, const_bits) & (1 - bit_evaluate(e.right, bits, const_bits))
-    if isinstance(e, SymDiff):
-        return bit_evaluate(e.left, bits, const_bits) ^ bit_evaluate(e.right, bits, const_bits)
-    raise TypeError(f"unknown node {e!r}")
+    return fold(postorder(e), bind(bits, const_bits), BITS)
 
 
-_PRECEDENCE = {Union: 1, Difference: 2, SymDiff: 2, Intersect: 3}
+# Text: (text, precedence) pairs.  An operand is parenthesised when its
+# precedence is below the bound its position demands; atoms never are.
+_ATOM = 4
+
+
+def _paren(value: tuple[str, int], bound: int) -> str:
+    text, prec = value
+    return f"({text})" if prec < bound else text
+
+
+def _infix(symbol: str, prec: int, associative: bool):
+    right_bound = prec + 1 if associative else prec + 2
+    return lambda left, right: (f"{_paren(left, prec)} {symbol} {_paren(right, right_bound)}", prec)
+
+
+_TEXT = {
+    UniverseLit: lambda: ("X", _ATOM),
+    EmptyLit: lambda: ("empty", _ATOM),
+    Complement: lambda child: ("~" + _paren(child, _ATOM), _ATOM),
+    Union: _infix("|", 1, True),
+    Difference: _infix("\\", 2, False),
+    SymDiff: _infix("^", 2, False),
+    Intersect: _infix("&", 3, True),
+}
 
 
 def expr_to_text(e: SetExpr, names: Sequence[str] | None = None) -> str:
     """Render an expression in the DSL surface syntax with minimal parens."""
 
-    def name(i: int) -> str:
-        return names[i] if names is not None else f"X{i + 1}"
+    def leaf(node: SetExpr) -> tuple[str, int]:
+        if type(node) is ConstRef:
+            return node.name, _ATOM
+        return (names[node.index] if names is not None else f"X{node.index + 1}"), _ATOM
 
-    def render(node: SetExpr, parent_prec: int, right_side: bool) -> str:
-        if isinstance(node, Var):
-            return name(node.index)
-        if isinstance(node, ConstRef):
-            return node.name
-        if isinstance(node, UniverseLit):
-            return "X"
-        if isinstance(node, EmptyLit):
-            return "empty"
-        if isinstance(node, Complement):
-            return "~" + render(node.child, 4, False)
-        op = {Union: "|", Intersect: "&", Difference: "\\", SymDiff: "^"}[type(node)]
-        prec = _PRECEDENCE[type(node)]
-        assoc = isinstance(node, (Union, Intersect))
-        left = render(node.left, prec, False)
-        right = render(node.right, prec if assoc else prec + 1, True)
-        text = f"{left} {op} {right}"
-        if prec < parent_prec or (prec == parent_prec and right_side):
-            return f"({text})"
-        return text
-
-    return render(e, 0, False)
+    return fold(postorder(e), leaf, _TEXT)[0]
 
 
 @dataclass(frozen=True)
@@ -232,6 +301,8 @@ class SetMap:
     universe: Universe
     constants: tuple[tuple[str, IntervalSet], ...] = ()
     frozen_values: tuple[IntervalSet, ...] = ()
+    # The postorder program of each component, compiled once.
+    programs: tuple[tuple[SetExpr, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.components)
@@ -239,12 +310,13 @@ class SetMap:
             raise ValueError("a map needs at least one component")
         if len(self.frozen_values) > n:
             raise ValueError("more frozen values than components")
+        object.__setattr__(self, "programs", tuple(postorder(c) for c in self.components))
         bound = {name for name, _ in self.constants}
-        for i, comp in enumerate(self.components):
-            for v in variables_of(comp):
+        for i, program in enumerate(self.programs):
+            for v in _variables(program):
                 if not 0 <= v < n:
                     raise ValueError(f"component {i} references variable index {v} outside arity {n}")
-            missing = constants_of(comp) - bound
+            missing = _constants(program) - bound
             if missing:
                 raise ValueError(f"component {i} references unbound constants {sorted(missing)}")
         k = len(self.frozen_values)
@@ -268,23 +340,24 @@ class SetMap:
     def eval(self, state: Sequence[IntervalSet]) -> tuple[IntervalSet, ...]:
         if len(state) != self.arity:
             raise ValueError(f"state has arity {len(state)}, map has {self.arity}")
-        consts = self.constants_map
         for s in state:
             if not self.universe.contains_set(s):
                 raise ValueError(f"state component {s} escapes the universe")
-        return tuple(evaluate(c, state, consts, self.universe) for c in self.components)
+        leaf = bind(state, self.constants_map)
+        ops = set_ops(self.universe)
+        return tuple(fold(program, leaf, ops) for program in self.programs)
 
     def incidence(self) -> BoolMatrix:
         """Syntactic dependency matrix; frozen rows reported as zero."""
         n = self.arity
         first_frozen = n - self.frozen_count
         rows = []
-        for i, comp in enumerate(self.components):
+        for i, program in enumerate(self.programs):
             if i >= first_frozen:
                 rows.append(0)
                 continue
             mask = 0
-            for v in variables_of(comp):
+            for v in _variables(program):
                 mask |= 1 << v
             rows.append(mask)
         return BoolMatrix(n, tuple(rows))
@@ -314,16 +387,10 @@ def augment_constants(f: SetMap) -> SetMap:
     n = f.arity
     index_of = {name: n + j for j, (name, _) in enumerate(f.constants)}
 
-    def rewrite(e: SetExpr) -> SetExpr:
-        if isinstance(e, ConstRef):
-            return Var(index_of[e.name])
-        if isinstance(e, (Var, UniverseLit, EmptyLit)):
-            return e
-        if isinstance(e, Complement):
-            return Complement(rewrite(e.child))
-        return type(e)(rewrite(e.left), rewrite(e.right))
+    def leaf(node: SetExpr) -> SetExpr:
+        return Var(index_of[node.name]) if type(node) is ConstRef else node
 
-    components = tuple(rewrite(c) for c in f.components)
+    components = tuple(fold(program, leaf, _TREE) for program in f.programs)
     components += tuple(Var(n + j) for j in range(len(f.constants)))
     values = tuple(value for _, value in f.constants)
     return SetMap(
@@ -346,26 +413,14 @@ def compose(f: SetMap, g: SetMap) -> SetMap:
             raise ValueError(f"constant {name!r} bound to different values")
         merged[name] = value
 
-    def substitute(e: SetExpr) -> SetExpr:
-        if isinstance(e, Var):
-            return g.components[e.index]
-        if isinstance(e, (ConstRef, UniverseLit, EmptyLit)):
-            return e
-        if isinstance(e, Complement):
-            return Complement(substitute(e.child))
-        return type(e)(substitute(e.left), substitute(e.right))
+    def leaf(node: SetExpr) -> SetExpr:
+        return g.components[node.index] if type(node) is Var else node
 
     return SetMap(
-        components=tuple(substitute(c) for c in f.components),
+        components=tuple(fold(program, leaf, _TREE) for program in f.programs),
         universe=f.universe,
         constants=tuple(merged.items()),
     )
-
-
-def check_composition_bound(f: SetMap, g: SetMap) -> bool:
-    """Whether the composed map's incidence is bounded by the product of the
-    factors' incidences (always true; exposed as a test utility)."""
-    return compose(f, g).incidence().le(f.incidence() @ g.incidence())
 
 
 @dataclass(frozen=True)
@@ -423,35 +478,38 @@ def normal_form(
 ) -> NormalForm:
     """Coefficients computed by the subset parity transform over evaluations
     at indicator inputs (variable j = universe iff j is in the subset).
+    All 2**arity evaluations run as one fold over truth-table ints: bit
+    ``mask`` of variable j's int is set iff j is in the subset ``mask``.
 
     Constants must evaluate to the empty set or the whole universe.
     """
     if arity > caps.normal_form:
         raise CapExceeded(f"normal form needs 2**{arity} evaluations (cap {caps.normal_form})")
-    const_bits: dict[str, int] = {}
+    size = 1 << arity
+    full = (1 << size) - 1
+    const_tables: dict[str, int] = {}
     if constants:
         if universe is None:
             raise ValueError("constants need the universe to be classified")
         for name, value in constants.items():
             if value.is_empty():
-                const_bits[name] = 0
+                const_tables[name] = 0
             elif value == universe.carrier:
-                const_bits[name] = 1
+                const_tables[name] = full
             else:
                 raise ValueError(
                     f"constant {name!r} is neither empty nor the universe; augment the map first"
                 )
-    table = []
-    for mask in range(1 << arity):
-        bits = tuple((mask >> j) & 1 for j in range(arity))
-        table.append(bit_evaluate(component, bits, const_bits))
-    # In-place subset parity (Moebius) transform.
-    for j in range(arity):
-        step = 1 << j
-        for mask in range(1 << arity):
-            if mask & step:
-                table[mask] ^= table[mask ^ step]
-    return NormalForm(arity, tuple(table))
+    # Variable j's table: runs of 2**j zeros then 2**j ones, repeated.
+    columns = [
+        (((1 << (1 << j)) - 1) << (1 << j)) * (full // ((1 << (2 << j)) - 1)) for j in range(arity)
+    ]
+    table = fold(postorder(component), bind(columns, const_tables), bit_ops(full))
+    # Subset parity (Moebius) transform, all masks at once: every mask with
+    # bit j set absorbs the value of the mask without it.
+    for j, column in enumerate(columns):
+        table ^= (table & ~column) << (1 << j)
+    return NormalForm(arity, tuple((table >> mask) & 1 for mask in range(size)))
 
 
 def as_linear(f: SetMap) -> "LinearSetMap | None":
@@ -466,35 +524,28 @@ def as_linear(f: SetMap) -> "LinearSetMap | None":
     entries = [[IntervalSet.empty() for _ in range(n)] for _ in range(n)]
 
     def term_coeff(term: SetExpr) -> tuple[int, IntervalSet] | None:
-        if isinstance(term, Var):
+        if type(term) is Var:
             return term.index, f.universe.carrier
-        if not isinstance(term, Intersect):
+        if type(term) is not Intersect:
             return None
-        sides = [term.left, term.right]
-        for pos in (0, 1):
-            var, coeff = sides[pos], sides[1 - pos]
-            if not isinstance(var, Var):
-                continue
-            if isinstance(coeff, ConstRef):
-                return var.index, consts[coeff.name]
-            if isinstance(coeff, UniverseLit):
-                return var.index, f.universe.carrier
-            if isinstance(coeff, EmptyLit):
-                return var.index, IntervalSet.empty()
+        for var, coeff in ((term.left, term.right), (term.right, term.left)):
+            if type(var) is Var and type(coeff) in (ConstRef, UniverseLit, EmptyLit):
+                return var.index, evaluate(coeff, (), consts, f.universe)
         return None
 
-    def flatten(e: SetExpr, out: list[SetExpr]):
-        if isinstance(e, Union):
-            flatten(e.left, out)
-            flatten(e.right, out)
-        else:
-            out.append(e)
-
     for i, comp in enumerate(f.components):
+        # The union's operands, left to right.
         terms: list[SetExpr] = []
-        flatten(comp, terms)
+        stack = [comp]
+        while stack:
+            term = stack.pop()
+            if type(term) is Union:
+                stack.append(term.right)
+                stack.append(term.left)
+            else:
+                terms.append(term)
         for term in terms:
-            if isinstance(term, EmptyLit):
+            if type(term) is EmptyLit:
                 continue
             parsed = term_coeff(term)
             if parsed is None:

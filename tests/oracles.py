@@ -1,12 +1,19 @@
-"""Slow reference implementations that the library's linear-time paths are
-checked against.
+"""Slow reference implementations that the library's fast paths are
+checked against, and checks that only tests need.
 
-Each one is the plain, obviously correct form of a library routine: the
-pairwise intersection, the union that sorts the concatenation again, the
-subset test through intersection, the partition found by trying all 2**m
-signatures, and the simulator's distance lengths measured on the sets
-themselves.  They use only each other and the interval constructors, never
-the library operations they check.
+Each one is the plain, obviously correct form of a library routine:
+
+- the pairwise intersection, the union that sorts the concatenation again,
+  the subset test through intersection, the partition found by trying all
+  2**m signatures, and the simulator's distance lengths measured on the
+  sets themselves.  They use only each other and the interval constructors,
+  never the library operations they check.
+- the recursive expression walkers that the postorder fold replaced: one
+  function per question, each dispatching on the node type and calling
+  itself on the children.  They use only the node classes and the interval
+  set operators.
+- direct checks of the paper's bounds and of attractiveness by simulation,
+  built on the library's public operations.
 """
 
 from __future__ import annotations
@@ -14,7 +21,32 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from setcons import Interval, IntervalSet, Universe
+from setcons import (
+    BinaryMap,
+    BoolMatrix,
+    Interval,
+    IntervalSet,
+    Partition,
+    SetMap,
+    Universe,
+    compose,
+    translate_map,
+)
+from setcons.analysis import incidence_apply, set_distance
+from setcons.bindyn import dependency_witness, flip, format_bits, semantic_incidence
+from setcons.caps import DEFAULT, Caps
+from setcons.expr import (
+    Complement,
+    ConstRef,
+    Difference,
+    EmptyLit,
+    Intersect,
+    SetExpr,
+    SymDiff,
+    Union,
+    UniverseLit,
+    Var,
+)
 from setcons.sim import Trajectory
 
 
@@ -93,3 +125,255 @@ def set_level_distance_lengths(traj: Trajectory, window: Interval) -> tuple[floa
             total += measure(gap, window)
         lengths.append(float(total))
     return tuple(lengths)
+
+
+# -- recursive expression walkers ----------------------------------------------
+
+
+def recursive_desugar(e: SetExpr) -> SetExpr:
+    if isinstance(e, (Var, ConstRef, UniverseLit, EmptyLit)):
+        return e
+    if isinstance(e, Union):
+        return Union(recursive_desugar(e.left), recursive_desugar(e.right))
+    if isinstance(e, Intersect):
+        return Intersect(recursive_desugar(e.left), recursive_desugar(e.right))
+    if isinstance(e, Complement):
+        return Complement(recursive_desugar(e.child))
+    if isinstance(e, Difference):
+        return Intersect(recursive_desugar(e.left), Complement(recursive_desugar(e.right)))
+    if isinstance(e, SymDiff):
+        l, r = recursive_desugar(e.left), recursive_desugar(e.right)
+        return Union(Intersect(Complement(l), r), Intersect(l, Complement(r)))
+    raise TypeError(f"unknown node {e!r}")
+
+
+def recursive_variables_of(e: SetExpr) -> set[int]:
+    if isinstance(e, Var):
+        return {e.index}
+    if isinstance(e, (ConstRef, UniverseLit, EmptyLit)):
+        return set()
+    if isinstance(e, Complement):
+        return recursive_variables_of(e.child)
+    return recursive_variables_of(e.left) | recursive_variables_of(e.right)
+
+
+def recursive_constants_of(e: SetExpr) -> set[str]:
+    if isinstance(e, ConstRef):
+        return {e.name}
+    if isinstance(e, (Var, UniverseLit, EmptyLit)):
+        return set()
+    if isinstance(e, Complement):
+        return recursive_constants_of(e.child)
+    return recursive_constants_of(e.left) | recursive_constants_of(e.right)
+
+
+def recursive_evaluate(e, state, constants, universe) -> IntervalSet:
+    def ev(node):
+        return recursive_evaluate(node, state, constants, universe)
+
+    if isinstance(e, Var):
+        return state[e.index]
+    if isinstance(e, ConstRef):
+        return constants[e.name]
+    if isinstance(e, UniverseLit):
+        return universe.carrier
+    if isinstance(e, EmptyLit):
+        return IntervalSet.empty()
+    if isinstance(e, Union):
+        return ev(e.left) | ev(e.right)
+    if isinstance(e, Intersect):
+        return ev(e.left) & ev(e.right)
+    if isinstance(e, Complement):
+        return universe.complement(ev(e.child))
+    if isinstance(e, Difference):
+        return ev(e.left) & universe.complement(ev(e.right))
+    if isinstance(e, SymDiff):
+        return ev(e.left) ^ ev(e.right)
+    raise TypeError(f"unknown node {e!r}")
+
+
+def recursive_bit_evaluate(e: SetExpr, bits, const_bits={}) -> int:
+    def ev(node):
+        return recursive_bit_evaluate(node, bits, const_bits)
+
+    if isinstance(e, Var):
+        return bits[e.index]
+    if isinstance(e, ConstRef):
+        return const_bits[e.name]
+    if isinstance(e, UniverseLit):
+        return 1
+    if isinstance(e, EmptyLit):
+        return 0
+    if isinstance(e, Union):
+        return ev(e.left) | ev(e.right)
+    if isinstance(e, Intersect):
+        return ev(e.left) & ev(e.right)
+    if isinstance(e, Complement):
+        return 1 - ev(e.child)
+    if isinstance(e, Difference):
+        return ev(e.left) & (1 - ev(e.right))
+    if isinstance(e, SymDiff):
+        return ev(e.left) ^ ev(e.right)
+    raise TypeError(f"unknown node {e!r}")
+
+
+_PRECEDENCE = {Union: 1, Difference: 2, SymDiff: 2, Intersect: 3}
+_SYMBOL = {Union: "|", Intersect: "&", Difference: "\\", SymDiff: "^"}
+
+
+def recursive_expr_to_text(e: SetExpr, names=None) -> str:
+    def render(node, parent_prec, right_side):
+        if isinstance(node, Var):
+            return names[node.index] if names is not None else f"X{node.index + 1}"
+        if isinstance(node, ConstRef):
+            return node.name
+        if isinstance(node, UniverseLit):
+            return "X"
+        if isinstance(node, EmptyLit):
+            return "empty"
+        if isinstance(node, Complement):
+            return "~" + render(node.child, 4, False)
+        prec = _PRECEDENCE[type(node)]
+        assoc = isinstance(node, (Union, Intersect))
+        left = render(node.left, prec, False)
+        right = render(node.right, prec if assoc else prec + 1, True)
+        text = f"{left} {_SYMBOL[type(node)]} {right}"
+        if prec < parent_prec or (prec == parent_prec and right_side):
+            return f"({text})"
+        return text
+
+    return render(e, 0, False)
+
+
+def _rebuild(e: SetExpr, leaf) -> SetExpr:
+    """Rebuild a tree bottom-up, replacing each leaf by ``leaf(node)``."""
+    if isinstance(e, (Var, ConstRef, UniverseLit, EmptyLit)):
+        return leaf(e)
+    if isinstance(e, Complement):
+        return Complement(_rebuild(e.child, leaf))
+    return type(e)(_rebuild(e.left, leaf), _rebuild(e.right, leaf))
+
+
+def recursive_augmented_components(f: SetMap) -> tuple[SetExpr, ...]:
+    """The components of ``augment_constants(f)``: constants become the
+    trailing variables, in declaration order, with identity rules."""
+    n = f.arity
+    index_of = {name: n + j for j, (name, _) in enumerate(f.constants)}
+    rewritten = tuple(
+        _rebuild(c, lambda node: Var(index_of[node.name]) if isinstance(node, ConstRef) else node)
+        for c in f.components
+    )
+    return rewritten + tuple(Var(n + j) for j in range(len(f.constants)))
+
+
+def recursive_composed_components(f: SetMap, g: SetMap) -> tuple[SetExpr, ...]:
+    """The components of ``compose(f, g)``: g's rules substituted into f's."""
+    return tuple(
+        _rebuild(c, lambda node: g.components[node.index] if isinstance(node, Var) else node)
+        for c in f.components
+    )
+
+
+def per_mask_normal_form(component: SetExpr, arity: int, const_bits={}) -> tuple[int, ...]:
+    """Normal-form coefficients from one evaluation per subset, then the
+    subset parity transform entry by entry."""
+    table = []
+    for mask in range(1 << arity):
+        bits = tuple((mask >> j) & 1 for j in range(arity))
+        table.append(recursive_bit_evaluate(component, bits, const_bits))
+    for j in range(arity):
+        step = 1 << j
+        for mask in range(1 << arity):
+            if mask & step:
+                table[mask] ^= table[mask ^ step]
+    return tuple(table)
+
+
+# -- checks only tests need -------------------------------------------------------
+
+
+def check_distance_bound(f: SetMap, x: Sequence[IntervalSet], y: Sequence[IntervalSet]) -> bool:
+    """Whether distance(f(x), f(y)) is componentwise inside B(f) * distance(x, y)."""
+    lhs = set_distance(f.eval(x), f.eval(y))
+    rhs = incidence_apply(f.incidence(), set_distance(x, y))
+    return all(l.is_subset(r) for l, r in zip(lhs, rhs))
+
+
+def check_composition_bound(f: SetMap, g: SetMap) -> bool:
+    """Whether the composed map's incidence is bounded by the product of the
+    factors' incidences."""
+    return compose(f, g).incidence().le(f.incidence() @ g.incidence())
+
+
+def find_bound_counterexample(
+    f: SetMap, m: BoolMatrix, partition: Partition, caps: Caps = DEFAULT
+) -> tuple[tuple[IntervalSet, ...], tuple[IntervalSet, ...]] | None:
+    """A state pair violating the distance bound for a candidate matrix ``m``.
+
+    Exists exactly when ``m`` misses a live dependency of ``f``; the pair is
+    built from one cell region and a binary witness of that dependency.
+    """
+    enc = translate_map(f, partition)
+    live = semantic_incidence(enc.cell_map(0), caps)
+    for i in range(f.arity):
+        for j in range(f.arity):
+            if live.entry(i, j) and not m.entry(i, j):
+                bits = dependency_witness(enc.cell_map(0), i, j, caps)
+                assert bits is not None
+                region = partition.regions[0]
+                x = tuple(region if b else IntervalSet.empty() for b in bits)
+                y = x[:j] + (x[j] ^ region,) + x[j + 1 :]
+                lhs = set_distance(f.eval(x), f.eval(y))
+                rhs = incidence_apply(m, set_distance(x, y))
+                assert not lhs[i].is_subset(rhs[i])
+                return x, y
+    return None
+
+
+def block_incidence_check(f: SetMap, partition: Partition, caps: Caps = DEFAULT) -> bool:
+    """Structural check of the translated map's incidence: the dependency
+    matrix extracted from the per-cell binary map, blown up cell-blockwise,
+    must equal the source map's incidence Kroneckered with the identity."""
+    enc = translate_map(f, partition)
+    observed = semantic_incidence(enc.cell_map(0), caps).kron_identity(enc.kappa)
+    expected = f.incidence().kron_identity(enc.kappa)
+    return observed == expected
+
+
+def is_locally_attractive_direct(f: SetMap, x_eq: Sequence[IntervalSet]) -> bool:
+    """Local attractiveness checked by direct set-level simulation over the
+    neighborhood (each neighbor complements one whole component)."""
+    x_eq = tuple(x_eq)
+    if f.eval(x_eq) != x_eq:
+        raise ValueError("not an equilibrium")
+    hood = [x_eq] + [
+        x_eq[:j] + (f.universe.complement(x_eq[j]),) + x_eq[j + 1 :] for j in range(f.arity)
+    ]
+    hood_set = set(hood)
+    for y in hood:
+        if f.eval(y) not in hood_set:
+            return False
+    for y in hood:
+        state = y
+        for _ in range(f.arity):
+            state = f.eval(state)
+        if state != x_eq:
+            return False
+    return True
+
+
+def is_vnn_attractive_direct(f: BinaryMap, x_eq: tuple[int, ...]) -> bool:
+    """Neighborhood attractiveness by direct simulation: one step never
+    leaves the state and its one-bit-flip neighbors, and every neighbor is
+    absorbed within n steps."""
+    x_eq = tuple(x_eq)
+    if f.step(x_eq) != x_eq:
+        raise ValueError(f"{format_bits(x_eq)} is not an equilibrium")
+    hood = {x_eq} | {flip(x_eq, j) for j in range(len(x_eq))}
+    for y in hood:
+        if f.step(y) not in hood:
+            return False
+    for y in hood:
+        if f.iterate(y, f.n) != x_eq:
+            return False
+    return True

@@ -15,7 +15,6 @@ from setcons import (
     augment_constants,
     binary_contractivity,
     build_partition,
-    check_distance_bound,
     consensus_region,
     discrete_derivative,
     equilibria,
@@ -52,6 +51,7 @@ from helpers import (
     random_set_map,
     ref3_binary,
 )
+from oracles import check_distance_bound
 
 
 def report(n: int, text: str):

@@ -11,19 +11,16 @@ from setcons import (
     Universe,
     augment_constants,
     build_partition,
-    check_distance_bound,
     consensus_region,
     equilibria_sbm,
     global_fixed_point,
     incidence_apply,
     is_contractive_sbm,
-    is_locally_attractive_direct,
     is_locally_attractive_sbm,
     is_vnn_attractive,
     set_distance,
     translate_map,
 )
-from setcons.analysis import find_bound_counterexample
 from setcons.bindyn import BinaryMap, all_states
 from setcons.boolmat import is_nilpotent, is_strictly_lower
 from setcons.expr import LinearSetMap, Var
@@ -42,6 +39,7 @@ from helpers import (
     ref3_binary,
     unit_embedding_of_ref3,
 )
+from oracles import check_distance_bound, find_bound_counterexample, is_locally_attractive_direct
 
 
 def box24():

@@ -10,7 +10,6 @@ from setcons import (
     discrete_derivative,
     equilibria,
     is_vnn_attractive,
-    is_vnn_attractive_direct,
     orbit,
     semantic_incidence,
 )
@@ -19,6 +18,7 @@ from setcons.caps import Caps
 from setcons.errors import CapExceeded, OrbitLimitError
 
 from helpers import direct_vnn_verdict, random_binary_map, ref3_binary
+from oracles import is_vnn_attractive_direct
 
 
 def test_orbit_reference_cycle():

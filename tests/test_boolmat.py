@@ -85,12 +85,34 @@ def test_dimension_mismatch():
         BoolMatrix.identity(2) @ BoolMatrix.identity(3)
 
 
-def test_dimension_cap_is_a_cap_error():
-    from setcons.caps import DEFAULT
+def test_dimension_cap_follows_the_configured_caps():
+    from setcons import SetMap, build_partition, is_contractive_sbm, is_locally_attractive_sbm
+    from setcons.caps import DEFAULT, Caps
     from setcons.errors import CapExceeded
+    from setcons.expr import EmptyLit, UniverseLit
 
-    with pytest.raises(CapExceeded):
-        BoolMatrix.zero(DEFAULT.matrix_dim + 1)
+    # A matrix is only data: the cap belongs to the analyzers and their caps.
+    assert BoolMatrix.zero(DEFAULT.matrix_dim + 1).is_zero()
+    # Eleven dyadic generators cut [0, 2048) into 2048 unit cells, so three
+    # variables translate to 6144 bits, above the default cap of 4096.
+    u = Universe.of(Interval.closed_open(0, 2048))
+    gens = [
+        IntervalSet.from_intervals(
+            [Interval.closed_open(k, k + (1 << i)) for k in range(1 << i, 2048, 2 << i)]
+        )
+        for i in range(11)
+    ]
+    p = build_partition(gens, u)
+    f = SetMap((EmptyLit(), UniverseLit(), EmptyLit()), u)
+    dim = f.arity * p.kappa
+    assert dim == 6144 > DEFAULT.matrix_dim
+    assert is_contractive_sbm(f, p, Caps(matrix_dim=dim)).contractive
+    x_eq = f.eval((u.carrier,) * 3)
+    for caps in (DEFAULT, Caps(matrix_dim=dim - 1)):
+        with pytest.raises(CapExceeded):
+            is_contractive_sbm(f, p, caps)
+        with pytest.raises(CapExceeded):
+            is_locally_attractive_sbm(f, x_eq, p, caps)
 
 
 def test_nilpotency_references():

@@ -153,3 +153,43 @@ def test_matrix_dim_cap_exit_code(files, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("cap exceeded: the block incidence of 7 variables")
     assert "(cap 20)" in err
+
+
+def one_rule_file(tmp_path, rule: str) -> str:
+    path = tmp_path / "deep.sbm"
+    path.write_text(f"universe [0,10]\nstate X1 = [1,2]\nrule X1 = {rule}\n")
+    return str(path)
+
+
+def test_deep_parentheses_are_a_diagnostic(tmp_path, capsys):
+    path = one_rule_file(tmp_path, "(" * 2000 + "X1" + ")" * 2000)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 1
+    assert out == ""
+    # The 101st parenthesis, after the 10 characters of "rule X1 = ".
+    assert err == "3:111: error: parentheses nested deeper than 100 levels\n"
+
+
+def test_long_complement_run(tmp_path, capsys):
+    path = one_rule_file(tmp_path, "~" * 2000 + "X1")
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 0, err
+    # An even number of complements is the identity rule.
+    report = json.loads(out)
+    assert report["cycle"] == ["X1"]
+    assert report["equilibria_summary"]["per_cell_counts"] == [2, 2]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "encode"])
+def test_long_symmetric_difference_chain(tmp_path, capsys, command):
+    # 3000 copies of X1 cancel in pairs, so the rule is the empty set.
+    path = one_rule_file(tmp_path, " ^ ".join(["X1"] * 3000))
+    code, out, err = run(capsys, command, path)
+    assert code == 0, err
+    report = json.loads(out)
+    if command == "simulate":
+        assert report["rounds"] == [["[1,2]"], ["empty"]]
+    elif command == "encode":
+        assert report["vars"] == {"X1": "10"}
+    else:
+        assert report["equilibria_summary"]["per_cell_counts"] == [1, 1]

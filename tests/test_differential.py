@@ -1,6 +1,6 @@
 """Differential tests: the linear-time interval algebra, the endpoint-sweep
-partition and the cell-sum distance lengths against the reference versions
-in ``oracles.py`` and against pointwise membership."""
+partition, the cell-sum distance lengths and the expression fold against
+the reference versions in ``oracles.py`` and against pointwise membership."""
 
 from __future__ import annotations
 
@@ -10,12 +10,49 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setcons import Interval, IntervalSet, Universe, build_partition, parse, simulate
+from setcons import (
+    Interval,
+    IntervalSet,
+    SetMap,
+    Universe,
+    augment_constants,
+    build_partition,
+    compose,
+    desugar,
+    normal_form,
+    parse,
+    simulate,
+)
+from setcons.expr import (
+    Complement,
+    ConstRef,
+    Difference,
+    EmptyLit,
+    Intersect,
+    SymDiff,
+    Union,
+    UniverseLit,
+    Var,
+    bit_evaluate,
+    constants_of,
+    evaluate,
+    expr_to_text,
+    variables_of,
+)
 from setcons.sim import sampling_window
 
 from helpers import assert_same_membership, iv, probe_points
 from oracles import (
     pairwise_and,
+    per_mask_normal_form,
+    recursive_augmented_components,
+    recursive_bit_evaluate,
+    recursive_composed_components,
+    recursive_constants_of,
+    recursive_desugar,
+    recursive_evaluate,
+    recursive_expr_to_text,
+    recursive_variables_of,
     resorting_or,
     set_level_distance_lengths,
     signature_scan_partition,
@@ -126,3 +163,58 @@ def test_distance_lengths_match_set_level(path, seed):
     traj = simulate(spec, seed=seed, random_init=True)
     window = sampling_window(spec.universe)
     assert traj.distance_lengths == set_level_distance_lengths(traj, window)
+
+
+# -- the expression fold against the recursive walkers ------------------------
+
+ARITY = 3
+BOX = Universe.of(Interval.closed(0, 8))
+
+expressions = st.recursive(
+    st.one_of(
+        st.builds(Var, st.integers(0, ARITY - 1)),
+        st.builds(ConstRef, st.sampled_from(["A", "B"])),
+        st.just(UniverseLit()),
+        st.just(EmptyLit()),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Complement, inner),
+        *(st.builds(kind, inner, inner) for kind in (Union, Intersect, Difference, SymDiff)),
+    ),
+    max_leaves=16,
+)
+box_sets = interval_sets.map(lambda s: s & BOX.carrier)
+
+
+@CHECK
+@given(expressions, st.lists(box_sets, min_size=ARITY + 2, max_size=ARITY + 2))
+@example(Var(0) ^ Var(1) - ~ConstRef("A") | UniverseLit() & EmptyLit(), [iv("[1,2]")] * (ARITY + 2))
+def test_expression_fold_matches_recursive_walkers(e, sets):
+    state, constants = tuple(sets[:ARITY]), {"A": sets[ARITY], "B": sets[ARITY + 1]}
+    assert evaluate(e, state, constants, BOX) == recursive_evaluate(e, state, constants, BOX)
+    for mask in range(1 << (ARITY + 2)):
+        bits = tuple((mask >> j) & 1 for j in range(ARITY))
+        const_bits = {"A": (mask >> ARITY) & 1, "B": mask >> (ARITY + 1)}
+        assert bit_evaluate(e, bits, const_bits) == recursive_bit_evaluate(e, bits, const_bits)
+    assert desugar(e) == recursive_desugar(e)
+    assert expr_to_text(e) == recursive_expr_to_text(e)
+    assert expr_to_text(e, ["P", "Q", "R"]) == recursive_expr_to_text(e, ["P", "Q", "R"])
+    assert variables_of(e) == recursive_variables_of(e)
+    assert constants_of(e) == recursive_constants_of(e)
+    # Constants that are the empty set or the universe act as 0/1 bits.
+    classified = {"A": IntervalSet.empty(), "B": BOX.carrier}
+    assert normal_form(e, ARITY, classified, BOX).coeffs == per_mask_normal_form(e, ARITY, {"A": 0, "B": 1})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(expressions, min_size=ARITY, max_size=ARITY),
+    st.lists(expressions, min_size=ARITY, max_size=ARITY),
+    st.lists(box_sets, min_size=2, max_size=2),
+)
+def test_map_rewrites_match_recursive_walkers(f_rules, g_rules, constants):
+    bound = (("A", constants[0]), ("B", constants[1]))
+    f = SetMap(tuple(f_rules), BOX, bound)
+    g = SetMap(tuple(g_rules), BOX, bound)
+    assert augment_constants(f).components == recursive_augmented_components(f)
+    assert compose(f, g).components == recursive_composed_components(f, g)

@@ -7,7 +7,7 @@ from setcons import (
     pretty_print,
     to_json,
 )
-from setcons.dsl import Diagnostic
+from setcons.dsl import MAX_NESTING, Diagnostic
 from setcons.expr import ConstRef, Var
 
 from helpers import iv
@@ -116,6 +116,41 @@ def test_unknown_option():
     with pytest.raises(DslError) as err:
         parse("universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1\noption nope = 3\n")
     assert "unknown option" in err.value.diagnostics[0].message
+
+
+def test_cap_keys_are_not_options():
+    # Caps come from SETCONS_CAPS only; a file cannot set them.
+    for key in ("generators", "enumeration", "listing"):
+        with pytest.raises(DslError) as err:
+            parse(f"universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1\noption {key} = 3\n")
+        diag = err.value.diagnostics[0]
+        assert diag.message == f"unknown option {key!r}"
+        assert (diag.line, diag.column) == (4, 8)
+        assert diag.hint == "known options: max_rounds"
+
+
+def test_parenthesis_depth_limit():
+    def rule(depth):
+        return "universe [0,1]\nstate X1 = [0,1]\nrule X1 = " + "(" * depth + "X1" + ")" * depth + "\n"
+
+    assert parse(rule(MAX_NESTING)).rules == (Var(0),)
+    with pytest.raises(DslError) as err:
+        parse(rule(MAX_NESTING + 1))
+    diag = err.value.diagnostics[0]
+    assert (diag.line, diag.column) == (3, 11 + MAX_NESTING)
+    assert diag.message == f"parentheses nested deeper than {MAX_NESTING} levels"
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [" ^ ".join(["X1"] * 3000), "~" * 2000 + "X1", " | ".join(["~(X1 & ~X1)"] * 500)],
+    ids=["xor-chain", "complement-run", "union-chain"],
+)
+def test_long_rules_print_and_parse_back(rule):
+    # Texts are compared, not trees: == on a 3000-deep tree would recurse.
+    printed = pretty_print(parse(f"universe [0,1]\nstate X1 = [0,1]\nrule X1 = {rule}\n"))
+    assert f"rule X1 = {rule}\n" in printed
+    assert pretty_print(parse(printed)) == printed
 
 
 def test_declaration_after_rules():

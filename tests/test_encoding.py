@@ -7,7 +7,6 @@ from setcons import (
     SetMap,
     Universe,
     augment_constants,
-    block_incidence_check,
     build_partition,
     translate_map,
 )
@@ -26,6 +25,7 @@ from helpers import (
     random_set,
     random_set_map,
 )
+from oracles import block_incidence_check
 
 REF_CELLS = [
     ((1, 1, 0), "[4,5]"),

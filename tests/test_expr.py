@@ -10,7 +10,6 @@ from setcons import (
     Universe,
     as_linear,
     augment_constants,
-    check_composition_bound,
     compose,
     desugar,
     normal_form,
@@ -44,6 +43,7 @@ from helpers import (
     random_set,
     random_set_map,
 )
+from oracles import check_composition_bound
 
 
 def test_eval_reference_step():
