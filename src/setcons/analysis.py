@@ -1,15 +1,16 @@
 """Top-level convergence analyzers for set-valued systems.
 
 Global contractivity is decided on the 0/1 projection of the incidence
-matrix and, when a partition is supplied, cross-checked against nilpotency
-of the translated map's block incidence on n*kappa bits.  Local
-attractiveness of an equilibrium is decided on the derivative of the
-translated binary map.  Consensus existence for linear maps reduces to the
-intersection of row unions.
+matrix.  Equilibria and local attractiveness are decided on the translated
+binary map, whose state is n words of kappa bits (one bit per cell): one
+word step answers a question for every cell at once, and no matrix over
+the n*kappa bits is ever built.  Consensus existence for linear maps
+reduces to the intersection of row unions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +24,7 @@ from .boolmat import (
     nilpotency_index,
 )
 from .caps import DEFAULT, Caps
-from .encoding import EncodedSystem, Partition, translate_map
+from .encoding import Partition, translate_map
 from .errors import CapExceeded, SetconsError
 from .expr import LinearSetMap, SetMap
 from .intervals import IntervalSet
@@ -52,15 +53,6 @@ def incidence_apply(b: BoolMatrix, d: Sequence[IntervalSet]) -> SetVector:
     return tuple(out)
 
 
-def _check_matrix_dim(f: SetMap, partition: Partition, caps: Caps) -> None:
-    """Refuse a matrix over the n*kappa bits of the translated map above the cap."""
-    if f.arity * partition.kappa > caps.matrix_dim:
-        raise CapExceeded(
-            f"the block incidence of {f.arity} variables on {partition.kappa} cells has "
-            f"dimension {f.arity * partition.kappa} (cap {caps.matrix_dim})"
-        )
-
-
 @dataclass(frozen=True)
 class ContractivityVerdict:
     """Outcome of the global convergence test on an n-variable map.
@@ -87,27 +79,17 @@ class ContractivityVerdict:
         }
 
 
-def is_contractive_sbm(
-    f: SetMap, partition: Partition | None = None, caps: Caps = DEFAULT
-) -> ContractivityVerdict:
+def is_contractive_sbm(f: SetMap) -> ContractivityVerdict:
     """Decide global contractivity on the incidence matrix's 0/1 projection.
 
-    The map must be constant-free (augment first).  With a partition, the
-    verdict is cross-validated against nilpotency of the translated map's
-    n*kappa block incidence; the two can never disagree.  That matrix is
-    refused when n*kappa exceeds ``caps.matrix_dim``.
+    The map must be constant-free (augment first).  The translated map on
+    n*kappa bits has the block incidence ``B kron I``, which is nilpotent
+    exactly when ``B`` is, so the verdict holds for every partition.
     """
     if f.constants:
         raise ValueError("contractivity needs a constant-free map; augment it first")
-    if partition is not None:
-        _check_matrix_dim(f, partition, caps)
     shadow = f.incidence()
     witness = find_strict_triangular_permutation(shadow)
-    if partition is not None:
-        enc = translate_map(f, partition)
-        big_verdict = is_nilpotent(enc.map.incidence)
-        if big_verdict != (witness is not None):
-            raise SetconsError("projection and encoded-map verdicts disagree")
     if witness is None:
         cycle = find_dependency_cycle(shadow)
         if cycle is None:
@@ -118,17 +100,14 @@ def is_contractive_sbm(
 
 
 def global_fixed_point(
-    f: SetMap,
-    start: Sequence[IntervalSet],
-    partition: Partition | None = None,
-    verdict: ContractivityVerdict | None = None,
+    f: SetMap, start: Sequence[IntervalSet], verdict: ContractivityVerdict | None = None
 ) -> SetVector:
     """Iterate a contractive map to its unique fixed point.
 
     The result is verified to be independent of the start by re-running from
     the componentwise complement (frozen components stay pinned).
     """
-    verdict = verdict or is_contractive_sbm(f, partition)
+    verdict = verdict or is_contractive_sbm(f)
     if not verdict.contractive:
         raise ValueError("the map is not contractive; no unique fixed point is guaranteed")
     start = tuple(start)
@@ -181,57 +160,56 @@ class CellEquilibriaReport:
 def equilibria_sbm(
     f: SetMap, partition: Partition, caps: Caps = DEFAULT, list_all: bool = True
 ) -> CellEquilibriaReport:
-    """Enumerate equilibria through the per-cell structure of the encoding."""
+    """Enumerate equilibria through the per-cell structure of the encoding.
+
+    Each assignment of the free variables is put into every cell at once
+    and stepped as one word state; the cells where it is fixed are the AND
+    over the components of ``~(out_i ^ in_i)``.
+    """
     enc = translate_map(f, partition)
-    n, k = f.arity, partition.kappa
-    n_free = n - f.frozen_count
+    step = enc.map.step
+    n_free, k = f.arity - f.frozen_count, partition.kappa
     if n_free > caps.enumeration:
         raise CapExceeded(f"per-cell enumeration needs 2**{n_free} states (cap {caps.enumeration})")
-    per_cell: list[tuple[tuple[int, ...], ...]] = []
-    for h in range(k):
-        g = enc.cell_map(h)
-        pinned = tuple(enc.pinned_bits[j][h] for j in range(f.frozen_count))
-        fixed = []
-        for mask in range(1 << n_free):
-            bits = tuple((mask >> i) & 1 for i in range(n_free)) + pinned
-            if g.step(bits) == bits:
-                fixed.append(bits)
-        per_cell.append(tuple(sorted(fixed)))
+    full = (1 << k) - 1
+    pinned = [tuple((w >> h) & 1 for w in enc.pinned_words) for h in range(k)]
+    per_cell: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    for mask in range(1 << n_free):
+        free = tuple((mask >> i) & 1 for i in range(n_free))
+        words = tuple(full if bit else 0 for bit in free) + enc.pinned_words
+        fixed = full
+        for x, y in zip(words, step(words)):
+            fixed &= ~(x ^ y)
+        while fixed:
+            h = (fixed & -fixed).bit_length() - 1
+            per_cell[h].append(free + pinned[h])
+            fixed &= fixed - 1
+    cells = tuple(tuple(sorted(fps)) for fps in per_cell)
     total = 1
-    for fps in per_cell:
+    for fps in cells:
         total *= len(fps)
     listed: tuple[SetVector, ...] | None = None
     if list_all and 0 < total <= caps.listing:
-        listed = tuple(_expand_equilibria(enc, per_cell))
-    return CellEquilibriaReport(partition, tuple(per_cell), total, listed)
-
-
-def _expand_equilibria(enc: EncodedSystem, per_cell) -> list[SetVector]:
-    n, k = enc.arity, enc.kappa
-    out: list[SetVector] = []
-
-    def rec(h: int, chosen: list[tuple[int, ...]]):
-        if h == k:
-            bits = [0] * (n * k)
-            for cell, cell_bits in enumerate(chosen):
-                for i in range(n):
-                    bits[i * k + cell] = cell_bits[i]
-            out.append(enc.decode_state(bits))
-            return
-        for fp in per_cell[h]:
-            rec(h + 1, chosen + [fp])
-
-    rec(0, [])
-    return out
+        listed = tuple(
+            enc.decode_state(
+                [sum(fp[i] << h for h, fp in enumerate(choice)) for i in range(f.arity)]
+            )
+            for choice in itertools.product(*cells)
+        )
+    return CellEquilibriaReport(partition, cells, total, listed)
 
 
 def is_locally_attractive_sbm(
-    f: SetMap, x_eq: Sequence[IntervalSet], partition: Partition, caps: Caps = DEFAULT
+    f: SetMap, x_eq: Sequence[IntervalSet], partition: Partition
 ) -> bool:
     """Attractiveness of an equilibrium in its one-complemented-component
-    neighborhood, decided on the translated map's derivative.  That matrix
-    has dimension n*kappa and is refused above ``caps.matrix_dim``."""
-    _check_matrix_dim(f, partition, caps)
+    neighborhood, decided on the translated map's derivative.
+
+    That derivative on n*kappa bits is block-diagonal with one n x n block
+    per cell, and each of its columns lies inside one block.  So it is
+    nilpotent with at most one entry per column exactly when every block
+    is, and each distinct block is checked once.
+    """
     x_eq = tuple(x_eq)
     if f.eval(x_eq) != x_eq:
         raise ValueError("not an equilibrium")
@@ -239,9 +217,8 @@ def is_locally_attractive_sbm(
     if k and x_eq[f.arity - k :] != f.frozen_values:
         raise ValueError("frozen components of the equilibrium must carry their pinned values")
     enc = translate_map(f, partition)
-    bits = enc.encode_state(x_eq)
-    d = enc.derivative_at(bits)
-    return is_nilpotent(d) and column_at_most_one(d)
+    blocks = enc.derivative_at(enc.encode_state(x_eq))
+    return all(is_nilpotent(d) and column_at_most_one(d) for d in dict.fromkeys(blocks))
 
 
 @dataclass(frozen=True)

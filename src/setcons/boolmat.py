@@ -1,7 +1,7 @@
 """Square binary matrices over the (or, and) semiring.
 
 Rows are stored as Python int bitmasks (bit j of ``rows[i]`` is entry
-``(i, j)``), which makes joins, products and powers cheap word operations.
+``(i, j)``), which makes joins and products cheap word operations.
 The nilpotency test and the strict-triangularization search are implemented
 by two independent routes on purpose: matrix powers for the former, source
 elimination on the dependency digraph for the latter.
@@ -75,18 +75,6 @@ class BoolMatrix:
             out.append(acc)
         return BoolMatrix(self.n, tuple(out))
 
-    def power(self, k: int) -> "BoolMatrix":
-        if k < 0:
-            raise ValueError("negative power")
-        result = BoolMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
     def apply(self, v: "BoolVector") -> "BoolVector":
         if v.n != self.n:
             raise ValueError("dimension mismatch")
@@ -108,21 +96,6 @@ class BoolMatrix:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
-
-    def kron_identity(self, k: int) -> "BoolMatrix":
-        """Kronecker product with the k-dimensional identity.
-
-        Index layout is variable-major: original index i maps to the block
-        of indices i*k .. i*k + k - 1.
-        """
-        big = []
-        for row in self.rows:
-            block = 0
-            for j in _bits_of(row):
-                block |= 1 << (j * k)
-            for h in range(k):
-                big.append(block << h)
-        return BoolMatrix(self.n * k, tuple(big))
 
     def to_lists(self) -> list[list[int]]:
         return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
@@ -270,10 +243,13 @@ def find_dependency_cycle(a: BoolMatrix) -> tuple[int, ...] | None:
 
 
 def column_at_most_one(a: BoolMatrix) -> bool:
-    for j in range(a.n):
-        if sum(a.entry(i, j) for i in range(a.n)) > 1:
-            return False
-    return True
+    """True iff no column holds two entries: the rows' masks are ORed into
+    the columns seen once and the columns seen twice."""
+    seen = twice = 0
+    for row in a.rows:
+        twice |= seen & row
+        seen |= row
+    return twice == 0
 
 
 # -- spectral tests for matrices of sets -------------------------------------

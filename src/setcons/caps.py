@@ -1,7 +1,10 @@
 """Resource caps that guard the exponential enumerations.
 
-Every cap can be overridden through the ``SETCONS_CAPS`` environment
-variable, e.g. ``SETCONS_CAPS="generators=8,enumeration=16"``.
+Three caps remain, each bounding a table or scan of 2**n entries or a
+listing of equilibria; the partition and the encoded map grow linearly in
+their inputs and need none.  Every cap can be overridden through the
+``SETCONS_CAPS`` environment variable, e.g.
+``SETCONS_CAPS="enumeration=16,listing=100"``.
 """
 
 from __future__ import annotations
@@ -14,11 +17,9 @@ from .errors import SetconsError
 
 @dataclass(frozen=True)
 class Caps:
-    generators: int = 16      # partition generators m (at most 2**m cells)
     enumeration: int = 20     # binary-map arity for exhaustive 2**n scans
     listing: int = 10_000     # max equilibria expanded into full set vectors
     normal_form: int = 16     # arity for 2**n coefficient tables
-    matrix_dim: int = 4096    # dense Boolean matrix dimension
 
 
 DEFAULT = Caps()

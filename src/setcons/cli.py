@@ -20,7 +20,6 @@ from . import analysis, caps as caps_mod, dsl, sim
 from .encoding import build_partition, translate_map
 from .errors import CapExceeded, SetconsError
 from .expr import as_linear, augment_constants
-from .intervals import IntervalSet
 
 
 def _load(path: str) -> dsl.SystemSpec:
@@ -32,21 +31,19 @@ def _load(path: str) -> dsl.SystemSpec:
     return dsl.parse(text)
 
 
-def _prepared(spec: dsl.SystemSpec, caps: caps_mod.Caps, extra_sets=()):
+def _prepared(spec: dsl.SystemSpec):
     base = spec.set_map()
     aug = augment_constants(base)
-    generators = sim.dedup_generators(
-        list(spec.initials) + [v for _, v in spec.constants] + list(extra_sets)
-    )
-    partition = build_partition(generators, spec.universe, caps)
+    generators = sim.dedup_generators(list(spec.initials) + [v for _, v in spec.constants])
+    partition = build_partition(generators, spec.universe)
     names = spec.variables + tuple(name for name, _ in spec.constants)
     return base, aug, partition, names
 
 
 def _cmd_analyze(args, caps) -> dict:
     spec = _load(args.file)
-    base, aug, partition, names = _prepared(spec, caps)
-    verdict = analysis.is_contractive_sbm(aug, partition, caps)
+    base, aug, partition, names = _prepared(spec)
+    verdict = analysis.is_contractive_sbm(aug)
     report = {
         "contractive": verdict.contractive,
         "witness_order": [names[i] for i in verdict.witness.order] if verdict.witness else None,
@@ -67,7 +64,7 @@ def _cmd_analyze(args, caps) -> dict:
         fixed = analysis.global_fixed_point(aug, start, verdict=verdict)
         local = {
             "equilibrium": [str(s) for s in fixed[: len(spec.variables)]],
-            "attractive": analysis.is_locally_attractive_sbm(aug, fixed, partition, caps),
+            "attractive": analysis.is_locally_attractive_sbm(aug, fixed, partition),
         }
     report["local"] = local
     return report
@@ -80,7 +77,6 @@ def _cmd_simulate(args, caps):
         max_rounds=args.rounds,
         seed=args.seed,
         random_init=args.random_init,
-        caps=caps,
     )
     if args.format == "text":
         window = sim.sampling_window(spec.universe)
@@ -94,19 +90,14 @@ def _cmd_simulate(args, caps):
 
 def _cmd_encode(args, caps) -> dict:
     spec = _load(args.file)
-    base, aug, partition, _ = _prepared(spec, caps)
+    _, aug, partition, names = _prepared(spec)
     enc = translate_map(aug, partition)
-    state = tuple(spec.initials) + aug.frozen_values
-    bits = enc.encode_state(state)
-    k = partition.kappa
+    words = enc.encode_state(tuple(spec.initials) + aug.frozen_values)
     report = partition.to_json_dict()
     report["vars"] = {
-        name: "".join(str(b) for b in bits[i * k : (i + 1) * k])
-        for i, name in enumerate(spec.variables)
+        name: "".join(str((word >> h) & 1) for h in range(partition.kappa))
+        for name, word in zip(names, words)
     }
-    for j, (name, _) in enumerate(spec.constants):
-        i = len(spec.variables) + j
-        report["vars"][name] = "".join(str(b) for b in bits[i * k : (i + 1) * k])
     return report
 
 
@@ -123,7 +114,7 @@ def _cmd_consensus(args, caps) -> dict:
 
 def _cmd_equilibria(args, caps):
     spec = _load(args.file)
-    _, aug, partition, _ = _prepared(spec, caps)
+    _, aug, partition, _ = _prepared(spec)
     return analysis.equilibria_sbm(aug, partition, caps)
 
 

@@ -1,15 +1,18 @@
-"""Partition of the universe into cells and the bit-vector encoding of sets.
+"""Partition of the universe into cells and the bit-word encoding of sets.
 
 The m distinguished generator sets cut the universe into nonempty cells:
 at most 2**m of them, and at most 2d+1 when the generators and the universe
 have d distinct finite endpoints.  The cells are found by one sweep over
 those endpoints, so building the partition costs time linear in d for each
-generator, never 2**m; the ``generators`` cap still counts m.  Every set
-built from the generators by union, intersection and complement is an
-exact union of cells and therefore round-trips through a kappa-bit vector
-(bit h = overlap with cell h).  A constant-free update map translates into
-kappa independent copies of one n-bit binary map, which is where all
-convergence questions are decided.
+generator, never 2**m.  Every set built from the generators by union,
+intersection and complement is an exact union of cells and therefore
+round-trips through a kappa-bit word (bit h = overlap with cell h).
+
+A constant-free update map translates into kappa independent copies of one
+n-bit binary map, which is where all convergence questions are decided.
+The copies are stepped together: a state is n words of kappa bits, and a
+bitwise operation on words is the operation in every cell at once.  A 0/1
+state of :mod:`~setcons.bindyn` is the same representation with kappa = 1.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bindyn import BinaryMap, discrete_derivative
+from .bindyn import BinaryMap
 from .boolmat import BoolMatrix
-from .caps import DEFAULT, Caps
-from .errors import CapExceeded, CellEncodingError
-from .expr import BITS, SetMap, bind, fold
+from .errors import CellEncodingError
+from .expr import SetMap, bind, bit_ops, fold
 from .intervals import Interval, IntervalSet, Universe, elementary_pieces
 
 Bits = tuple[int, ...]
+Words = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -51,28 +54,34 @@ class Partition:
     def cells(self):
         return zip(self.signatures, self.regions)
 
-    def encode(self, s: IntervalSet) -> Bits:
-        """Bit h = 1 iff the set overlaps cell h; the set must be an exact
-        union of cells, otherwise the encoding would be lossy."""
-        bits = tuple(0 if (s & region).is_empty() else 1 for region in self.regions)
-        if self.decode(bits) != s:
-            for bit, region in zip(bits, self.regions):
-                if bit and not region.is_subset(s):
+    def encode(self, s: IntervalSet) -> int:
+        """The word whose bit h is 1 iff the set overlaps cell h; the set
+        must be an exact union of cells, otherwise the encoding would be
+        lossy."""
+        word = 0
+        for h, region in enumerate(self.regions):
+            if not (s & region).is_empty():
+                word |= 1 << h
+        if self.decode(word) != s:
+            for h, region in enumerate(self.regions):
+                if (word >> h) & 1 and not region.is_subset(s):
                     raise CellEncodingError(
                         f"{s} straddles the cell {region}; it is not in the algebra "
                         "generated by the partition's generators"
                     )
             raise CellEncodingError(f"{s} is not a union of partition cells")
-        return bits
+        return word
 
-    def decode(self, bits: Sequence[int]) -> IntervalSet:
-        if len(bits) != self.kappa:
-            raise ValueError(f"expected {self.kappa} bits, got {len(bits)}")
-        out = IntervalSet.empty()
-        for bit, region in zip(bits, self.regions):
-            if bit:
-                out = out | region
-        return out
+    def decode(self, word: int) -> IntervalSet:
+        """The union of the cells whose bits are set, joined in pairs so that
+        no union grows one cell at a time."""
+        if word < 0 or word >> self.kappa:
+            raise ValueError(f"{word} is not a word of {self.kappa} bits")
+        parts = [IntervalSet.empty()]
+        parts += [region for h, region in enumerate(self.regions) if (word >> h) & 1]
+        while len(parts) > 1:
+            parts = [a | b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1 :]
+        return parts[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,9 +92,7 @@ class Partition:
         }
 
 
-def build_partition(
-    generators: Sequence[IntervalSet], universe: Universe, caps: Caps = DEFAULT
-) -> Partition:
+def build_partition(generators: Sequence[IntervalSet], universe: Universe) -> Partition:
     """Compute all nonempty signature cells of the generator family.
 
     The distinct finite endpoints of the generators and the universe cut
@@ -100,8 +107,6 @@ def build_partition(
         if not universe.contains_set(g):
             raise ValueError(f"generator {g} escapes the universe {universe}")
     m = len(gens)
-    if m > caps.generators:
-        raise CapExceeded(f"{m} generators would create up to 2**{m} cells (cap {caps.generators})")
     pieces = elementary_pieces(gens + (universe.carrier,))
     codes = [0] * len(pieces)
     for g in gens:
@@ -134,16 +139,15 @@ def _membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:
 class EncodedSystem:
     """A constant-free map together with its binary translation.
 
-    ``cell_map(h)`` is the n-bit map acting inside cell h; frozen components
-    output the pinned constant's bit for that cell, every other component is
-    the source expression with set operations replaced by bitwise ones.  The
-    full map on n*kappa bits (variable-major layout) carries the
-    block-structured incidence matrix.
+    A state is n words, one per variable, with bit h of a word standing
+    for cell h.  :attr:`map` steps every cell at once: each free component
+    is the source expression with set operations replaced by bitwise ones
+    on kappa-bit words, and each frozen component outputs its pinned word.
     """
 
     set_map: SetMap
     partition: Partition
-    pinned_bits: tuple[Bits, ...]  # per frozen variable, its kappa-bit encoding
+    pinned_words: tuple[int, ...]  # per frozen variable, its kappa-bit word
 
     @property
     def arity(self) -> int:
@@ -153,63 +157,50 @@ class EncodedSystem:
     def kappa(self) -> int:
         return self.partition.kappa
 
-    def _cell_step(self, h: int):
-        k = self.set_map.frozen_count
-        programs = self.set_map.programs[: self.arity - k]
-        pinned = tuple(self.pinned_bits[j][h] for j in range(k))
-
-        def fn(bits):
-            leaf = bind(bits)
-            return tuple([fold(program, leaf, BITS) for program in programs]) + pinned
-
-        return fn
-
-    def cell_map(self, h: int) -> BinaryMap:
-        return BinaryMap(self.arity, self._cell_step(h))
-
     @property
     def map(self) -> BinaryMap:
-        n, k = self.arity, self.kappa
-        cell_steps = [self._cell_step(h) for h in range(k)]
+        programs = self.set_map.programs[: self.arity - len(self.pinned_words)]
+        ops = bit_ops((1 << self.kappa) - 1)
+        pinned = self.pinned_words
 
-        def fn(bits):
-            out = [0] * (n * k)
-            for h in range(k):
-                cell_in = tuple(bits[i * k + h] for i in range(n))
-                cell_out = cell_steps[h](cell_in)
-                for i in range(n):
-                    out[i * k + h] = cell_out[i]
-            return tuple(out)
+        def fn(words):
+            leaf = bind(words)
+            return tuple([fold(program, leaf, ops) for program in programs]) + pinned
 
-        return BinaryMap(n * k, fn, incidence=self.set_map.incidence().kron_identity(k))
+        return BinaryMap(self.arity, fn)
 
-    def encode_state(self, state: Sequence[IntervalSet]) -> Bits:
+    def encode_state(self, state: Sequence[IntervalSet]) -> Words:
         if len(state) != self.arity:
             raise ValueError("state arity mismatch")
-        bits: list[int] = []
-        for s in state:
-            bits.extend(self.partition.encode(s))
-        return tuple(bits)
+        return tuple(self.partition.encode(s) for s in state)
 
-    def decode_state(self, bits: Sequence[int]) -> tuple[IntervalSet, ...]:
-        n, k = self.arity, self.kappa
-        if len(bits) != n * k:
-            raise ValueError("bit vector length mismatch")
-        return tuple(self.partition.decode(bits[i * k : (i + 1) * k]) for i in range(n))
+    def decode_state(self, words: Sequence[int]) -> tuple[IntervalSet, ...]:
+        if len(words) != self.arity:
+            raise ValueError("state arity mismatch")
+        return tuple(self.partition.decode(w) for w in words)
 
-    def derivative_at(self, bits: Sequence[int]) -> BoolMatrix:
-        """Block-diagonal derivative of the full map: flipping a bit of cell h
-        can only move outputs inside cell h."""
-        n, k = self.arity, self.kappa
-        rows = [0] * (n * k)
-        for h in range(k):
-            cell_bits = tuple(bits[i * k + h] for i in range(n))
-            d = discrete_derivative(self.cell_map(h), cell_bits)
-            for i in range(n):
-                for j in range(n):
-                    if d.entry(i, j):
-                        rows[i * k + h] |= 1 << (j * k + h)
-        return BoolMatrix(n * k, tuple(rows))
+    def derivative_at(self, words: Sequence[int]) -> tuple[BoolMatrix, ...]:
+        """The n x n derivative of every cell's map at the state, one block
+        per cell.  Flipping word j in all cells at once moves each cell's
+        outputs by that cell's own derivative, so n + 1 word steps suffice.
+        """
+        step = self.map.step
+        n, full = self.arity, (1 << self.kappa) - 1
+        x = tuple(words)
+        fx = step(x)
+        # moved[j][i]: the cells where output i changes when input j flips.
+        moved = [
+            [a ^ b for a, b in zip(fx, step(x[:j] + (x[j] ^ full,) + x[j + 1 :]))]
+            for j in range(n)
+        ]
+        blocks = []
+        for h in range(self.kappa):
+            rows = [0] * n
+            for j, column in enumerate(moved):
+                for i, cells in enumerate(column):
+                    rows[i] |= ((cells >> h) & 1) << j
+            blocks.append(BoolMatrix(n, tuple(rows)))
+        return tuple(blocks)
 
 
 def translate_map(f: SetMap, partition: Partition) -> EncodedSystem:

@@ -369,12 +369,6 @@ class SetMap:
         empty = IntervalSet.empty()
         return [[full if b.entry(i, j) else empty for j in range(b.n)] for i in range(b.n)]
 
-    def with_frozen_state(self, visible: Sequence[IntervalSet]) -> tuple[IntervalSet, ...]:
-        """Extend a state over the non-frozen variables with the pinned values."""
-        if len(visible) != self.arity - self.frozen_count:
-            raise ValueError("visible state has the wrong arity")
-        return tuple(visible) + self.frozen_values
-
 
 def augment_constants(f: SetMap) -> SetMap:
     """Turn every named constant into a trailing frozen state variable.

@@ -14,11 +14,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .boolmat import BoolMatrix
-from .caps import DEFAULT, Caps
 from .dsl import SystemSpec
-from .encoding import Partition, build_partition, translate_map
+from .encoding import build_partition, translate_map
 from .errors import SetconsError
-from .expr import SetMap, augment_constants
+from .expr import augment_constants
 from .intervals import Interval, IntervalSet, Universe
 
 
@@ -129,7 +128,6 @@ def simulate(
     max_rounds: int | None = None,
     seed: int | None = None,
     random_init: bool = False,
-    caps: Caps = DEFAULT,
 ) -> Trajectory:
     """Run the system until closure or the round budget is exhausted."""
     base = spec.set_map()
@@ -139,7 +137,7 @@ def simulate(
         initials = [random_interval_set(rng, spec.universe) for _ in spec.variables]
     aug = augment_constants(base)
     generators = dedup_generators(initials + [value for _, value in spec.constants])
-    partition = build_partition(generators, spec.universe, caps)
+    partition = build_partition(generators, spec.universe)
     enc = translate_map(aug, partition)
 
     if max_rounds is None:
@@ -155,14 +153,14 @@ def simulate(
     transient = period = None
     for t in range(1, max_rounds + 1):
         state = aug.eval(state)
-        bits = enc.encode_state(state)
-        if bits in seen:
-            transient = seen[bits]
+        words = enc.encode_state(state)
+        if words in seen:
+            transient = seen[words]
             period = t - transient
             break
-        seen[bits] = t
+        seen[words] = t
         states.append(state)
-        encoded.append(bits)
+        encoded.append(words)
 
     closed = transient is not None
     consensus = None
@@ -170,22 +168,24 @@ def simulate(
         final = states[transient]
         if all(s == final[0] for s in final[:n_visible]):
             consensus = final[0]
-    final_bits = encoded[transient] if closed else encoded[-1]
-    distances = tuple(sum(a ^ b for a, b in zip(bits, final_bits)) for bits in encoded)
+    final_words = encoded[transient] if closed else encoded[-1]
+    distances = tuple(
+        sum((a ^ b).bit_count() for a, b in zip(words, final_words)) for words in encoded
+    )
     # Every state is a union of cells, so an agent's gap to the closure
-    # state is the union of the cells where their bits differ.
+    # state is the union of the cells where their words differ.
     window = sampling_window(spec.universe)
-    k = partition.kappa
     cell_lengths = [region.measure(window) for region in partition.regions]
     distance_lengths = tuple(
         float(
             sum(
-                cell_lengths[b % k]
-                for b in range(n_visible * k)
-                if bits[b] != final_bits[b]
+                cell_lengths[h]
+                for a, b in zip(words[:n_visible], final_words)
+                for h in range(partition.kappa)
+                if ((a ^ b) >> h) & 1
             )
         )
-        for bits in encoded
+        for words in encoded
     )
     return Trajectory(
         agents=spec.variables,

@@ -106,6 +106,14 @@ def random_set(rng: random.Random, lo=0, hi=24, max_parts=3, denominator=4) -> I
     return IntervalSet.from_intervals(parts)
 
 
+def random_word(rng: random.Random, k: int) -> int:
+    """A k-bit word drawn one bit at a time, cell 0 first."""
+    word = 0
+    for h in range(k):
+        word |= rng.randint(0, 1) << h
+    return word
+
+
 def random_expr(rng: random.Random, n: int, depth: int) -> SetExpr:
     if depth <= 0 or rng.random() < 0.3:
         roll = rng.random()
@@ -211,6 +219,8 @@ def consensus_oracle(linear) -> IntervalSet:
     translated map."""
     from setcons import augment_constants, build_partition, translate_map
 
+    from oracles import cell_map
+
     aug = augment_constants(linear.as_set_map())
     entries = [e for row in linear.entries for e in row]
     p = build_partition([e for e in entries if not e.is_empty()], linear.universe)
@@ -218,8 +228,8 @@ def consensus_oracle(linear) -> IntervalSet:
     n = linear.arity
     region = IntervalSet.empty()
     for h in range(p.kappa):
-        g = enc.cell_map(h)
-        pinned = tuple(enc.pinned_bits[j][h] for j in range(aug.frozen_count))
+        g = cell_map(enc, h)
+        pinned = tuple((w >> h) & 1 for w in enc.pinned_words)
         state = (1,) * n + pinned
         if g.step(state)[:n] == (1,) * n:
             region = region | p.regions[h]

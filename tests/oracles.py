@@ -12,6 +12,11 @@ Each one is the plain, obviously correct form of a library routine:
   function per question, each dispatching on the node type and calling
   itself on the children.  They use only the node classes and the interval
   set operators.
+- the translated map on n*kappa bits that the cell-sliced word map
+  replaced: one n-bit map per cell, evaluated by the recursive walker, the
+  flat variable-major layout with its ``B kron I`` incidence, the n*kappa
+  derivative, the per-cell equilibria scan and the column test one entry
+  at a time.
 - direct checks of the paper's bounds and of attractiveness by simulation,
   built on the library's public operations.
 """
@@ -24,6 +29,7 @@ from typing import Sequence
 from setcons import (
     BinaryMap,
     BoolMatrix,
+    EncodedSystem,
     Interval,
     IntervalSet,
     Partition,
@@ -33,7 +39,14 @@ from setcons import (
     translate_map,
 )
 from setcons.analysis import incidence_apply, set_distance
-from setcons.bindyn import dependency_witness, flip, format_bits, semantic_incidence
+from setcons.bindyn import (
+    dependency_witness,
+    discrete_derivative,
+    flip,
+    format_bits,
+    semantic_incidence,
+)
+from setcons.boolmat import is_nilpotent
 from setcons.caps import DEFAULT, Caps
 from setcons.expr import (
     Complement,
@@ -125,6 +138,22 @@ def set_level_distance_lengths(traj: Trajectory, window: Interval) -> tuple[floa
             total += measure(gap, window)
         lengths.append(float(total))
     return tuple(lengths)
+
+
+def set_level_distances(traj: Trajectory, regions: Sequence[IntervalSet]) -> tuple[int, ...]:
+    """Per round, how many (agent, cell) pairs the closure state differs in:
+    the cells that meet each agent's symmetric difference with its
+    closure-state set."""
+    final = traj.rounds[traj.transient] if traj.closed else traj.rounds[-1]
+    counts = []
+    for state in traj.rounds:
+        total = 0
+        for s, t in zip(state, final):
+            gap = resorting_or(pairwise_and(s, t.complement_line()),
+                               pairwise_and(t, s.complement_line()))
+            total += sum(1 for region in regions if pairwise_and(gap, region).intervals)
+        counts.append(total)
+    return tuple(counts)
 
 
 # -- recursive expression walkers ----------------------------------------------
@@ -289,6 +318,112 @@ def per_mask_normal_form(component: SetExpr, arity: int, const_bits={}) -> tuple
     return tuple(table)
 
 
+# -- the translated map on n*kappa bits, one cell at a time ---------------------
+
+
+def kron_identity(m: BoolMatrix, k: int) -> BoolMatrix:
+    """Kronecker product with the k-dimensional identity.
+
+    Index layout is variable-major: original index i maps to the block of
+    indices i*k .. i*k + k - 1.
+    """
+    big = []
+    for row in m.rows:
+        block = 0
+        for j in range(m.n):
+            if (row >> j) & 1:
+                block |= 1 << (j * k)
+        for h in range(k):
+            big.append(block << h)
+    return BoolMatrix(m.n * k, tuple(big))
+
+
+def flat_bits(words: Sequence[int], k: int) -> tuple[int, ...]:
+    """A word state laid out variable-major: bit h of word i at i*k + h."""
+    return tuple((w >> h) & 1 for w in words for h in range(k))
+
+
+def cell_map(enc: EncodedSystem, h: int) -> BinaryMap:
+    """The n-bit map acting inside cell h: each free component is its
+    expression in the two-element algebra, each frozen one outputs bit h of
+    its pinned word."""
+    free = enc.set_map.components[: enc.arity - len(enc.pinned_words)]
+    pinned = tuple((w >> h) & 1 for w in enc.pinned_words)
+
+    def fn(bits):
+        return tuple(recursive_bit_evaluate(e, bits) for e in free) + pinned
+
+    return BinaryMap(enc.arity, fn)
+
+
+def flat_map(enc: EncodedSystem) -> BinaryMap:
+    """The translated map on n*kappa bits in variable-major layout, every
+    cell stepped by its own cell map, with the block incidence B kron I."""
+    n, k = enc.arity, enc.kappa
+    cells = [cell_map(enc, h) for h in range(k)]
+
+    def fn(bits):
+        out = [0] * (n * k)
+        for h in range(k):
+            cell_out = cells[h].step(tuple(bits[i * k + h] for i in range(n)))
+            for i in range(n):
+                out[i * k + h] = cell_out[i]
+        return tuple(out)
+
+    return BinaryMap(n * k, fn, incidence=kron_identity(enc.set_map.incidence(), k))
+
+
+def flat_derivative_at(enc: EncodedSystem, bits: Sequence[int]) -> BoolMatrix:
+    """The n*kappa derivative, assembled from every cell map's derivative:
+    flipping a bit of cell h can only move outputs inside cell h."""
+    n, k = enc.arity, enc.kappa
+    rows = [0] * (n * k)
+    for h in range(k):
+        d = discrete_derivative(cell_map(enc, h), tuple(bits[i * k + h] for i in range(n)))
+        for i in range(n):
+            for j in range(n):
+                if d.entry(i, j):
+                    rows[i * k + h] |= 1 << (j * k + h)
+    return BoolMatrix(n * k, tuple(rows))
+
+
+def per_cell_equilibria(enc: EncodedSystem) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every cell's fixed points, one cell map step per cell and state."""
+    n_free = enc.arity - len(enc.pinned_words)
+    out = []
+    for h in range(enc.kappa):
+        g = cell_map(enc, h)
+        pinned = tuple((w >> h) & 1 for w in enc.pinned_words)
+        fixed = []
+        for mask in range(1 << n_free):
+            bits = tuple((mask >> i) & 1 for i in range(n_free)) + pinned
+            if g.step(bits) == bits:
+                fixed.append(bits)
+        out.append(tuple(sorted(fixed)))
+    return tuple(out)
+
+
+def column_at_most_one_by_entries(a: BoolMatrix) -> bool:
+    """Count every column's entries one ``entry`` call at a time."""
+    for j in range(a.n):
+        if sum(a.entry(i, j) for i in range(a.n)) > 1:
+            return False
+    return True
+
+
+def block_incidence_verdict(f: SetMap, partition: Partition) -> bool:
+    """Contractivity decided on the n*kappa block incidence of the
+    translated map."""
+    return is_nilpotent(flat_map(translate_map(f, partition)).incidence)
+
+
+def flat_local_verdict(f: SetMap, x_eq: Sequence[IntervalSet], partition: Partition) -> bool:
+    """Local attractiveness decided on the whole n*kappa derivative."""
+    enc = translate_map(f, partition)
+    d = flat_derivative_at(enc, flat_bits(enc.encode_state(tuple(x_eq)), enc.kappa))
+    return is_nilpotent(d) and column_at_most_one_by_entries(d)
+
+
 # -- checks only tests need -------------------------------------------------------
 
 
@@ -314,11 +449,11 @@ def find_bound_counterexample(
     built from one cell region and a binary witness of that dependency.
     """
     enc = translate_map(f, partition)
-    live = semantic_incidence(enc.cell_map(0), caps)
+    live = semantic_incidence(cell_map(enc, 0), caps)
     for i in range(f.arity):
         for j in range(f.arity):
             if live.entry(i, j) and not m.entry(i, j):
-                bits = dependency_witness(enc.cell_map(0), i, j, caps)
+                bits = dependency_witness(cell_map(enc, 0), i, j, caps)
                 assert bits is not None
                 region = partition.regions[0]
                 x = tuple(region if b else IntervalSet.empty() for b in bits)
@@ -335,8 +470,8 @@ def block_incidence_check(f: SetMap, partition: Partition, caps: Caps = DEFAULT)
     matrix extracted from the per-cell binary map, blown up cell-blockwise,
     must equal the source map's incidence Kroneckered with the identity."""
     enc = translate_map(f, partition)
-    observed = semantic_incidence(enc.cell_map(0), caps).kron_identity(enc.kappa)
-    expected = f.incidence().kron_identity(enc.kappa)
+    observed = kron_identity(semantic_incidence(cell_map(enc, 0), caps), enc.kappa)
+    expected = kron_identity(f.incidence(), enc.kappa)
     return observed == expected
 
 

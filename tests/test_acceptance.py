@@ -49,6 +49,7 @@ from helpers import (
     random_bool_matrix,
     random_set,
     random_set_map,
+    random_word,
     ref3_binary,
 )
 from oracles import check_distance_bound
@@ -90,9 +91,10 @@ def test_criterion_2_three_agent_set_system():
         iv("[8,11]"),
         iv("[0,2) | (7,8) | (11,inf)"),
     )
-    assert p.encode(CYCLIC3_START[0]) == (1, 1, 0, 0, 0)
-    assert p.encode(CYCLIC3_START[1]) == (1, 0, 1, 0, 0)
-    assert p.encode(CYCLIC3_START[2]) == (0, 0, 0, 1, 0)
+    # Bit h of a word stands for cell h, so cell 0 is the last binary digit.
+    assert p.encode(CYCLIC3_START[0]) == 0b00011
+    assert p.encode(CYCLIC3_START[1]) == 0b00101
+    assert p.encode(CYCLIC3_START[2]) == 0b01000
 
     expected_step = (
         iv("[2,5]"),
@@ -162,9 +164,7 @@ def test_criterion_4_commuting_diagram():
         p = build_partition(gens, u)
         enc = translate_map(f, p)
         for _ in range(5):
-            state = tuple(
-                p.decode([rng.randint(0, 1) for _ in range(p.kappa)]) for _ in range(n)
-            )
+            state = tuple(p.decode(random_word(rng, p.kappa)) for _ in range(n))
             direct = f.eval(state)
             encoded = enc.decode_state(enc.map.step(enc.encode_state(state)))
             assert encoded == direct

@@ -28,6 +28,7 @@ from helpers import (
     ref3_binary,
 )
 from setcons.bindyn import discrete_derivative, semantic_incidence
+from oracles import column_at_most_one_by_entries
 
 REF3_B = BoolMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
 PINNED6_B = BoolMatrix.from_rows(
@@ -85,16 +86,20 @@ def test_dimension_mismatch():
         BoolMatrix.identity(2) @ BoolMatrix.identity(3)
 
 
-def test_dimension_cap_follows_the_configured_caps():
-    from setcons import SetMap, build_partition, is_contractive_sbm, is_locally_attractive_sbm
-    from setcons.caps import DEFAULT, Caps
-    from setcons.errors import CapExceeded
+def test_analyzers_need_no_dimension_cap():
+    from setcons import (
+        SetMap,
+        build_partition,
+        equilibria_sbm,
+        is_contractive_sbm,
+        is_locally_attractive_sbm,
+    )
+    from setcons.caps import DEFAULT
     from setcons.expr import EmptyLit, UniverseLit
 
-    # A matrix is only data: the cap belongs to the analyzers and their caps.
-    assert BoolMatrix.zero(DEFAULT.matrix_dim + 1).is_zero()
     # Eleven dyadic generators cut [0, 2048) into 2048 unit cells, so three
-    # variables translate to 6144 bits, above the default cap of 4096.
+    # variables translate to 6144 bits.  No analyzer builds a matrix over
+    # them: the derivative comes as one 3 x 3 block per cell.
     u = Universe.of(Interval.closed_open(0, 2048))
     gens = [
         IntervalSet.from_intervals(
@@ -104,15 +109,12 @@ def test_dimension_cap_follows_the_configured_caps():
     ]
     p = build_partition(gens, u)
     f = SetMap((EmptyLit(), UniverseLit(), EmptyLit()), u)
-    dim = f.arity * p.kappa
-    assert dim == 6144 > DEFAULT.matrix_dim
-    assert is_contractive_sbm(f, p, Caps(matrix_dim=dim)).contractive
+    assert f.arity * p.kappa == 6144
+    assert is_contractive_sbm(f).contractive
     x_eq = f.eval((u.carrier,) * 3)
-    for caps in (DEFAULT, Caps(matrix_dim=dim - 1)):
-        with pytest.raises(CapExceeded):
-            is_contractive_sbm(f, p, caps)
-        with pytest.raises(CapExceeded):
-            is_locally_attractive_sbm(f, x_eq, p, caps)
+    assert is_locally_attractive_sbm(f, x_eq, p)
+    report = equilibria_sbm(f, p, DEFAULT)
+    assert report.total == 1 and report.listed == (x_eq,)
 
 
 def test_nilpotency_references():
@@ -175,6 +177,11 @@ def test_column_at_most_one():
     # of the self-loop that already breaks nilpotency.
     assert not column_at_most_one(discrete_derivative(f, (1, 1, 1)))
     assert not column_at_most_one(BoolMatrix.from_rows([[1, 1], [1, 1]]))
+    # The row-mask sweep agrees with counting entries column by column.
+    rng = random.Random(99)
+    for _ in range(300):
+        a = random_bool_matrix(rng, rng.randint(0, 12), rng.choice((0.05, 0.15, 0.35)))
+        assert column_at_most_one(a) == column_at_most_one_by_entries(a)
 
 
 def test_empty_eigenvalue():

@@ -138,21 +138,44 @@ def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):
         lines.append(f"rule V{i} = V{i} \\ V{(i + 1) % 6}")
     path = tmp_path / "wide.sbm"
     path.write_text("\n".join(lines) + "\n")
-    monkeypatch.setenv("SETCONS_CAPS", "generators=3")
+    # Six free agents need 2**6 states per cell.
+    monkeypatch.setenv("SETCONS_CAPS", "enumeration=3")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "cap exceeded" in err
 
 
-def test_matrix_dim_cap_exit_code(files, capsys, monkeypatch):
-    # pinned6 has 7 variables after augmentation, so its block incidence
-    # needs more than 20 rows; the cap is reported, not raised.
-    monkeypatch.setenv("SETCONS_CAPS", "matrix_dim=20")
+@pytest.mark.parametrize("entry", ["matrix_dim=20", "generators=3"])
+def test_removed_caps_are_unknown_entries(files, capsys, monkeypatch, entry):
+    from dataclasses import fields
+
+    from setcons.caps import Caps
+
+    assert [f.name for f in fields(Caps)] == ["enumeration", "listing", "normal_form"]
+    monkeypatch.setenv("SETCONS_CAPS", entry)
     code, out, err = run(capsys, "analyze", files["pinned6"])
-    assert code == 2
+    assert code == 1
     assert out == ""
-    assert err.startswith("cap exceeded: the block incidence of 7 variables")
-    assert "(cap 20)" in err
+    assert err == f"error: SETCONS_CAPS: unknown entry {entry!r}\n"
+
+
+def test_equilibria_over_a_thousand_cells(tmp_path, capsys):
+    # Ten dyadic constants cut [0,1024) into 1024 unit cells.  The rule does
+    # not read X1, so every cell has one fixed point and the system one
+    # equilibrium.
+    lines = ["universe [0,1024)"]
+    for i in range(10):
+        parts = " | ".join(f"[{k},{k + (1 << i)})" for k in range(1 << i, 1024, 2 << i))
+        lines.append(f"const C{i + 1} = {parts}")
+    lines += ["state X1 = [0,1)", "rule X1 = C1 & ~C2 | C3"]
+    path = tmp_path / "cells.sbm"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "equilibria", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["cells"] == 1024
+    assert report["total"] == 1
+    assert len(report["equilibria"]) == 1
 
 
 def one_rule_file(tmp_path, rule: str) -> str:

@@ -1,6 +1,7 @@
 """Differential tests: the linear-time interval algebra, the endpoint-sweep
-partition, the cell-sum distance lengths and the expression fold against
-the reference versions in ``oracles.py`` and against pointwise membership."""
+partition, the cell-sum distance lengths, the expression fold and the
+cell-sliced word map with its analyzers against the reference versions in
+``oracles.py`` and against pointwise membership."""
 
 from __future__ import annotations
 
@@ -19,10 +20,17 @@ from setcons import (
     build_partition,
     compose,
     desugar,
+    equilibria_sbm,
+    is_contractive_sbm,
+    is_locally_attractive_sbm,
+    is_nilpotent,
     normal_form,
     parse,
     simulate,
+    translate_map,
 )
+from setcons.bindyn import discrete_derivative
+from setcons.caps import Caps
 from setcons.expr import (
     Complement,
     ConstRef,
@@ -39,11 +47,17 @@ from setcons.expr import (
     expr_to_text,
     variables_of,
 )
-from setcons.sim import sampling_window
+from setcons.sim import dedup_generators, sampling_window
 
 from helpers import assert_same_membership, iv, probe_points
 from oracles import (
+    cell_map,
+    flat_bits,
+    flat_local_verdict,
+    flat_map,
+    kron_identity,
     pairwise_and,
+    per_cell_equilibria,
     per_mask_normal_form,
     recursive_augmented_components,
     recursive_bit_evaluate,
@@ -55,6 +69,7 @@ from oracles import (
     recursive_variables_of,
     resorting_or,
     set_level_distance_lengths,
+    set_level_distances,
     signature_scan_partition,
     subset_via_and,
 )
@@ -153,7 +168,7 @@ def test_partition_matches_signature_scan(universe, sets):
     assert (p.signatures, p.regions) == signature_scan_partition(gens, universe)
     # Each generator is exactly the union of the cells inside it.
     for i, g in enumerate(gens):
-        assert p.decode([sig[i] for sig in p.signatures]) == g
+        assert p.decode(sum(sig[i] << h for h, sig in enumerate(p.signatures))) == g
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -163,6 +178,10 @@ def test_distance_lengths_match_set_level(path, seed):
     traj = simulate(spec, seed=seed, random_init=True)
     window = sampling_window(spec.universe)
     assert traj.distance_lengths == set_level_distance_lengths(traj, window)
+    # The run's partition: its initial sets and constants generate the cells.
+    gens = dedup_generators(list(traj.rounds[0]) + [value for _, value in spec.constants])
+    p = build_partition(gens, spec.universe)
+    assert traj.distances == set_level_distances(traj, p.regions)
 
 
 # -- the expression fold against the recursive walkers ------------------------
@@ -218,3 +237,48 @@ def test_map_rewrites_match_recursive_walkers(f_rules, g_rules, constants):
     g = SetMap(tuple(g_rules), BOX, bound)
     assert augment_constants(f).components == recursive_augmented_components(f)
     assert compose(f, g).components == recursive_composed_components(f, g)
+
+
+# -- the cell-sliced word map against one n-bit map per cell -----------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(expressions, min_size=ARITY, max_size=ARITY),
+    st.lists(box_sets, min_size=ARITY + 2, max_size=ARITY + 2),
+)
+@example([Var(2), Var(0) & ConstRef("A"), ConstRef("B")], [iv("[1,2]")] * (ARITY + 2))
+@example([Var(0) | Var(1), ~Var(1), Var(2) ^ ConstRef("A")], [iv("[0,3]"), iv("(2,5)")] * 2 + [BOX.carrier])
+def test_word_map_and_analyzers_match_per_cell_maps(rules, sets):
+    initials, constants = sets[:ARITY], (("A", sets[ARITY]), ("B", sets[ARITY + 1]))
+    f = augment_constants(SetMap(tuple(rules), BOX, constants))
+    gens = [s for s in dict.fromkeys(sets) if not s.is_empty()]
+    p = build_partition(gens, BOX)
+    enc = translate_map(f, p)
+    k = p.kappa
+    # The word map steps every cell as that cell's own n-bit map does.
+    words = enc.encode_state(tuple(initials) + f.frozen_values)
+    flipped = tuple(w ^ ((1 << k) - 1) for w in words[:ARITY]) + words[ARITY:]
+    for state in (words, flipped):
+        assert flat_bits(enc.map.step(state), k) == flat_map(enc).step(flat_bits(state, k))
+        for h, block in enumerate(enc.derivative_at(state)):
+            assert block == discrete_derivative(cell_map(enc, h), flat_bits(state, k)[h::k])
+    # Equilibria: the same fixed points in every cell.
+    report = equilibria_sbm(f, p, Caps(listing=16))
+    assert report.per_cell == per_cell_equilibria(enc)
+    # Local attractiveness: the per-block verdict is the n*kappa verdict on
+    # every listed equilibrium, or on two built from the per-cell lists.
+    if report.listed is not None:
+        chosen = report.listed
+    elif report.total:
+        choices = (tuple(fps[0] for fps in report.per_cell), tuple(fps[-1] for fps in report.per_cell))
+        chosen = [
+            tuple(p.decode(sum(fp[i] << h for h, fp in enumerate(choice))) for i in range(f.arity))
+            for choice in choices
+        ]
+    else:
+        chosen = ()
+    for x_eq in chosen:
+        assert is_locally_attractive_sbm(f, x_eq, p) == flat_local_verdict(f, x_eq, p)
+    # Contractivity: the projection verdict is nilpotency of B kron I.
+    assert is_contractive_sbm(f).contractive == is_nilpotent(kron_identity(f.incidence(), k))

@@ -10,8 +10,7 @@ from setcons import (
     build_partition,
     translate_map,
 )
-from setcons.caps import Caps
-from setcons.errors import CapExceeded, CellEncodingError
+from setcons.errors import CellEncodingError
 from setcons.expr import Var
 from setcons.intervals import Interval
 
@@ -24,6 +23,7 @@ from helpers import (
     pinned6_map,
     random_set,
     random_set_map,
+    random_word,
 )
 from oracles import block_incidence_check
 
@@ -89,27 +89,26 @@ def test_partition_generator_escape():
         build_partition([iv("[0,300]")], BOX200)
 
 
-def test_partition_generator_cap():
-    with pytest.raises(CapExceeded):
-        build_partition([iv(f"[{i},{i}]") for i in range(5)], BOX200, Caps(generators=4))
+# Bit h of a word stands for cell h, so cell 0 is the last binary digit.
 
 
 def test_encode_reference_vectors():
     p = ref_partition()
-    assert p.encode(iv("[2,5]")) == (1, 1, 0, 0, 0)
-    assert p.encode(iv("[4,7]")) == (1, 0, 1, 0, 0)
-    assert p.encode(iv("[8,11]")) == (0, 0, 0, 1, 0)
-    assert p.encode(IntervalSet.empty()) == (0, 0, 0, 0, 0)
-    assert p.encode(HALF_LINE.carrier) == (1, 1, 1, 1, 1)
+    assert p.encode(iv("[2,5]")) == 0b00011
+    assert p.encode(iv("[4,7]")) == 0b00101
+    assert p.encode(iv("[8,11]")) == 0b01000
+    assert p.encode(IntervalSet.empty()) == 0b00000
+    assert p.encode(HALF_LINE.carrier) == 0b11111
 
 
 def test_decode_reference_vectors():
     p = ref_partition()
-    assert p.decode((1, 1, 0, 1, 1)) == iv("[0,5] | (7,inf)")
-    assert p.decode((0, 0, 0, 0, 1)) == iv("[0,2) | (7,8) | (11,inf)")
-    assert p.decode((0, 0, 0, 0, 0)) == IntervalSet.empty()
-    with pytest.raises(ValueError):
-        p.decode((1, 0))
+    assert p.decode(0b11011) == iv("[0,5] | (7,inf)")
+    assert p.decode(0b10000) == iv("[0,2) | (7,8) | (11,inf)")
+    assert p.decode(0b00000) == IntervalSet.empty()
+    for word in (1 << p.kappa, -1):
+        with pytest.raises(ValueError):
+            p.decode(word)
 
 
 def test_encode_rejects_straddling_sets():
@@ -122,8 +121,8 @@ def test_encode_decode_round_trip():
     rng = random.Random(53)
     p = ref_partition()
     for _ in range(40):
-        bits = tuple(rng.randint(0, 1) for _ in range(p.kappa))
-        assert p.encode(p.decode(bits)) == bits
+        word = random_word(rng, p.kappa)
+        assert p.encode(p.decode(word)) == word
 
 
 def test_encode_is_boolean_homomorphism():
@@ -132,27 +131,24 @@ def test_encode_is_boolean_homomorphism():
     for _ in range(25):
         gens = [random_set(rng) & u.carrier for _ in range(rng.randint(1, 4))]
         p = build_partition(gens, u)
-        s = p.decode([rng.randint(0, 1) for _ in range(p.kappa)])
-        t = p.decode([rng.randint(0, 1) for _ in range(p.kappa)])
+        s = p.decode(random_word(rng, p.kappa))
+        t = p.decode(random_word(rng, p.kappa))
         es, et = p.encode(s), p.encode(t)
-        assert p.encode(s & t) == tuple(a & b for a, b in zip(es, et))
-        assert p.encode(s | t) == tuple(a | b for a, b in zip(es, et))
-        assert p.encode(u.complement(s)) == tuple(1 - a for a in es)
+        assert p.encode(s & t) == es & et
+        assert p.encode(s | t) == es | et
+        assert p.encode(u.complement(s)) == es ^ ((1 << p.kappa) - 1)
 
 
 def test_translate_reference_step():
     f = cyclic3_map()
     p = ref_partition()
     enc = translate_map(f, p)
-    bits = enc.encode_state(CYCLIC3_START)
-    assert bits == (1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0)
-    out = enc.map.step(bits)
+    words = enc.encode_state(CYCLIC3_START)
+    assert words == (0b00011, 0b00101, 0b01000)
+    out = enc.map.step(words)
     assert enc.decode_state(out) == f.eval(CYCLIC3_START)
-    # Bit vectors after one round, per variable.
-    k = p.kappa
-    assert out[0:k] == (1, 1, 0, 0, 0)
-    assert out[k : 2 * k] == (1, 1, 0, 1, 1)
-    assert out[2 * k :] == (0, 0, 0, 0, 1)
+    # Words after one round, per variable.
+    assert out == (0b00011, 0b11011, 0b10000)
 
 
 def test_translate_identity_map():
@@ -163,8 +159,8 @@ def test_translate_identity_map():
     f = SetMap((Var(0), Var(1)), u)
     enc = translate_map(f, p)
     for _ in range(10):
-        bits = tuple(rng.randint(0, 1) for _ in range(2 * p.kappa))
-        assert enc.map.step(bits) == bits
+        words = (random_word(rng, p.kappa), random_word(rng, p.kappa))
+        assert enc.map.step(words) == words
 
 
 def test_translate_requires_constant_free():
@@ -174,7 +170,7 @@ def test_translate_requires_constant_free():
     # After augmentation the frozen value is a generator, so it encodes:
     # bit 1 on the generator's cell, 0 on the complement cell.
     enc = translate_map(augment_constants(pinned6_map()), p)
-    assert enc.pinned_bits == ((1, 0),)
+    assert enc.pinned_words == (0b01,)
 
 
 def test_commuting_diagram_random():
@@ -187,9 +183,7 @@ def test_commuting_diagram_random():
         p = build_partition(gens, u)
         enc = translate_map(f, p)
         for _ in range(3):
-            state = tuple(
-                p.decode([rng.randint(0, 1) for _ in range(p.kappa)]) for _ in range(n)
-            )
+            state = tuple(p.decode(random_word(rng, p.kappa)) for _ in range(n))
             direct = f.eval(state)
             encoded = enc.decode_state(enc.map.step(enc.encode_state(state)))
             assert encoded == direct
@@ -204,7 +198,7 @@ def test_closure_under_evaluation():
         f = random_set_map(rng, n, 4, u)
         gens = [random_set(rng) & u.carrier for _ in range(rng.randint(1, 3))]
         p = build_partition(gens, u)
-        state = tuple(p.decode([rng.randint(0, 1) for _ in range(p.kappa)]) for _ in range(n))
+        state = tuple(p.decode(random_word(rng, p.kappa)) for _ in range(n))
         for _ in range(4):
             state = f.eval(state)
             for s in state:
@@ -220,17 +214,12 @@ def test_per_cell_independence():
         gens = [random_set(rng) & u.carrier for _ in range(2)]
         p = build_partition(gens, u)
         enc = translate_map(f, p)
-        k = p.kappa
-        bits = [rng.randint(0, 1) for _ in range(n * k)]
-        base = enc.map.step(tuple(bits))
-        h = rng.randrange(k)
-        for i in range(n):
-            bits[i * k + h] ^= 1
-        moved = enc.map.step(tuple(bits))
-        for i in range(n):
-            for cell in range(k):
-                if cell != h:
-                    assert base[i * k + cell] == moved[i * k + cell]
+        words = tuple(random_word(rng, p.kappa) for _ in range(n))
+        base = enc.map.step(words)
+        h = rng.randrange(p.kappa)
+        moved = enc.map.step(tuple(w ^ (1 << h) for w in words))
+        for a, b in zip(base, moved):
+            assert (a ^ b) & ~(1 << h) == 0
 
 
 def test_block_incidence_reference_systems():

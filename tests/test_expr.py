@@ -42,6 +42,7 @@ from helpers import (
     random_expr,
     random_set,
     random_set_map,
+    random_word,
 )
 from oracles import check_composition_bound
 
@@ -205,7 +206,7 @@ def test_normal_form_reconstruction_on_sets():
         rebuilt = normal_form(e, n).to_expr()
         gens = [random_set(rng) & u.carrier for _ in range(n)]
         p = build_partition(gens, u)
-        state = tuple(p.decode([rng.randint(0, 1) for _ in range(p.kappa)]) for _ in range(n))
+        state = tuple(p.decode(random_word(rng, p.kappa)) for _ in range(n))
         assert evaluate(e, state, {}, u) == evaluate(rebuilt, state, {}, u)
 
 
