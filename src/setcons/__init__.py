@@ -67,6 +67,6 @@ from .expr import (
     normal_form,
 )
 from .intervals import Endpoint, Interval, IntervalSet, Universe, parse_interval_set
-from .sim import Trajectory, TopologyView, render_timeline, simulate
+from .sim import Trajectory, render_timeline, simulate
 
 __version__ = "0.1.0"

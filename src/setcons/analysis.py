@@ -1,11 +1,11 @@
 """Top-level convergence analyzers for set-valued systems.
 
 Global contractivity is decided on the 0/1 projection of the incidence
-matrix.  Equilibria and local attractiveness are decided on the translated
-binary map, whose state is n words of kappa bits (one bit per cell): one
-word step answers a question for every cell at once, and no matrix over
-the n*kappa bits is ever built.  Consensus existence for linear maps
-reduces to the intersection of row unions.
+matrix.  The global fixed point, equilibria and local attractiveness are
+decided on the translated binary map, whose state is n words of kappa bits
+(one bit per cell): one word step answers a question for every cell at
+once, and no matrix over the n*kappa bits is ever built.  Consensus
+existence for linear maps reduces to the intersection of row unions.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .boolmat import (
     nilpotency_index,
 )
 from .caps import DEFAULT, Caps
-from .encoding import Partition, translate_map
+from .encoding import EncodedSystem, Partition, translate_map
 from .errors import CapExceeded, SetconsError
 from .expr import LinearSetMap, SetMap
 from .intervals import IntervalSet
@@ -100,13 +100,16 @@ def is_contractive_sbm(f: SetMap) -> ContractivityVerdict:
 
 
 def global_fixed_point(
-    f: SetMap, start: Sequence[IntervalSet], verdict: ContractivityVerdict | None = None
+    enc: EncodedSystem, start: Sequence[IntervalSet], verdict: ContractivityVerdict | None = None
 ) -> SetVector:
-    """Iterate a contractive map to its unique fixed point.
+    """Iterate a contractive map to its unique fixed point on words.
 
-    The result is verified to be independent of the start by re-running from
-    the componentwise complement (frozen components stay pinned).
+    The start must be a union of the encoding's cells.  The result is
+    verified to be independent of the start by re-running from the
+    componentwise complement (frozen components stay pinned), and only the
+    fixed point is decoded.
     """
+    f = enc.set_map
     verdict = verdict or is_contractive_sbm(f)
     if not verdict.contractive:
         raise ValueError("the map is not contractive; no unique fixed point is guaranteed")
@@ -118,17 +121,15 @@ def global_fixed_point(
         raise ValueError("frozen components of the start must carry their pinned values")
     if verdict.q is None:
         raise SetconsError("a contractive verdict must carry its round bound q")
-    state = start
+    step = enc.map.step
+    state = enc.encode_state(start)
+    n_visible, full = f.arity - k, (1 << enc.kappa) - 1
+    check = tuple(w ^ full for w in state[:n_visible]) + state[n_visible:]
     for _ in range(verdict.q):
-        state = f.eval(state)
-    n_visible = f.arity - k
-    other = tuple(f.universe.complement(s) for s in start[:n_visible]) + f.frozen_values
-    check = other
-    for _ in range(verdict.q):
-        check = f.eval(check)
+        state, check = step(state), step(check)
     if check != state:
         raise SetconsError("two starts reached different fixed points")
-    return state
+    return enc.decode_state(state)
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,7 @@ def equilibria_sbm(
     return CellEquilibriaReport(partition, cells, total, listed)
 
 
-def is_locally_attractive_sbm(
-    f: SetMap, x_eq: Sequence[IntervalSet], partition: Partition
-) -> bool:
+def is_locally_attractive_sbm(enc: EncodedSystem, x_eq: Sequence[IntervalSet]) -> bool:
     """Attractiveness of an equilibrium in its one-complemented-component
     neighborhood, decided on the translated map's derivative.
 
@@ -210,13 +209,13 @@ def is_locally_attractive_sbm(
     nilpotent with at most one entry per column exactly when every block
     is, and each distinct block is checked once.
     """
+    f = enc.set_map
     x_eq = tuple(x_eq)
     if f.eval(x_eq) != x_eq:
         raise ValueError("not an equilibrium")
     k = f.frozen_count
     if k and x_eq[f.arity - k :] != f.frozen_values:
         raise ValueError("frozen components of the equilibrium must carry their pinned values")
-    enc = translate_map(f, partition)
     blocks = enc.derivative_at(enc.encode_state(x_eq))
     return all(is_nilpotent(d) and column_at_most_one(d) for d in dict.fromkeys(blocks))
 

@@ -10,7 +10,7 @@ guarded by an arity cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .boolmat import BoolMatrix, column_at_most_one, is_nilpotent, nilpotency_index
 from .caps import DEFAULT, Caps

@@ -60,11 +60,12 @@ def _cmd_analyze(args, caps) -> dict:
     report["consensus"] = analysis.consensus_region(linear).to_json_dict() if linear else None
     local = None
     if verdict.contractive:
+        enc = translate_map(aug, partition)
         start = tuple(spec.initials) + aug.frozen_values
-        fixed = analysis.global_fixed_point(aug, start, verdict=verdict)
+        fixed = analysis.global_fixed_point(enc, start, verdict=verdict)
         local = {
             "equilibrium": [str(s) for s in fixed[: len(spec.variables)]],
-            "attractive": analysis.is_locally_attractive_sbm(aug, fixed, partition),
+            "attractive": analysis.is_locally_attractive_sbm(enc, fixed),
         }
     report["local"] = local
     return report

@@ -13,10 +13,14 @@ n-bit binary map, which is where all convergence questions are decided.
 The copies are stepped together: a state is n words of kappa bits, and a
 bitwise operation on words is the operation in every cell at once.  A 0/1
 state of :mod:`~setcons.bindyn` is the same representation with kappa = 1.
+Every state reachable from the generators is a union of cells, so the
+simulator and the global fixed point iterate this word map and use the
+set level only to encode their start and decode what they report.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +50,9 @@ class Partition:
     universe: Universe
     signatures: tuple[Bits, ...]
     regions: tuple[IntervalSet, ...]
+    # The elementary pieces inside the universe, ascending, and the cell of each.
+    pieces: tuple[Interval, ...]
+    piece_cells: tuple[int, ...]
 
     @property
     def kappa(self) -> int:
@@ -57,18 +64,38 @@ class Partition:
     def encode(self, s: IntervalSet) -> int:
         """The word whose bit h is 1 iff the set overlaps cell h; the set
         must be an exact union of cells, otherwise the encoding would be
-        lossy."""
-        word = 0
-        for h, region in enumerate(self.regions):
-            if not (s & region).is_empty():
-                word |= 1 << h
-        if self.decode(word) != s:
-            for h, region in enumerate(self.regions):
-                if (word >> h) & 1 and not region.is_subset(s):
-                    raise CellEncodingError(
-                        f"{s} straddles the cell {region}; it is not in the algebra "
-                        "generated by the partition's generators"
-                    )
+        lossy.
+
+        One walk over the set's intervals finds by bisection the pieces each
+        one meets: a cell with a piece met is in the word, and a cell with a
+        piece outside the set or cut by it is not wholly covered.
+        """
+        pieces, cells = self.pieces, self.piece_cells
+        word = missing = 0
+        i = 0  # the pieces before i are classified
+        for span in s.intervals:
+            a = bisect_left(pieces, span.lo_key, i, key=lambda piece: piece.hi_key)
+            b = bisect_right(pieces, span.hi_key, a, key=lambda piece: piece.lo_key)
+            for k in range(i, a):
+                missing |= 1 << cells[k]
+            for k in range(a, b):
+                word |= 1 << cells[k]
+            if a < b:
+                if pieces[a].lo_key < span.lo_key:
+                    missing |= 1 << cells[a]
+                if pieces[b - 1].hi_key > span.hi_key:
+                    missing |= 1 << cells[b - 1]
+            i = b
+        for k in range(i, len(pieces)):
+            missing |= 1 << cells[k]
+        straddled = word & missing
+        if straddled:
+            region = self.regions[(straddled & -straddled).bit_length() - 1]
+            raise CellEncodingError(
+                f"{s} straddles the cell {region}; it is not in the algebra "
+                "generated by the partition's generators"
+            )
+        if not self.universe.contains_set(s):
             raise CellEncodingError(f"{s} is not a union of partition cells")
         return word
 
@@ -108,17 +135,19 @@ def build_partition(generators: Sequence[IntervalSet], universe: Universe) -> Pa
             raise ValueError(f"generator {g} escapes the universe {universe}")
     m = len(gens)
     pieces = elementary_pieces(gens + (universe.carrier,))
+    pieces = tuple(p for p, bit in zip(pieces, _membership(universe.carrier, pieces)) if bit)
     codes = [0] * len(pieces)
     for g in gens:
         codes = [(code << 1) | bit for code, bit in zip(codes, _membership(g, pieces))]
-    cells: dict[int, list[Interval]] = {}
-    for piece, code, inside in zip(pieces, codes, _membership(universe.carrier, pieces)):
-        if inside:
-            cells.setdefault(code, []).append(piece)
-    order = sorted(cells, reverse=True)
+    order = sorted(set(codes), reverse=True)
+    cell_of = {code: h for h, code in enumerate(order)}
+    piece_cells = tuple(cell_of[code] for code in codes)
+    cells: list[list[Interval]] = [[] for _ in order]
+    for piece, h in zip(pieces, piece_cells):
+        cells[h].append(piece)
     signatures = tuple(tuple((code >> (m - 1 - i)) & 1 for i in range(m)) for code in order)
-    regions = tuple(IntervalSet.from_intervals(cells[code]) for code in order)
-    return Partition(gens, universe, signatures, regions)
+    regions = tuple(IntervalSet.from_intervals(c) for c in cells)
+    return Partition(gens, universe, signatures, regions, pieces, piece_cells)
 
 
 def _membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:

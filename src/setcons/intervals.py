@@ -50,10 +50,10 @@ def as_value(x) -> Value:
 
 
 def format_value(v: Value) -> str:
-    if v == POS_INF:
-        return "inf"
-    if v == NEG_INF:
-        return "-inf"
+    # The infinities are the only float values; a type test is much cheaper
+    # than comparing a Fraction with a float.
+    if isinstance(v, float):
+        return "inf" if v > 0 else "-inf"
     if v.denominator == 1:
         return str(v.numerator)
     return f"{v.numerator}/{v.denominator}"
@@ -285,12 +285,12 @@ class IntervalSet:
             return _FULL
         out = []
         first = self.intervals[0]
-        if first.lo.value != NEG_INF:
+        if not isinstance(first.lo.value, float):  # a float low end is -inf
             out.append(Interval(Endpoint(NEG_INF, False), first.lo.flip()))
         for cur, nxt in zip(self.intervals, self.intervals[1:]):
             out.append(Interval(cur.hi.flip(), nxt.lo.flip()))
         last = self.intervals[-1]
-        if last.hi.value != POS_INF:
+        if not isinstance(last.hi.value, float):
             out.append(Interval(last.hi.flip(), Endpoint(POS_INF, False)))
         return IntervalSet(tuple(out))
 

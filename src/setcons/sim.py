@@ -1,9 +1,11 @@
 """Round-based synchronous simulator.
 
 Each state variable is an agent; in every round all agents apply their
-update rule to the previous round's values.  Closure (fixed point or cycle)
-is detected by hashing the encoded state, which is exact because every
-reachable state is a union of partition cells.
+update rule to the previous round's values.  Every reachable state is a
+union of partition cells, so the run encodes its start once and steps the
+translated word map: closure (fixed point or cycle) is a repeated word
+tuple, and distances are bit counts.  Each distinct word is decoded once
+for the report, and one set-level step confirms the last word step.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .boolmat import BoolMatrix
 from .dsl import SystemSpec
 from .encoding import build_partition, translate_map
 from .errors import SetconsError
@@ -52,23 +53,6 @@ class Trajectory:
             "distance_lengths": list(self.distance_lengths),
             "closed": self.closed,
         }
-
-
-@dataclass(frozen=True)
-class TopologyView:
-    """Communication structure read off the incidence matrix: agent j feeds
-    agent i exactly when rule i depends on variable j."""
-
-    agents: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]  # (source j, target i)
-
-    @classmethod
-    def from_incidence(cls, agents: Sequence[str], b: BoolMatrix) -> "TopologyView":
-        edges = [(j, i) for i in range(b.n) for j in range(b.n) if b.entry(i, j)]
-        return cls(tuple(agents), tuple(edges))
-
-    def to_json_dict(self) -> dict:
-        return {"agents": list(self.agents), "edges": [[self.agents[j], self.agents[i]] for j, i in self.edges]}
 
 
 def sampling_window(universe: Universe) -> Interval:
@@ -114,13 +98,8 @@ def random_interval_set(rng: random.Random, universe: Universe, max_parts: int =
 
 
 def dedup_generators(sets: Sequence[IntervalSet]) -> list[IntervalSet]:
-    seen = set()
-    out = []
-    for s in sets:
-        if s not in seen and not s.is_empty():
-            seen.add(s)
-            out.append(s)
-    return out
+    """The nonempty sets, each once, in order of first appearance."""
+    return list(dict.fromkeys(s for s in sets if not s.is_empty()))
 
 
 def simulate(
@@ -146,55 +125,44 @@ def simulate(
         raise SetconsError("max_rounds must be at least 1")
 
     n_visible = len(spec.variables)
-    state = tuple(initials) + aug.frozen_values
-    states = [state]
-    encoded = [enc.encode_state(state)]
-    seen = {encoded[0]: 0}
+    step = enc.map.step
+    words = enc.encode_state(tuple(initials) + aug.frozen_values)
+    encoded = [words]
+    seen = {words: 0}
     transient = period = None
     for t in range(1, max_rounds + 1):
-        state = aug.eval(state)
-        words = enc.encode_state(state)
+        last, words = words, step(words)
         if words in seen:
             transient = seen[words]
             period = t - transient
             break
         seen[words] = t
-        states.append(state)
         encoded.append(words)
 
+    # Both ends of the last step are in the trajectory: decode every
+    # distinct word once, and check that step on the sets.
+    sets = {w: partition.decode(w) for w in set().union(*encoded)}
+    if aug.eval(tuple(sets[w] for w in last)) != tuple(sets[w] for w in words):
+        raise SetconsError("the word map and the set map disagree on a step")
     closed = transient is not None
-    consensus = None
-    if closed and period == 1:
-        final = states[transient]
-        if all(s == final[0] for s in final[:n_visible]):
-            consensus = final[0]
-    final_words = encoded[transient] if closed else encoded[-1]
-    distances = tuple(
-        sum((a ^ b).bit_count() for a, b in zip(words, final_words)) for words in encoded
-    )
+    final = encoded[transient] if closed else encoded[-1]
+    agreed = period == 1 and len(set(final[:n_visible])) == 1
     # Every state is a union of cells, so an agent's gap to the closure
     # state is the union of the cells where their words differ.
     window = sampling_window(spec.universe)
     cell_lengths = [region.measure(window) for region in partition.regions]
-    distance_lengths = tuple(
-        float(
-            sum(
-                cell_lengths[h]
-                for a, b in zip(words[:n_visible], final_words)
-                for h in range(partition.kappa)
-                if ((a ^ b) >> h) & 1
-            )
-        )
-        for words in encoded
-    )
     return Trajectory(
         agents=spec.variables,
-        rounds=tuple(s[:n_visible] for s in states),
+        rounds=tuple(tuple(sets[w] for w in ws[:n_visible]) for ws in encoded),
         transient=transient,
         period=period,
-        consensus=consensus,
-        distances=distances,
-        distance_lengths=distance_lengths,
+        consensus=sets[final[0]] if agreed else None,
+        distances=tuple(sum((a ^ b).bit_count() for a, b in zip(ws, final)) for ws in encoded),
+        distance_lengths=tuple(
+            float(sum(cell_lengths[h] for a, b in zip(ws[:n_visible], final)
+                      for h in range(partition.kappa) if ((a ^ b) >> h) & 1))
+            for ws in encoded
+        ),
         closed=closed,
     )
 

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from setcons import (
     BinaryMap,
@@ -234,3 +236,20 @@ def consensus_oracle(linear) -> IntervalSet:
         if g.step(state)[:n] == (1,) * n:
             region = region | p.regions[h]
     return region
+
+
+@dataclass(frozen=True)
+class TopologyView:
+    """Communication structure read off the incidence matrix: agent j feeds
+    agent i exactly when rule i depends on variable j."""
+
+    agents: tuple[str, ...]
+    edges: tuple[tuple[int, int], ...]  # (source j, target i)
+
+    @classmethod
+    def from_incidence(cls, agents: Sequence[str], b: BoolMatrix) -> "TopologyView":
+        edges = [(j, i) for i in range(b.n) for j in range(b.n) if b.entry(i, j)]
+        return cls(tuple(agents), tuple(edges))
+
+    def to_json_dict(self) -> dict:
+        return {"agents": list(self.agents), "edges": [[self.agents[j], self.agents[i]] for j, i in self.edges]}

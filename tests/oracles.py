@@ -8,6 +8,9 @@ Each one is the plain, obviously correct form of a library routine:
   2**m signatures, and the simulator's distance lengths measured on the
   sets themselves.  They use only each other and the interval constructors,
   never the library operations they check.
+- the set-level dynamics that the word map replaced: encoding by one
+  intersection per cell, the simulator that evaluates the set map and
+  re-encodes every round, and the global fixed point iterated on sets.
 - the recursive expression walkers that the postorder fold replaced: one
   function per question, each dispatching on the node type and calling
   itself on the children.  They use only the node classes and the interval
@@ -23,19 +26,27 @@ Each one is the plain, obviously correct form of a library routine:
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Sequence
 
 from setcons import (
     BinaryMap,
     BoolMatrix,
+    CellEncodingError,
+    ContractivityVerdict,
     EncodedSystem,
     Interval,
     IntervalSet,
     Partition,
+    SetconsError,
     SetMap,
+    SystemSpec,
     Universe,
+    augment_constants,
+    build_partition,
     compose,
+    is_contractive_sbm,
     translate_map,
 )
 from setcons.analysis import incidence_apply, set_distance
@@ -60,7 +71,7 @@ from setcons.expr import (
     UniverseLit,
     Var,
 )
-from setcons.sim import Trajectory
+from setcons.sim import Trajectory, dedup_generators, random_interval_set, sampling_window
 
 
 def _lo_key(iv: Interval):
@@ -154,6 +165,121 @@ def set_level_distances(traj: Trajectory, regions: Sequence[IntervalSet]) -> tup
             total += sum(1 for region in regions if pairwise_and(gap, region).intervals)
         counts.append(total)
     return tuple(counts)
+
+
+# -- the set-level dynamics that the word dynamics replaced ----------------------
+
+
+def intersecting_encode(partition: Partition, s: IntervalSet) -> int:
+    """The word of ``s`` found by intersecting it with every cell, checked
+    by decoding it again."""
+    word = 0
+    for h, region in enumerate(partition.regions):
+        if not (s & region).is_empty():
+            word |= 1 << h
+    if partition.decode(word) != s:
+        for h, region in enumerate(partition.regions):
+            if (word >> h) & 1 and not region.is_subset(s):
+                raise CellEncodingError(
+                    f"{s} straddles the cell {region}; it is not in the algebra "
+                    "generated by the partition's generators"
+                )
+        raise CellEncodingError(f"{s} is not a union of partition cells")
+    return word
+
+
+def set_level_simulate(
+    spec: SystemSpec, max_rounds: int | None = None, seed: int | None = None, random_init: bool = False
+) -> Trajectory:
+    """The simulator that evaluates the set map every round and encodes
+    every state by intersections to detect closure."""
+    base = spec.set_map()
+    initials = list(spec.initial_state())
+    if random_init:
+        rng = random.Random(seed)
+        initials = [random_interval_set(rng, spec.universe) for _ in spec.variables]
+    aug = augment_constants(base)
+    generators = dedup_generators(initials + [value for _, value in spec.constants])
+    partition = build_partition(generators, spec.universe)
+    if max_rounds is None:
+        max_rounds = spec.options_map.get("max_rounds", 2 * aug.arity * partition.kappa)
+
+    def encode_state(state):
+        return tuple(intersecting_encode(partition, s) for s in state)
+
+    n_visible = len(spec.variables)
+    state = tuple(initials) + aug.frozen_values
+    states = [state]
+    encoded = [encode_state(state)]
+    seen = {encoded[0]: 0}
+    transient = period = None
+    for t in range(1, max_rounds + 1):
+        state = aug.eval(state)
+        words = encode_state(state)
+        if words in seen:
+            transient = seen[words]
+            period = t - transient
+            break
+        seen[words] = t
+        states.append(state)
+        encoded.append(words)
+    closed = transient is not None
+    consensus = None
+    if closed and period == 1:
+        final = states[transient]
+        if all(s == final[0] for s in final[:n_visible]):
+            consensus = final[0]
+    final_words = encoded[transient] if closed else encoded[-1]
+    window = sampling_window(spec.universe)
+    cell_lengths = [region.measure(window) for region in partition.regions]
+    return Trajectory(
+        agents=spec.variables,
+        rounds=tuple(s[:n_visible] for s in states),
+        transient=transient,
+        period=period,
+        consensus=consensus,
+        distances=tuple(
+            sum((a ^ b).bit_count() for a, b in zip(words, final_words)) for words in encoded
+        ),
+        distance_lengths=tuple(
+            float(sum(
+                cell_lengths[h]
+                for a, b in zip(words[:n_visible], final_words)
+                for h in range(partition.kappa)
+                if ((a ^ b) >> h) & 1
+            ))
+            for words in encoded
+        ),
+        closed=closed,
+    )
+
+
+def set_level_fixed_point(
+    f: SetMap, start: Sequence[IntervalSet], verdict: ContractivityVerdict | None = None
+) -> tuple[IntervalSet, ...]:
+    """The global fixed point by q set-level rounds from the start and q from
+    its componentwise complement (frozen components stay pinned)."""
+    verdict = verdict or is_contractive_sbm(f)
+    if not verdict.contractive:
+        raise ValueError("the map is not contractive; no unique fixed point is guaranteed")
+    start = tuple(start)
+    if len(start) != f.arity:
+        raise ValueError("start state arity mismatch")
+    k = f.frozen_count
+    if k and start[f.arity - k :] != f.frozen_values:
+        raise ValueError("frozen components of the start must carry their pinned values")
+    if verdict.q is None:
+        raise SetconsError("a contractive verdict must carry its round bound q")
+    state = start
+    for _ in range(verdict.q):
+        state = f.eval(state)
+    n_visible = f.arity - k
+    check = tuple(f.universe.complement(s) for s in start[:n_visible]) + f.frozen_values
+    for _ in range(verdict.q):
+        check = f.eval(check)
+    if check != state:
+        raise SetconsError("two starts reached different fixed points")
+    return state
 
 
 # -- recursive expression walkers ----------------------------------------------

@@ -5,12 +5,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Every check is exact
 """
 
 import random
-from fractions import Fraction
 
 from setcons import (
     BoolMatrix,
     IntervalSet,
-    SetMap,
     Universe,
     augment_constants,
     binary_contractivity,
@@ -18,7 +16,6 @@ from setcons import (
     consensus_region,
     discrete_derivative,
     equilibria,
-    global_fixed_point,
     is_contractive_sbm,
     is_nilpotent,
     is_strictly_lower,

@@ -4,7 +4,9 @@ import pytest
 
 from setcons import (
     BoolMatrix,
+    CellEncodingError,
     ContractivityVerdict,
+    EncodedSystem,
     IntervalSet,
     SetconsError,
     SetMap,
@@ -21,10 +23,10 @@ from setcons import (
     set_distance,
     translate_map,
 )
-from setcons.bindyn import BinaryMap, all_states
 from setcons.boolmat import is_strictly_lower
 from setcons.expr import LinearSetMap, Var
 from setcons.intervals import Interval
+from setcons.sim import dedup_generators
 
 from helpers import (
     BOX200,
@@ -161,15 +163,22 @@ def test_theorem5_both_directions_random():
         assert is_contractive_sbm(f).contractive == block_incidence_verdict(f, p)
 
 
+def encoded(f: SetMap, *states) -> EncodedSystem:
+    """``f`` translated over the cells that the sets of ``states`` generate."""
+    sets = [s for state in states for s in state]
+    return translate_map(f, build_partition(dedup_generators(sets), f.universe))
+
+
 def test_global_fixed_point_pinned6():
     aug = augment_constants(pinned6_map())
     c = aug.frozen_values[0]
     rng = random.Random(79)
     start = tuple(random_set(rng, 0, 200) & BOX200.carrier for _ in range(6)) + aug.frozen_values
-    fixed = global_fixed_point(aug, start)
-    assert fixed == (c,) * 7
     other = tuple(random_set(rng, 0, 200) & BOX200.carrier for _ in range(6)) + aug.frozen_values
-    assert global_fixed_point(aug, other) == fixed
+    enc = encoded(aug, start, other)
+    fixed = global_fixed_point(enc, start)
+    assert fixed == (c,) * 7
+    assert global_fixed_point(enc, other) == fixed
 
 
 def test_global_fixed_point_constant_map():
@@ -182,13 +191,21 @@ def test_global_fixed_point_constant_map():
     )
     aug = augment_constants(f)
     start = (iv("[7,9]"), IntervalSet.empty()) + aug.frozen_values
-    fixed = global_fixed_point(aug, start)
+    fixed = global_fixed_point(encoded(aug, start), start)
     assert fixed[:2] == (iv("[1,2]"), iv("[3,4]"))
 
 
 def test_global_fixed_point_rejects_noncontractive():
     with pytest.raises(ValueError):
-        global_fixed_point(cyclic3_map(), CYCLIC3_START)
+        global_fixed_point(encoded(cyclic3_map(), CYCLIC3_START), CYCLIC3_START)
+
+
+def test_global_fixed_point_start_must_be_a_union_of_cells():
+    aug = augment_constants(pinned6_map())
+    enc = encoded(aug, aug.frozen_values)
+    start = (iv("[1,2]"),) + (IntervalSet.empty(),) * 5 + aug.frozen_values
+    with pytest.raises(CellEncodingError, match="straddles"):
+        global_fixed_point(enc, start)
 
 
 def test_global_fixed_point_disagreement_is_an_error():
@@ -197,10 +214,11 @@ def test_global_fixed_point_disagreement_is_an_error():
     # python -O) rather than return a wrong fixed point.
     aug = augment_constants(pinned6_map())
     start = (IntervalSet.empty(),) * 6 + aug.frozen_values
+    enc = encoded(aug, start)
     with pytest.raises(SetconsError, match="different fixed points"):
-        global_fixed_point(aug, start, verdict=ContractivityVerdict(True, q=1))
+        global_fixed_point(enc, start, verdict=ContractivityVerdict(True, q=1))
     with pytest.raises(SetconsError, match="round bound"):
-        global_fixed_point(aug, start, verdict=ContractivityVerdict(True))
+        global_fixed_point(enc, start, verdict=ContractivityVerdict(True))
 
 
 def test_equilibria_cap():
@@ -250,35 +268,34 @@ def test_equilibria_unit_embedding():
 
 def test_local_attractiveness_unit_embedding():
     f = unit_embedding_of_ref3()
-    p = build_partition([], UNIT)
+    enc = translate_map(f, build_partition([], UNIT))
     low = (IntervalSet.empty(), UNIT.carrier, IntervalSet.empty())
     high = (UNIT.carrier, UNIT.carrier, UNIT.carrier)
-    assert is_locally_attractive_sbm(f, low, p)
-    assert not is_locally_attractive_sbm(f, high, p)
+    assert is_locally_attractive_sbm(enc, low)
+    assert not is_locally_attractive_sbm(enc, high)
     assert is_locally_attractive_direct(f, low)
     assert not is_locally_attractive_direct(f, high)
     with pytest.raises(ValueError):
-        is_locally_attractive_sbm(f, (UNIT.carrier, UNIT.carrier, IntervalSet.empty()), p)
+        is_locally_attractive_sbm(enc, (UNIT.carrier, UNIT.carrier, IntervalSet.empty()))
 
 
 def test_local_attractiveness_constant_map():
     from setcons.expr import ConstRef
 
     f = augment_constants(SetMap((ConstRef("A"),), BOX200, (("A", iv("[1,2]")),)))
-    p = build_partition([iv("[1,2]")], BOX200)
+    enc = translate_map(f, build_partition([iv("[1,2]")], BOX200))
     eq = (iv("[1,2]"), iv("[1,2]"))
-    assert is_locally_attractive_sbm(f, eq, p)
+    assert is_locally_attractive_sbm(enc, eq)
 
 
 def test_theorem6_matches_binary_verdicts_at_kappa_one():
     # Single-cell systems are exactly binary maps; the two notions coincide.
     rng = random.Random(83)
     f_bin = ref3_binary()
-    f_set = unit_embedding_of_ref3()
-    p = build_partition([], UNIT)
+    enc = translate_map(unit_embedding_of_ref3(), build_partition([], UNIT))
     for eq_bits in ((0, 1, 0), (1, 1, 1)):
         eq_sets = tuple(UNIT.carrier if b else IntervalSet.empty() for b in eq_bits)
-        assert is_locally_attractive_sbm(f_set, eq_sets, p) == is_vnn_attractive(f_bin, eq_bits)
+        assert is_locally_attractive_sbm(enc, eq_sets) == is_vnn_attractive(f_bin, eq_bits)
 
 
 def test_consensus_region_all_universe():

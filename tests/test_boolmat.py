@@ -27,7 +27,7 @@ from helpers import (
     random_bool_matrix,
     ref3_binary,
 )
-from setcons.bindyn import discrete_derivative, semantic_incidence
+from setcons.bindyn import discrete_derivative
 from oracles import column_at_most_one_by_entries
 
 REF3_B = BoolMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
@@ -93,6 +93,7 @@ def test_analyzers_need_no_dimension_cap():
         equilibria_sbm,
         is_contractive_sbm,
         is_locally_attractive_sbm,
+        translate_map,
     )
     from setcons.caps import DEFAULT
     from setcons.expr import EmptyLit, UniverseLit
@@ -112,7 +113,7 @@ def test_analyzers_need_no_dimension_cap():
     assert f.arity * p.kappa == 6144
     assert is_contractive_sbm(f).contractive
     x_eq = f.eval((u.carrier,) * 3)
-    assert is_locally_attractive_sbm(f, x_eq, p)
+    assert is_locally_attractive_sbm(translate_map(f, p), x_eq)
     report = equilibria_sbm(f, p, DEFAULT)
     assert report.total == 1 and report.listed == (x_eq,)
 

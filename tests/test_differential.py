@@ -12,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setcons import (
+    ContractivityVerdict,
     Interval,
     IntervalSet,
+    SetconsError,
     SetMap,
     Universe,
     augment_constants,
@@ -21,6 +23,7 @@ from setcons import (
     compose,
     desugar,
     equilibria_sbm,
+    global_fixed_point,
     is_contractive_sbm,
     is_locally_attractive_sbm,
     is_nilpotent,
@@ -47,11 +50,13 @@ from setcons.expr import (
     expr_to_text,
     variables_of,
 )
+from setcons.dsl import SystemSpec
 from setcons.sim import dedup_generators, sampling_window
 
 from helpers import assert_same_membership, iv, probe_points
 from oracles import (
     cell_map,
+    intersecting_encode,
     flat_bits,
     flat_local_verdict,
     flat_map,
@@ -70,6 +75,8 @@ from oracles import (
     resorting_or,
     set_level_distance_lengths,
     set_level_distances,
+    set_level_fixed_point,
+    set_level_simulate,
     signature_scan_partition,
     subset_via_and,
 )
@@ -189,19 +196,27 @@ def test_distance_lengths_match_set_level(path, seed):
 ARITY = 3
 BOX = Universe.of(Interval.closed(0, 8))
 
-expressions = st.recursive(
-    st.one_of(
-        st.builds(Var, st.integers(0, ARITY - 1)),
-        st.builds(ConstRef, st.sampled_from(["A", "B"])),
-        st.just(UniverseLit()),
-        st.just(EmptyLit()),
-    ),
-    lambda inner: st.one_of(
-        st.builds(Complement, inner),
-        *(st.builds(kind, inner, inner) for kind in (Union, Intersect, Difference, SymDiff)),
-    ),
-    max_leaves=16,
-)
+
+
+def expressions_over(variables: int):
+    """Expressions over the first ``variables`` state variables and the
+    constants A and B."""
+    return st.recursive(
+        st.one_of(
+            *([st.builds(Var, st.integers(0, variables - 1))] if variables else []),
+            st.builds(ConstRef, st.sampled_from(["A", "B"])),
+            st.just(UniverseLit()),
+            st.just(EmptyLit()),
+        ),
+        lambda inner: st.one_of(
+            st.builds(Complement, inner),
+            *(st.builds(kind, inner, inner) for kind in (Union, Intersect, Difference, SymDiff)),
+        ),
+        max_leaves=16,
+    )
+
+
+expressions = expressions_over(ARITY)
 box_sets = interval_sets.map(lambda s: s & BOX.carrier)
 
 
@@ -279,6 +294,93 @@ def test_word_map_and_analyzers_match_per_cell_maps(rules, sets):
     else:
         chosen = ()
     for x_eq in chosen:
-        assert is_locally_attractive_sbm(f, x_eq, p) == flat_local_verdict(f, x_eq, p)
+        assert is_locally_attractive_sbm(enc, x_eq) == flat_local_verdict(f, x_eq, p)
     # Contractivity: the projection verdict is nilpotency of B kron I.
     assert is_contractive_sbm(f).contractive == is_nilpotent(kron_identity(f.incidence(), k))
+
+
+# -- the word dynamics against the set-level dynamics -------------------------
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (SetconsError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(expressions, min_size=ARITY, max_size=ARITY),
+    st.lists(box_sets, min_size=ARITY + 2, max_size=ARITY + 2),
+    st.one_of(st.none(), st.integers(1, 8)),
+    st.one_of(st.none(), st.integers(0, 10_000)),
+)
+@example([Var(0) | (Var(1) & Var(2)), Var(0) | ~Var(1), ~Var(0) & ~Var(1) & ~Var(2)],
+         [iv("[2,5]"), iv("[4,7]"), iv("[6,8]"), iv("empty"), iv("empty")], 1, None)
+@example([ConstRef("A"), Var(0) & ConstRef("B"), Var(1)], [iv("empty")] * 3 + [iv("[1,4]"), BOX.carrier],
+         None, None)
+def test_word_trajectory_matches_set_level(rules, sets, max_rounds, seed):
+    # Runs that close, runs that use up their budget (max_rounds), and runs
+    # from random initial sets (a seed).
+    constants = (("A", sets[ARITY]), ("B", sets[ARITY + 1]))
+    spec = SystemSpec(BOX, constants, ("X", "Y", "Z"), tuple(sets[:ARITY]), tuple(rules))
+    args = (spec, max_rounds, seed, seed is not None)
+    assert simulate(*args) == set_level_simulate(*args)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(*(expressions_over(i) for i in range(ARITY))),
+    st.lists(box_sets, min_size=ARITY + 2, max_size=ARITY + 2),
+)
+def test_word_fixed_point_matches_set_level(rules, sets):
+    # Rule i reads only variables below i, so the map is contractive.
+    f = augment_constants(SetMap(rules, BOX, (("A", sets[ARITY]), ("B", sets[ARITY + 1]))))
+    start = tuple(sets[:ARITY]) + f.frozen_values
+    enc = translate_map(f, build_partition(dedup_generators(sets), BOX))
+    verdict = is_contractive_sbm(f)
+    assert global_fixed_point(enc, start) == set_level_fixed_point(f, start)
+    # Round bounds below q may end the two runs apart: the same error then.
+    for q in range(verdict.q):
+        forged = ContractivityVerdict(True, verdict.witness, q)
+        assert outcome(global_fixed_point, enc, start, forged) == outcome(
+            set_level_fixed_point, f, start, forged
+        )
+
+
+# Odd multiples of 1/4: never an endpoint of the half-unit grid.
+new_points = st.integers(-1, 16).map(lambda k: Fraction(2 * k + 1, 4))
+
+
+@CHECK
+@given(
+    universes,
+    st.lists(interval_sets, max_size=4),
+    st.integers(0, 2**16),
+    st.sampled_from(["cells", "pieces", "cut", "escape"]),
+    st.integers(0, 2**32),
+    new_points,
+    st.one_of(new_points, st.just(float("inf"))),
+    interval_sets,
+)
+@example(BOX, [iv("[0,1] | [7,8]")], 0, "pieces", 0b111, Fraction(1, 4), Fraction(1, 4), iv("empty"))
+@example(BOX, [iv("[0,1] | [8,8]")], 0, "pieces", 0b111, Fraction(1, 4), Fraction(1, 4), iv("empty"))
+@example(BOX, [iv("[1,3]")], 0b010, "cut", 0, Fraction(9, 4), Fraction(9, 4), iv("empty"))
+@example(BOX, [iv("[1,3]")], 0b001, "cut", 0, Fraction(9, 4), float("inf"), iv("empty"))
+@example(BOX, [iv("[1,3]")], 0b001, "escape", 0, Fraction(1, 4), Fraction(1, 4), iv("[9,10]"))
+@example(BOX, [iv("[1,3]")], 0b101, "escape", 0, Fraction(1, 4), Fraction(1, 4), iv("(-1,0) | (8,9]"))
+def test_encode_matches_intersecting_oracle(universe, sets, word, kind, mask, a, b, extra):
+    # Unions of cells; sets that split a cell along its own pieces, with no
+    # new endpoint; sets cut at one or two new endpoints; sets that escape
+    # the universe.
+    p = build_partition([s & universe.carrier for s in sets], universe)
+    s = p.decode(word % (1 << p.kappa))
+    if kind == "pieces":
+        s = s ^ IntervalSet.from_intervals(x for k, x in enumerate(p.pieces) if (mask >> k) & 1)
+    elif kind == "cut":
+        s = s ^ (IntervalSet.of(Interval.make(min(a, b), max(a, b))) & universe.carrier)
+    elif kind == "escape":
+        s = s | extra
+    assert outcome(p.encode, s) == outcome(intersecting_encode, p, s)

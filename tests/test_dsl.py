@@ -2,7 +2,6 @@ import pytest
 
 from setcons import (
     DslError,
-    IntervalSet,
     parse,
     pretty_print,
     to_json,

@@ -1,8 +1,9 @@
 import random
 
-from setcons import parse, simulate, to_json
+import pytest
+
+from setcons import BinaryMap, EncodedSystem, SetconsError, parse, simulate, to_json
 from setcons.sim import (
-    TopologyView,
     dedup_generators,
     random_interval_set,
     render_timeline,
@@ -10,7 +11,7 @@ from setcons.sim import (
 )
 from setcons.intervals import Interval, IntervalSet, Universe
 
-from helpers import BOX200, iv
+from helpers import BOX200, TopologyView, iv
 from test_dsl import CYCLIC3_TEXT, PINNED6_TEXT
 
 
@@ -64,9 +65,9 @@ def test_simulate_contractive_invariants():
 
 
 def test_simulate_long_chain_closes_on_its_constant():
-    # Xi = X(i-1) & C with a 60-interval C: each round intersects large sets,
-    # which must stay linear in their sizes for this to run in about a second.
-    n = 20
+    # Xi = X(i-1) & C with a 60-interval C over 70 agents and 71 rounds: the
+    # run steps two-bit words and decodes each of the few distinct words once.
+    n = 70
     c_text = " | ".join(f"[{10 * i},{10 * i + 5}{')' if i % 2 else ']'}" for i in range(60))
     lines = ["universe [0,600]", f"const C = {c_text}"]
     lines += [f"state X{i} = empty" for i in range(n)]
@@ -77,6 +78,16 @@ def test_simulate_long_chain_closes_on_its_constant():
     assert traj.consensus == iv(c_text)
     assert traj.distances[n] == 0 and traj.distance_lengths[n] == 0.0
     assert traj.distance_lengths[0] == n * 60 * 5
+
+
+def test_simulate_checks_the_last_word_step_on_sets(monkeypatch):
+    # A word map that disagrees with the set map is caught by the one
+    # set-level step at the end of the run.
+    spec = parse(CYCLIC3_TEXT)
+    wrong = property(lambda enc: BinaryMap(enc.arity, lambda words: tuple(0 for _ in words)))
+    monkeypatch.setattr(EncodedSystem, "map", wrong)
+    with pytest.raises(SetconsError, match="disagree"):
+        simulate(spec, max_rounds=5)
 
 
 def test_simulate_budget_exhaustion_reported():
