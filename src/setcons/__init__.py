@@ -34,13 +34,11 @@ from .boolmat import (
     BoolVector,
     Permutation,
     column_at_most_one,
-    find_dependency_cycle,
-    find_strict_triangular_permutation,
+    dependency_order,
     has_empty_eigenvalue,
     has_universe_eigenvalue,
     is_nilpotent,
     is_strictly_lower,
-    nilpotency_index,
 )
 from .caps import Caps
 from .dsl import Diagnostic, DslError, SystemSpec, parse, pretty_print, to_json

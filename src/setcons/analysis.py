@@ -14,15 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .boolmat import (
-    BoolMatrix,
-    Permutation,
-    column_at_most_one,
-    find_dependency_cycle,
-    find_strict_triangular_permutation,
-    is_nilpotent,
-    nilpotency_index,
-)
+from .boolmat import BoolMatrix, Permutation, column_at_most_one, dependency_order, is_nilpotent
 from .caps import DEFAULT, Caps
 from .encoding import EncodedSystem, Partition, translate_map
 from .errors import CapExceeded, SetconsError
@@ -82,21 +74,19 @@ class ContractivityVerdict:
 def is_contractive_sbm(f: SetMap) -> ContractivityVerdict:
     """Decide global contractivity on the incidence matrix's 0/1 projection.
 
-    The map must be constant-free (augment first).  The translated map on
-    n*kappa bits has the block incidence ``B kron I``, which is nilpotent
-    exactly when ``B`` is, so the verdict holds for every partition.
+    The map must be constant-free (augment first).  One walk over the
+    dependency digraph gives either a triangularizing witness order and
+    ``q``, the number of variables on its longest dependency chain, or a
+    dependency cycle.  The translated map on n*kappa bits has the block
+    incidence ``B kron I``, which is nilpotent exactly when ``B`` is, so the
+    verdict holds for every partition.
     """
     if f.constants:
         raise ValueError("contractivity needs a constant-free map; augment it first")
-    shadow = f.incidence()
-    witness = find_strict_triangular_permutation(shadow)
+    witness, found = dependency_order(f.incidence())
     if witness is None:
-        cycle = find_dependency_cycle(shadow)
-        if cycle is None:
-            raise SetconsError("no strict triangular order and no dependency cycle found")
-        return ContractivityVerdict(False, cycle=cycle)
-    q = nilpotency_index(shadow)
-    return ContractivityVerdict(True, witness=witness, q=q)
+        return ContractivityVerdict(False, cycle=found)
+    return ContractivityVerdict(True, witness=witness, q=found)
 
 
 def global_fixed_point(

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .boolmat import BoolMatrix, column_at_most_one, is_nilpotent, nilpotency_index
+from .boolmat import BoolMatrix, column_at_most_one, dependency_order, is_nilpotent
 from .caps import DEFAULT, Caps
-from .errors import CapExceeded, OrbitLimitError, SetconsError
+from .errors import CapExceeded, OrbitLimitError
 
 State = tuple[int, ...]
 
@@ -204,7 +204,8 @@ class BinaryContraction:
 def binary_contractivity(
     f: BinaryMap, incidence: BoolMatrix | None = None, caps: Caps = DEFAULT
 ) -> BinaryContraction:
-    """Decide contractivity via nilpotency of the incidence matrix.
+    """Decide contractivity by one dependency walk over the incidence
+    matrix; ``q`` is its longest dependency chain.
 
     Uses the supplied matrix, then the map's attached one, then an exact
     dependency scan as a last resort.
@@ -214,10 +215,8 @@ def binary_contractivity(
         m = semantic_incidence(f, caps)
     if m.n != f.n:
         raise ValueError("incidence dimension mismatch")
-    if not is_nilpotent(m):
+    witness, q = dependency_order(m)
+    if witness is None:
         return BinaryContraction(False)
-    q = nilpotency_index(m)
-    if q is None or q > f.n:
-        raise SetconsError(f"nilpotency index {q} of a nilpotent {f.n}x{f.n} matrix")
     fixed = f.iterate((0,) * f.n, q)
     return BinaryContraction(True, q, fixed)

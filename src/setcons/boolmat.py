@@ -2,9 +2,11 @@
 
 Rows are stored as Python int bitmasks (bit j of ``rows[i]`` is entry
 ``(i, j)``), which makes joins and products cheap word operations.
-The nilpotency test and the strict-triangularization search are implemented
-by two independent routes on purpose: matrix powers for the former, source
-elimination on the dependency digraph for the latter.
+One source-elimination walk over the dependency digraph, ``dependency_order``,
+decides nilpotency and returns the triangularizing order with the
+nilpotency index, or a dependency cycle.  The routes it replaced (matrix
+powers, a separate elimination and a cycle walk) are kept in the tests as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -174,72 +176,37 @@ def is_strictly_lower(a: BoolMatrix) -> bool:
     return all(row >> i == 0 for i, row in enumerate(a.rows))
 
 
-def is_nilpotent(a: BoolMatrix) -> bool:
-    """True iff the n-th Boolean power of ``a`` vanishes."""
-    if a.n == 0:
-        return True
-    m = a
-    steps = 1
-    while steps < a.n:
-        m = m @ m
-        steps *= 2
-    return m.is_zero()
+def dependency_order(a: BoolMatrix) -> tuple[Permutation, int] | tuple[None, tuple[int, ...]]:
+    """One source-elimination walk over the dependency digraph (edge i -> j
+    when entry (i, j) is set).
 
-
-def nilpotency_index(a: BoolMatrix) -> int | None:
-    """Smallest positive q with a**q = 0, or None if there is no such q."""
-    m = a
-    for q in range(1, a.n + 1):
-        if m.is_zero():
-            return q
-        m = m @ a
-    return 1 if a.n == 0 else None
-
-
-def find_strict_triangular_permutation(a: BoolMatrix) -> Permutation | None:
-    """A permutation conjugating ``a`` to strictly lower triangular form.
-
-    Runs source elimination on the dependency digraph (edge i -> j when
-    entry (i, j) is set): repeatedly emit the lowest-index row that is zero
-    on the still-alive columns.  Succeeds exactly when ``a`` is nilpotent.
+    Repeatedly emits the lowest-index row that is zero on the still-alive
+    columns, recording each row's depth: one more than the deepest row it
+    reads.  When every row is emitted, ``a`` is nilpotent; the order
+    conjugates it to strictly lower triangular form and the longest chain,
+    ``max(depth, default=1)``, is its nilpotency index q.  Otherwise every
+    alive row reads an alive row, and following the lowest one from the
+    lowest alive row closes a directed cycle, returned as ``(None, cycle)``.
     """
     alive = (1 << a.n) - 1
-    order = []
-    for _ in range(a.n):
-        pick = None
-        for i in _bits_of(alive):
-            if a.rows[i] & alive == 0:
-                pick = i
-                break
+    order: list[int] = []
+    depth = [0] * a.n
+    while alive:
+        pick = next((i for i in _bits_of(alive) if a.rows[i] & alive == 0), None)
         if pick is None:
-            return None
+            path = [next(_bits_of(alive))]
+            while (nxt := next(_bits_of(a.rows[path[-1]] & alive))) not in path:
+                path.append(nxt)
+            return None, tuple(path[path.index(nxt):])
+        depth[pick] = 1 + max((depth[j] for j in _bits_of(a.rows[pick])), default=0)
         order.append(pick)
         alive &= ~(1 << pick)
-    return Permutation(tuple(order))
+    return Permutation(tuple(order)), max(depth, default=1)
 
 
-def find_dependency_cycle(a: BoolMatrix) -> tuple[int, ...] | None:
-    """Some directed cycle of the dependency digraph, or None if acyclic."""
-    alive = (1 << a.n) - 1
-    changed = True
-    while changed:
-        changed = False
-        for i in _bits_of(alive):
-            if a.rows[i] & alive == 0:
-                alive &= ~(1 << i)
-                changed = True
-    if alive == 0:
-        return None
-    start = next(_bits_of(alive))
-    path = [start]
-    seen = {start: 0}
-    while True:
-        cur = path[-1]
-        nxt = next(_bits_of(a.rows[cur] & alive))
-        if nxt in seen:
-            return tuple(path[seen[nxt]:])
-        seen[nxt] = len(path)
-        path.append(nxt)
+def is_nilpotent(a: BoolMatrix) -> bool:
+    """True iff some power of ``a`` vanishes."""
+    return dependency_order(a)[0] is not None
 
 
 def column_at_most_one(a: BoolMatrix) -> bool:
@@ -286,4 +253,4 @@ def has_universe_eigenvalue(entries: Sequence[Sequence[IntervalSet]], universe: 
                 raise ValueError(f"entry {e} is neither empty nor the universe")
         rows.append(mask)
     shadow = BoolMatrix(n, tuple(rows))
-    return find_strict_triangular_permutation(shadow) is None
+    return dependency_order(shadow)[0] is None

@@ -51,11 +51,7 @@ def _cmd_analyze(args, caps) -> dict:
         "cycle": [names[i] for i in verdict.cycle] if verdict.cycle else None,
     }
     equil = analysis.equilibria_sbm(aug, partition, caps, list_all=False)
-    report["equilibria_summary"] = {
-        "cells": equil.partition.kappa,
-        "per_cell_counts": [len(fps) for fps in equil.per_cell],
-        "total": equil.total,
-    }
+    report["equilibria_summary"] = equil.to_json_dict()
     linear = as_linear(base)
     report["consensus"] = analysis.consensus_region(linear).to_json_dict() if linear else None
     local = None

@@ -18,9 +18,10 @@ then ``&``, then ``\\``/``^``, then ``|``.  ``X`` denotes the universe and
 ``1/3``); ``inf``/``-inf`` mark unbounded endpoints.  Parentheses nest at
 most :data:`MAX_NESTING` levels deep; ``~`` may repeat any number of times.
 
-The only option is ``max_rounds``, the simulator's round budget (the
-``simulate --rounds`` flag overrides it).  Resource caps are set through
-the ``SETCONS_CAPS`` environment variable, not in the file.
+The only option is ``max_rounds``, the simulator's round budget: a
+positive integer, given at most once (the ``simulate --rounds`` flag
+overrides it).  Resource caps are set through the ``SETCONS_CAPS``
+environment variable, not in the file.
 """
 
 from __future__ import annotations
@@ -323,7 +324,6 @@ class _Parser:
         initials: list[IntervalSet] = []
         decl_tokens: dict[str, _Token] = {}
         rules: dict[str, SetExpr] = {}
-        rule_tokens: dict[str, _Token] = {}
         options: list[tuple[str, int]] = []
         seen_rule = False
 
@@ -378,7 +378,6 @@ class _Parser:
                     self.note(name_tok, f"duplicate rule for {name_tok.text}")
                 else:
                     rules[name_tok.text] = expr
-                    rule_tokens[name_tok.text] = name_tok
                 self.end_statement()
             elif keyword == "option":
                 self.advance()
@@ -389,10 +388,13 @@ class _Parser:
                 self.advance()
                 self.expect_punct("=")
                 value_tok = self.peek()
-                if value_tok.kind != "NUMBER" or not value_tok.text.isdigit():
+                if value_tok.kind != "NUMBER" or not value_tok.text.isdigit() or int(value_tok.text) < 1:
                     self.fail(value_tok, "option values must be positive integers")
                 self.advance()
-                options.append((key_tok.text, int(value_tok.text)))
+                if key_tok.text in dict(options):
+                    self.note(key_tok, f"duplicate option {key_tok.text}")
+                else:
+                    options.append((key_tok.text, int(value_tok.text)))
                 self.end_statement()
             elif keyword == "universe":
                 self.fail(tok, "duplicate universe declaration")

@@ -15,6 +15,11 @@ Each one is the plain, obviously correct form of a library routine:
   function per question, each dispatching on the node type and calling
   itself on the children.  They use only the node classes and the interval
   set operators.
+- the four routes that the one dependency walk replaced: the Boolean
+  matrix powers behind the nilpotency test and the nilpotency index, the
+  source elimination that emits a triangularizing order, and the second
+  elimination and walk that find a dependency cycle.  They use only the
+  matrix product and the row masks.
 - the translated map on n*kappa bits that the cell-sliced word map
   replaced: one n-bit map per cell, evaluated by the recursive walker, the
   flat variable-major layout with its ``B kron I`` incidence, the n*kappa
@@ -39,6 +44,7 @@ from setcons import (
     Interval,
     IntervalSet,
     Partition,
+    Permutation,
     SetconsError,
     SetMap,
     SystemSpec,
@@ -57,7 +63,6 @@ from setcons.bindyn import (
     format_bits,
     semantic_incidence,
 )
-from setcons.boolmat import is_nilpotent
 from setcons.caps import DEFAULT, Caps
 from setcons.expr import (
     Complement,
@@ -444,6 +449,78 @@ def per_mask_normal_form(component: SetExpr, arity: int, const_bits={}) -> tuple
     return tuple(table)
 
 
+# -- the dependency walks that one source elimination replaced -------------------
+
+
+def _bits(mask: int) -> list[int]:
+    return [j for j in range(mask.bit_length()) if (mask >> j) & 1]
+
+
+def power_is_nilpotent(a: BoolMatrix) -> bool:
+    """True iff the n-th Boolean power of ``a``, reached by squaring, vanishes."""
+    if a.n == 0:
+        return True
+    m = a
+    steps = 1
+    while steps < a.n:
+        m = m @ m
+        steps *= 2
+    return m.is_zero()
+
+
+def power_nilpotency_index(a: BoolMatrix) -> int | None:
+    """Smallest positive q with a**q = 0, or None if there is no such q."""
+    m = a
+    for q in range(1, a.n + 1):
+        if m.is_zero():
+            return q
+        m = m @ a
+    return 1 if a.n == 0 else None
+
+
+def elimination_order(a: BoolMatrix) -> Permutation | None:
+    """Repeatedly emit the lowest-index row that is zero on the still-alive
+    columns; None when some rows can never be emitted."""
+    alive = (1 << a.n) - 1
+    order = []
+    for _ in range(a.n):
+        pick = None
+        for i in _bits(alive):
+            if a.rows[i] & alive == 0:
+                pick = i
+                break
+        if pick is None:
+            return None
+        order.append(pick)
+        alive &= ~(1 << pick)
+    return Permutation(tuple(order))
+
+
+def elimination_cycle(a: BoolMatrix) -> tuple[int, ...] | None:
+    """Strip rows that read no alive row until none is left to strip, then
+    follow the lowest alive successor from the lowest alive row until a row
+    repeats; None if every row is stripped."""
+    alive = (1 << a.n) - 1
+    changed = True
+    while changed:
+        changed = False
+        for i in _bits(alive):
+            if a.rows[i] & alive == 0:
+                alive &= ~(1 << i)
+                changed = True
+    if alive == 0:
+        return None
+    start = _bits(alive)[0]
+    path = [start]
+    seen = {start: 0}
+    while True:
+        nxt = _bits(a.rows[path[-1]] & alive)[0]
+        if nxt in seen:
+            return tuple(path[seen[nxt]:])
+        seen[nxt] = len(path)
+        path.append(nxt)
+
+
 # -- the translated map on n*kappa bits, one cell at a time ---------------------
 
 
@@ -540,14 +617,14 @@ def column_at_most_one_by_entries(a: BoolMatrix) -> bool:
 def block_incidence_verdict(f: SetMap, partition: Partition) -> bool:
     """Contractivity decided on the n*kappa block incidence of the
     translated map."""
-    return is_nilpotent(flat_map(translate_map(f, partition)).incidence)
+    return power_is_nilpotent(flat_map(translate_map(f, partition)).incidence)
 
 
 def flat_local_verdict(f: SetMap, x_eq: Sequence[IntervalSet], partition: Partition) -> bool:
     """Local attractiveness decided on the whole n*kappa derivative."""
     enc = translate_map(f, partition)
     d = flat_derivative_at(enc, flat_bits(enc.encode_state(tuple(x_eq)), enc.kappa))
-    return is_nilpotent(d) and column_at_most_one_by_entries(d)
+    return power_is_nilpotent(d) and column_at_most_one_by_entries(d)
 
 
 # -- checks only tests need -------------------------------------------------------

@@ -14,6 +14,7 @@ from setcons import (
     binary_contractivity,
     build_partition,
     consensus_region,
+    dependency_order,
     discrete_derivative,
     equilibria,
     is_contractive_sbm,
@@ -26,7 +27,6 @@ from setcons import (
     translate_map,
 )
 from setcons.bindyn import BinaryMap, all_states
-from setcons.boolmat import find_strict_triangular_permutation
 from setcons.dsl import SystemSpec
 from setcons.expr import ConstRef, LinearSetMap, Var, compose
 from setcons.intervals import Interval
@@ -49,7 +49,7 @@ from helpers import (
     random_word,
     ref3_binary,
 )
-from oracles import check_distance_bound
+from oracles import check_distance_bound, power_is_nilpotent
 
 
 def report(n: int, text: str):
@@ -117,7 +117,7 @@ def test_criterion_3_six_agent_pinned_consensus():
             [1, 1, 1, 0, 1, 0],
         ]
     )
-    witness = find_strict_triangular_permutation(base.incidence())
+    witness, _ = dependency_order(base.incidence())
     assert witness is not None
     assert is_strictly_lower(witness.conjugate(base.incidence()))
     aug = augment_constants(base)
@@ -174,12 +174,12 @@ def test_criterion_5_nilpotency_equivalence():
         n = rng.randint(1, 6)
         a = random_bool_matrix(rng, n, rng.uniform(0.05, 0.6))
         nilpotent = is_nilpotent(a)
-        witness = find_strict_triangular_permutation(a)
+        witness, _ = dependency_order(a)
         brute = brute_force_triangularizable(a)
-        assert nilpotent == (witness is not None) == brute
+        assert nilpotent == (witness is not None) == brute == power_is_nilpotent(a)
         if witness is not None:
             assert is_strictly_lower(witness.conjugate(a))
-    report(5, "200 random matrices: nilpotency = witness search = all-permutations search")
+    report(5, "200 random matrices: nilpotency = witness search = matrix powers = all-permutations search")
 
 
 def test_criterion_6_contractive_maps_collapse():

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setcons import (
     BoolMatrix,
@@ -9,13 +12,11 @@ from setcons import (
     Permutation,
     Universe,
     column_at_most_one,
-    find_dependency_cycle,
-    find_strict_triangular_permutation,
+    dependency_order,
     has_empty_eigenvalue,
     has_universe_eigenvalue,
     is_nilpotent,
     is_strictly_lower,
-    nilpotency_index,
 )
 from setcons.intervals import Interval
 
@@ -28,7 +29,13 @@ from helpers import (
     ref3_binary,
 )
 from setcons.bindyn import discrete_derivative
-from oracles import column_at_most_one_by_entries
+from oracles import (
+    column_at_most_one_by_entries,
+    elimination_cycle,
+    elimination_order,
+    power_is_nilpotent,
+    power_nilpotency_index,
+)
 
 REF3_B = BoolMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
 PINNED6_B = BoolMatrix.from_rows(
@@ -129,18 +136,20 @@ def test_nilpotency_references():
 
 
 def test_triangularization_references():
-    perm = find_strict_triangular_permutation(PINNED6_B)
-    assert perm is not None
+    perm, _ = dependency_order(PINNED6_B)
+    assert perm == elimination_order(PINNED6_B)
     assert is_strictly_lower(perm.conjugate(PINNED6_B))
-    assert find_strict_triangular_permutation(cyclic3_map().incidence()) is None
-    assert find_strict_triangular_permutation(BoolMatrix.zero(3)) == Permutation.identity(3)
+    assert dependency_order(cyclic3_map().incidence())[0] is None
+    assert elimination_order(cyclic3_map().incidence()) is None
+    assert dependency_order(BoolMatrix.zero(3)) == (Permutation.identity(3), 1)
+    assert elimination_order(BoolMatrix.zero(3)) == Permutation.identity(3)
 
 
 def test_witness_always_strictly_lower():
     rng = random.Random(8)
     for _ in range(200):
         a = random_bool_matrix(rng, rng.randint(1, 6))
-        perm = find_strict_triangular_permutation(a)
+        perm, _ = dependency_order(a)
         if perm is not None:
             assert is_strictly_lower(perm.conjugate(a))
 
@@ -151,24 +160,91 @@ def test_nilpotency_equivalence_with_brute_force():
     cases += [BoolMatrix.zero(4), BoolMatrix.identity(4), REF3_B, PINNED6_B]
     for a in cases:
         nilpotent = is_nilpotent(a)
-        witnessed = find_strict_triangular_permutation(a) is not None
+        witnessed = dependency_order(a)[0] is not None
         brute = brute_force_triangularizable(a)
-        assert nilpotent == witnessed == brute
+        assert nilpotent == witnessed == brute == power_is_nilpotent(a)
 
 
 def test_nilpotency_index():
     shift = BoolMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert nilpotency_index(shift) == 3
-    assert nilpotency_index(BoolMatrix.zero(2)) == 1
-    assert nilpotency_index(BoolMatrix.identity(2)) is None
+    assert dependency_order(shift)[1] == power_nilpotency_index(shift) == 3
+    assert dependency_order(BoolMatrix.zero(2))[1] == power_nilpotency_index(BoolMatrix.zero(2)) == 1
+    assert dependency_order(BoolMatrix.zero(0))[1] == power_nilpotency_index(BoolMatrix.zero(0)) == 1
+    assert dependency_order(BoolMatrix.identity(2))[0] is None
+    assert power_nilpotency_index(BoolMatrix.identity(2)) is None
 
 
 def test_dependency_cycle():
-    assert find_dependency_cycle(PINNED6_B) is None
-    cycle = find_dependency_cycle(cyclic3_map().incidence())
-    assert cycle == (0,)
+    assert dependency_order(PINNED6_B)[0] is not None
+    assert elimination_cycle(PINNED6_B) is None
+    cycle = dependency_order(cyclic3_map().incidence())[1]
+    assert cycle == elimination_cycle(cyclic3_map().incidence()) == (0,)
     ring = BoolMatrix.from_rows([[0, 1], [1, 0]])
-    assert sorted(find_dependency_cycle(ring)) == [0, 1]
+    assert sorted(dependency_order(ring)[1]) == sorted(elimination_cycle(ring)) == [0, 1]
+
+
+def assert_certifies(a: BoolMatrix, order, found):
+    """A returned order conjugates ``a`` to strictly lower form; a returned
+    cycle is a directed cycle of distinct rows, each reading the next."""
+    if order is not None:
+        assert is_strictly_lower(order.conjugate(a))
+        assert 1 <= found <= max(a.n, 1)
+    else:
+        assert 1 <= len(found) == len(set(found))
+        for k, i in enumerate(found):
+            assert a.entry(i, found[(k + 1) % len(found)])
+
+
+def assert_matches_oracles(a: BoolMatrix):
+    order, found = dependency_order(a)
+    assert order == elimination_order(a)
+    assert (order is not None) == is_nilpotent(a) == power_is_nilpotent(a)
+    if order is not None:
+        assert found == power_nilpotency_index(a)
+    else:
+        assert found == elimination_cycle(a)
+    assert_certifies(a, order, found)
+
+
+def test_dependency_order_on_every_matrix_up_to_3x3():
+    for n in range(4):
+        for rows in itertools.product(range(1 << n), repeat=n):
+            a = BoolMatrix(n, rows)
+            assert_matches_oracles(a)
+            assert (dependency_order(a)[0] is not None) == brute_force_triangularizable(a)
+
+
+def test_dependency_order_on_every_4x4_matrix():
+    for rows in itertools.product(range(16), repeat=4):
+        a = BoolMatrix(4, rows)
+        order, found = dependency_order(a)
+        if order is None:
+            assert not power_is_nilpotent(a)
+        else:
+            assert found == power_nilpotency_index(a)
+        assert_certifies(a, order, found)
+
+
+@st.composite
+def bool_matrices(draw):
+    n = draw(st.integers(0, 10))
+    row = st.integers(0, (1 << n) - 1)
+    # ANDing k uniform rows keeps each entry with probability 2**-k, so both
+    # nilpotent and cyclic matrices show up.
+    k = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        r = (1 << n) - 1
+        for _ in range(k):
+            r &= draw(row)
+        rows.append(r)
+    return BoolMatrix(n, tuple(rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bool_matrices())
+def test_dependency_order_matches_oracles_up_to_10x10(a):
+    assert_matches_oracles(a)
 
 
 def test_column_at_most_one():

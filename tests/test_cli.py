@@ -130,6 +130,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+def test_zero_round_option_is_a_positioned_diagnostic(tmp_path, capsys):
+    bad = tmp_path / "zero.sbm"
+    bad.write_text("universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1\noption max_rounds = 0\n")
+    code, out, err = run(capsys, "simulate", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "4:21: error: option values must be positive integers\n"
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     lines = ["universe [0,100]"]
     for i in range(6):

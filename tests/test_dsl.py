@@ -128,6 +128,25 @@ def test_cap_keys_are_not_options():
         assert diag.hint == "known options: max_rounds"
 
 
+@pytest.mark.parametrize("value", ["0", "00"])
+def test_option_value_zero_is_positioned(value):
+    with pytest.raises(DslError) as err:
+        parse(f"universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1\noption max_rounds = {value}\n")
+    diag = err.value.diagnostics[0]
+    assert diag.message == "option values must be positive integers"
+    assert (diag.line, diag.column) == (4, 21)
+
+
+def test_repeated_option_is_positioned():
+    text = "universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1\noption max_rounds = 5\noption max_rounds = 9\n"
+    with pytest.raises(DslError) as err:
+        parse(text)
+    [diag] = err.value.diagnostics
+    assert diag.message == "duplicate option max_rounds"
+    assert (diag.line, diag.column) == (5, 8)
+    assert parse(text.rsplit("option", 1)[0]).options_map == {"max_rounds": 5}
+
+
 def test_parenthesis_depth_limit():
     def rule(depth):
         return "universe [0,1]\nstate X1 = [0,1]\nrule X1 = " + "(" * depth + "X1" + ")" * depth + "\n"
