@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .bindyn import derivative_blocks
 from .boolmat import BoolMatrix, Permutation, column_at_most_one, dependency_order, is_nilpotent
 from .caps import DEFAULT, Caps
 from .encoding import EncodedSystem, Partition, translate_map
@@ -111,12 +112,11 @@ def global_fixed_point(
         raise ValueError("frozen components of the start must carry their pinned values")
     if verdict.q is None:
         raise SetconsError("a contractive verdict must carry its round bound q")
-    step = enc.map.step
+    g = enc.map
     state = enc.encode_state(start)
     n_visible, full = f.arity - k, (1 << enc.kappa) - 1
     check = tuple(w ^ full for w in state[:n_visible]) + state[n_visible:]
-    for _ in range(verdict.q):
-        state, check = step(state), step(check)
+    state, check = g.iterate(state, verdict.q), g.iterate(check, verdict.q)
     if check != state:
         raise SetconsError("two starts reached different fixed points")
     return enc.decode_state(state)
@@ -206,8 +206,8 @@ def is_locally_attractive_sbm(enc: EncodedSystem, x_eq: Sequence[IntervalSet]) -
     k = f.frozen_count
     if k and x_eq[f.arity - k :] != f.frozen_values:
         raise ValueError("frozen components of the equilibrium must carry their pinned values")
-    blocks = enc.derivative_at(enc.encode_state(x_eq))
-    return all(is_nilpotent(d) and column_at_most_one(d) for d in dict.fromkeys(blocks))
+    blocks = dict.fromkeys(derivative_blocks(enc.map, enc.encode_state(x_eq)))
+    return all(is_nilpotent(d) and column_at_most_one(d) for d in blocks)
 
 
 @dataclass(frozen=True)

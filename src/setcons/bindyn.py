@@ -1,10 +1,10 @@
-"""Iteration and convergence analysis of maps on binary state vectors.
+"""Iteration and convergence analysis of Boolean maps.
 
-States are plain tuples of 0/1 ints.  A :class:`BinaryMap` wraps any total
-evaluator; constructors exist for explicit truth tables and for maps whose
-(syntactic) incidence structure is known up front.  Exhaustive operations
-(equilibria, exact dependency extraction) enumerate all 2**n states and are
-guarded by an arity cap.
+A state is n words of ``width`` bits, and bit h of every output word
+depends only on bit h of the inputs, as with bitwise operations: the map
+is ``width`` copies of one n-bit map, stepped together.  A 0/1 state is
+width 1.  The exhaustive scans (equilibria, exact dependencies) enumerate
+all 2**n 0/1 states and are guarded by an arity cap.
 """
 
 from __future__ import annotations
@@ -46,19 +46,19 @@ def binary_distance(x: State, y: State) -> State:
 
 
 class BinaryMap:
-    """A total deterministic map on n-bit states."""
+    """A total deterministic map on states of n words of ``width`` bits."""
 
-    def __init__(self, n: int, fn: Callable[[State], State], incidence: BoolMatrix | None = None):
+    def __init__(self, n: int, fn: Callable[[State], State], width: int = 1):
         if n < 1:
             raise ValueError("arity must be positive")
-        if incidence is not None and incidence.n != n:
-            raise ValueError("incidence dimension mismatch")
+        if width < 1:
+            raise ValueError("word width must be positive")
         self.n = n
         self._fn = fn
-        self.incidence = incidence
+        self.width = width
 
     @classmethod
-    def from_table(cls, outputs: Sequence[State], incidence: BoolMatrix | None = None) -> "BinaryMap":
+    def from_table(cls, outputs: Sequence[State]) -> "BinaryMap":
         size = len(outputs)
         n = size.bit_length() - 1
         if size != 1 << n or n < 1:
@@ -72,22 +72,16 @@ class BinaryMap:
                     mask |= 1 << j
             return table[mask]
 
-        return cls(n, fn, incidence)
+        return cls(n, fn)
 
     @classmethod
-    def from_components(
-        cls, fns: Sequence[Callable[[State], int]], incidence: BoolMatrix | None = None
-    ) -> "BinaryMap":
+    def from_components(cls, fns: Sequence[Callable[[State], int]]) -> "BinaryMap":
         fns = list(fns)
-
-        def fn(x: State) -> State:
-            return tuple(f(x) for f in fns)
-
-        return cls(len(fns), fn, incidence)
+        return cls(len(fns), lambda x: tuple(f(x) for f in fns))
 
     def step(self, x: State) -> State:
         if len(x) != self.n:
-            raise ValueError(f"state has {len(x)} bits, map expects {self.n}")
+            raise ValueError(f"state has {len(x)} words, map expects {self.n}")
         y = self._fn(tuple(x))
         if len(y) != self.n:
             raise ValueError("evaluator returned a state of the wrong arity")
@@ -97,6 +91,20 @@ class BinaryMap:
         for _ in range(steps):
             x = self.step(x)
         return x
+
+
+def walk(f: BinaryMap, x0: State, budget: int) -> tuple[list[State], int | None]:
+    """Step from ``x0`` at most ``budget`` times, stopping at the first
+    repeated state: the distinct states in visit order, and the index of the
+    one the last step returned to, or None if no state repeated."""
+    x = tuple(x0)
+    seen = {x: 0}
+    for _ in range(budget):
+        x = f.step(x)
+        if x in seen:
+            return list(seen), seen[x]
+        seen[x] = len(seen)
+    return list(seen), None
 
 
 @dataclass(frozen=True)
@@ -116,64 +124,74 @@ class OrbitSummary:
 
 
 def orbit(f: BinaryMap, x0: State, max_steps: int | None = None) -> OrbitSummary:
-    """Follow iterates until a state repeats; always closes within 2**n steps."""
-    budget = (1 << f.n) if max_steps is None else max_steps
+    """Follow iterates until a state repeats; closes within 2**(n*width) steps."""
+    budget = (1 << f.n * f.width) if max_steps is None else max_steps
     if budget < 1:
         raise ValueError("max_steps must be at least 1")
-    seen = {tuple(x0): 0}
-    path = [tuple(x0)]
-    x = tuple(x0)
-    for t in range(1, budget + 1):
-        x = f.step(x)
-        if x in seen:
-            start = seen[x]
-            return OrbitSummary(transient=start, period=t - start, cycle=tuple(path[start:]))
-        seen[x] = t
-        path.append(x)
-    raise OrbitLimitError(f"no closure within {budget} steps from {format_bits(tuple(x0))}")
+    path, start = walk(f, x0, budget)
+    if start is None:
+        raise OrbitLimitError(f"no closure within {budget} steps from {format_bits(tuple(x0))}")
+    return OrbitSummary(transient=start, period=len(path) - start, cycle=tuple(path[start:]))
+
+
+def _bit_states(f: BinaryMap, caps: Caps, scan: str) -> Iterator[State]:
+    """The 2**n states of a 0/1 map, once the width and the cap allow it."""
+    if f.width != 1:
+        raise ValueError(f"the {scan} runs over 0/1 states, not {f.width}-bit words")
+    if f.n > caps.enumeration:
+        raise CapExceeded(f"{scan} needs 2**{f.n} states (cap {caps.enumeration})")
+    return all_states(f.n)
 
 
 def equilibria(f: BinaryMap, caps: Caps = DEFAULT) -> list[State]:
     """All fixed points, sorted; exhaustive over the 2**n state space."""
-    if f.n > caps.enumeration:
-        raise CapExceeded(f"equilibria enumeration needs 2**{f.n} states (cap {caps.enumeration})")
-    return sorted(x for x in all_states(f.n) if f.step(x) == x)
+    return sorted(x for x in _bit_states(f, caps, "equilibria enumeration") if f.step(x) == x)
+
+
+def derivative_blocks(f: BinaryMap, x: State) -> tuple[BoolMatrix, ...]:
+    """The n x n derivative at ``x`` in every bit position, one block per
+    position: entry (i, j) of block h is 1 iff flipping bit h of input j
+    changes bit h of output i.  Flipping word j in all positions at once
+    moves each position's outputs by that position's own derivative, so
+    n + 1 steps suffice."""
+    n, full = f.n, (1 << f.width) - 1
+    x = tuple(x)
+    fx = f.step(x)
+    # moved[j][i]: the positions where output i changes when input j flips.
+    moved = [
+        [a ^ b for a, b in zip(fx, f.step(x[:j] + (x[j] ^ full,) + x[j + 1 :]))]
+        for j in range(n)
+    ]
+    blocks = []
+    for h in range(f.width):
+        rows = [0] * n
+        for j, column in enumerate(moved):
+            for i, bits in enumerate(column):
+                rows[i] |= ((bits >> h) & 1) << j
+        blocks.append(BoolMatrix(n, tuple(rows)))
+    return tuple(blocks)
 
 
 def discrete_derivative(f: BinaryMap, x: State) -> BoolMatrix:
-    """Entry (i, j) = 1 iff flipping input j changes output i at ``x``."""
-    fx = f.step(x)
-    rows = [0] * f.n
-    for j in range(f.n):
-        fj = f.step(flip(tuple(x), j))
-        for i in range(f.n):
-            if fx[i] != fj[i]:
-                rows[i] |= 1 << j
-    return BoolMatrix(f.n, tuple(rows))
+    """Entry (i, j) = 1 iff flipping input j changes output i at ``x``: the
+    one derivative block of a 0/1 map."""
+    if f.width != 1:
+        raise ValueError(f"a {f.width}-bit map has one derivative per bit; use derivative_blocks")
+    return derivative_blocks(f, x)[0]
 
 
 def semantic_incidence(f: BinaryMap, caps: Caps = DEFAULT) -> BoolMatrix:
     """Exact dependency matrix: the join of the derivative over all states."""
-    if f.n > caps.enumeration:
-        raise CapExceeded(f"dependency scan needs 2**{f.n} states (cap {caps.enumeration})")
     rows = [0] * f.n
-    for x in all_states(f.n):
-        for j in range(f.n):
-            if x[j]:
-                continue  # each unordered pair once
-            fx = f.step(x)
-            fj = f.step(flip(x, j))
-            for i in range(f.n):
-                if fx[i] != fj[i]:
-                    rows[i] |= 1 << j
+    for x in _bit_states(f, caps, "dependency scan"):
+        for i, row in enumerate(discrete_derivative(f, x).rows):
+            rows[i] |= row
     return BoolMatrix(f.n, tuple(rows))
 
 
 def dependency_witness(f: BinaryMap, i: int, j: int, caps: Caps = DEFAULT) -> State | None:
     """A state where flipping input j changes output i, if one exists."""
-    if f.n > caps.enumeration:
-        raise CapExceeded(f"dependency scan needs 2**{f.n} states (cap {caps.enumeration})")
-    for x in all_states(f.n):
+    for x in _bit_states(f, caps, "dependency scan"):
         if f.step(x)[i] != f.step(flip(x, j))[i]:
             return x
     return None
@@ -181,11 +199,12 @@ def dependency_witness(f: BinaryMap, i: int, j: int, caps: Caps = DEFAULT) -> St
 
 def is_vnn_attractive(f: BinaryMap, x_eq: State) -> bool:
     """Neighborhood attractiveness decided on the derivative at the
-    equilibrium: it must be nilpotent with at most one entry per column."""
+    equilibrium: in every bit position it must be nilpotent with at most one
+    entry per column.  Each distinct block is checked once."""
     if f.step(x_eq) != tuple(x_eq):
         raise ValueError(f"{format_bits(tuple(x_eq))} is not an equilibrium")
-    d = discrete_derivative(f, x_eq)
-    return is_nilpotent(d) and column_at_most_one(d)
+    blocks = dict.fromkeys(derivative_blocks(f, x_eq))
+    return all(is_nilpotent(d) and column_at_most_one(d) for d in blocks)
 
 
 @dataclass(frozen=True)
@@ -207,12 +226,9 @@ def binary_contractivity(
     """Decide contractivity by one dependency walk over the incidence
     matrix; ``q`` is its longest dependency chain.
 
-    Uses the supplied matrix, then the map's attached one, then an exact
-    dependency scan as a last resort.
+    Uses the supplied matrix, or else the exact dependency scan.
     """
-    m = incidence if incidence is not None else f.incidence
-    if m is None:
-        m = semantic_incidence(f, caps)
+    m = semantic_incidence(f, caps) if incidence is None else incidence
     if m.n != f.n:
         raise ValueError("incidence dimension mismatch")
     witness, q = dependency_order(m)

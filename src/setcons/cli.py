@@ -8,12 +8,14 @@ Subcommands::
     setcons consensus FILE     common-fixed-point region of a linear system
     setcons equilibria FILE    per-cell equilibrium summary
 
-Exit codes: 0 success, 1 input diagnostics, 2 an enumeration cap was hit.
+Exit codes: 0 success, 1 input diagnostics or a closed stdout, 2 an
+enumeration cap was hit.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis, caps as caps_mod, dsl, sim
@@ -76,8 +78,7 @@ def _cmd_simulate(args, caps):
         random_init=args.random_init,
     )
     if args.format == "text":
-        window = sim.sampling_window(spec.universe)
-        out = [sim.render_timeline(traj, window)]
+        out = [sim.render_timeline(traj, traj.window)]
         out.append(f"transient={traj.transient} period={traj.period} closed={traj.closed}")
         if traj.consensus is not None:
             out.append(f"consensus: {traj.consensus}")
@@ -151,12 +152,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if isinstance(result, str):
-        print(result)
-    elif args.format == "text":
-        print(_render_text(dsl._jsonify(result)))
-    else:
-        print(dsl.to_json(result))
+    if not isinstance(result, str):
+        result = _render_text(dsl._jsonify(result)) if args.format == "text" else dsl.to_json(result)
+    try:
+        print(result, flush=True)
+    except BrokenPipeError:
+        # The reader left: the flush at exit goes to the null device instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

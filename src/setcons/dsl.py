@@ -17,6 +17,7 @@ then ``&``, then ``\\``/``^``, then ``|``.  ``X`` denotes the universe and
 ``empty`` the empty set.  Numbers are decimal rationals (``7``, ``3.5``,
 ``1/3``); ``inf``/``-inf`` mark unbounded endpoints.  Parentheses nest at
 most :data:`MAX_NESTING` levels deep; ``~`` may repeat any number of times.
+:func:`parse_set_literal` reads one set literal with this same grammar.
 
 The only option is ``max_rounds``, the simulator's round budget: a
 positive integer, given at most once (the ``simulate --rounds`` flag
@@ -69,7 +70,7 @@ class Diagnostic:
         return text
 
 
-class DslError(Exception):
+class DslError(ValueError):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(d.render() for d in self.diagnostics))
@@ -193,6 +194,15 @@ class _Parser:
 
     # -- literal values ------------------------------------------------------
 
+    def read_number(self, tok: _Token, read):
+        """``read(tok.text)``, or a diagnostic at the number token when the
+        conversion fails."""
+        try:
+            return read(tok.text)
+        except (ValueError, ZeroDivisionError):
+            self.fail(tok, f"cannot read the number {tok.text[:20]}",
+                      "a zero denominator, a '.' before '/', or too many digits")
+
     def parse_endpoint_value(self):
         tok = self.peek()
         negative = False
@@ -202,7 +212,7 @@ class _Parser:
             tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            value = as_value(tok.text)
+            value = self.read_number(tok, as_value)
             return -value if negative else value
         if tok.kind == "IDENT" and tok.text == "inf":
             self.advance()
@@ -210,7 +220,10 @@ class _Parser:
         self.fail(tok, f"expected a number or 'inf', found {tok.text!r}")
 
     def parse_interval(self) -> Interval:
-        opener = self.advance()  # '[' or '('
+        opener = self.peek()
+        if not (self.at_punct("[") or self.at_punct("(")):
+            self.fail(opener, "expected an interval" + (f", found {opener.text!r}" if opener.text else ""))
+        self.advance()
         lo = self.parse_endpoint_value()
         self.expect_punct(",")
         hi = self.parse_endpoint_value()
@@ -387,14 +400,14 @@ class _Parser:
                               "known options: " + ", ".join(sorted(OPTION_KEYS)))
                 self.advance()
                 self.expect_punct("=")
-                value_tok = self.peek()
-                if value_tok.kind != "NUMBER" or not value_tok.text.isdigit() or int(value_tok.text) < 1:
+                value_tok = self.advance()
+                value = self.read_number(value_tok, int) if value_tok.text.isdigit() else 0
+                if value < 1:
                     self.fail(value_tok, "option values must be positive integers")
-                self.advance()
                 if key_tok.text in dict(options):
                     self.note(key_tok, f"duplicate option {key_tok.text}")
                 else:
-                    options.append((key_tok.text, int(value_tok.text)))
+                    options.append((key_tok.text, value))
                 self.end_statement()
             elif keyword == "universe":
                 self.fail(tok, "duplicate universe declaration")
@@ -426,6 +439,18 @@ def parse(text: str) -> SystemSpec:
     """Parse a system description; raises :class:`DslError` with positioned
     diagnostics on any problem."""
     return _Parser(text).parse_system()
+
+
+def parse_set_literal(text: str, universe: Universe | None = None) -> IntervalSet:
+    """Parse a whole text as one set literal (line breaks count as spaces);
+    anything after it is refused with a :class:`DslError`, a ``ValueError``."""
+    parser = _Parser(text)
+    parser.tokens = [tok for tok in parser.tokens if tok.kind != "NEWLINE"]
+    value = parser.parse_interval_set(universe)
+    tok = parser.peek()
+    if tok.kind != "EOF":
+        parser.fail(tok, f"unexpected {tok.text!r} after the set literal")
+    return value
 
 
 def pretty_print(spec: SystemSpec) -> str:

@@ -10,12 +10,13 @@ round-trips through a kappa-bit word (bit h = overlap with cell h).
 
 A constant-free update map translates into kappa independent copies of one
 n-bit binary map, which is where all convergence questions are decided.
-The copies are stepped together: a state is n words of kappa bits, and a
-bitwise operation on words is the operation in every cell at once.  A 0/1
-state of :mod:`~setcons.bindyn` is the same representation with kappa = 1.
-Every state reachable from the generators is a union of cells, so the
-simulator and the global fixed point iterate this word map and use the
-set level only to encode their start and decode what they report.
+The copies are stepped together as one :class:`~setcons.bindyn.BinaryMap`
+of width kappa: a state is n words of kappa bits, and a bitwise operation
+on words is the operation in every cell at once.  Its derivative blocks are
+the cells' derivatives.  Every state reachable from the generators is a
+union of cells, so the simulator and the global fixed point iterate this
+word map and use the set level only to encode their start and decode what
+they report.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bindyn import BinaryMap
-from .boolmat import BoolMatrix
 from .errors import CellEncodingError
 from .expr import SetMap, bind, bit_ops, fold
 from .intervals import Interval, IntervalSet, Universe, elementary_pieces
@@ -196,7 +196,7 @@ class EncodedSystem:
             leaf = bind(words)
             return tuple([fold(program, leaf, ops) for program in programs]) + pinned
 
-        return BinaryMap(self.arity, fn)
+        return BinaryMap(self.arity, fn, self.kappa)
 
     def encode_state(self, state: Sequence[IntervalSet]) -> Words:
         if len(state) != self.arity:
@@ -207,29 +207,6 @@ class EncodedSystem:
         if len(words) != self.arity:
             raise ValueError("state arity mismatch")
         return tuple(self.partition.decode(w) for w in words)
-
-    def derivative_at(self, words: Sequence[int]) -> tuple[BoolMatrix, ...]:
-        """The n x n derivative of every cell's map at the state, one block
-        per cell.  Flipping word j in all cells at once moves each cell's
-        outputs by that cell's own derivative, so n + 1 word steps suffice.
-        """
-        step = self.map.step
-        n, full = self.arity, (1 << self.kappa) - 1
-        x = tuple(words)
-        fx = step(x)
-        # moved[j][i]: the cells where output i changes when input j flips.
-        moved = [
-            [a ^ b for a, b in zip(fx, step(x[:j] + (x[j] ^ full,) + x[j + 1 :]))]
-            for j in range(n)
-        ]
-        blocks = []
-        for h in range(self.kappa):
-            rows = [0] * n
-            for j, column in enumerate(moved):
-                for i, cells in enumerate(column):
-                    rows[i] |= ((cells >> h) & 1) << j
-            blocks.append(BoolMatrix(n, tuple(rows)))
-        return tuple(blocks)
 
 
 def translate_map(f: SetMap, partition: Partition) -> EncodedSystem:

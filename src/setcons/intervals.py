@@ -11,12 +11,12 @@ The union/intersection/complement trio is the core; difference and symmetric
 difference are defined on top of it.  Because every operand is already
 sorted and canonical, union, intersection and the subset test are single
 linear merges over the two interval tuples (two pointers, no re-sorting),
-and complement is one pass over the gaps.
+and complement is one pass over the gaps.  The text form ``[a,b] | (c,d]``
+is read by the system grammar (:func:`parse_interval_set` hands it over).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Union as _Union
@@ -382,66 +382,9 @@ class Universe:
         return str(self.carrier)
 
 
-# -- literal syntax ---------------------------------------------------------
-#
-# Shared with the system DSL:  [a,b]  (a,b)  [a,b)  (a,b]  joined with `|`,
-# plus `empty` and `X` (the universe).  Numbers are decimal rationals
-# (7, 3.5, 1/3) and `inf`/`-inf`.
-
-_LIT_TOKEN = re.compile(
-    r"\s*(?:(?P<brack>[\[\]\(\)|,])|(?P<inf>-?inf\b)|(?P<num>-?\d+(?:\.\d+)?(?:/\d+)?)"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
-)
-
-
-def _lit_tokens(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _LIT_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"bad interval literal near {rest[:12]!r}")
-        out.append(m.group(m.lastgroup))
-        pos = m.end()
-    return out
-
-
 def parse_interval_set(text: str, universe: "Universe | None" = None) -> IntervalSet:
-    """Parse the textual literal syntax into a canonical IntervalSet."""
-    tokens = _lit_tokens(text)
-    if not tokens:
-        raise ValueError("empty interval literal")
-    if tokens == ["empty"]:
-        return IntervalSet.empty()
-    if tokens == ["X"]:
-        if universe is None:
-            raise ValueError("universe literal X needs a universe")
-        return universe.carrier
-    spans = []
-    i = 0
-    while i < len(tokens):
-        opener = tokens[i]
-        if opener not in "[(":
-            raise ValueError(f"expected interval, found {opener!r}")
-        if i + 4 >= len(tokens):
-            raise ValueError("truncated interval literal")
-        lo, comma, hi, closer = tokens[i + 1 : i + 5]
-        if comma != ",":
-            raise ValueError("expected ',' inside interval")
-        if closer not in ")]":
-            raise ValueError(f"expected interval close, found {closer!r}")
-        lo_v, hi_v = as_value(lo), as_value(hi)
-        if opener == "[" and isinstance(lo_v, float):
-            raise ValueError("an infinite endpoint cannot be closed")
-        if closer == "]" and isinstance(hi_v, float):
-            raise ValueError("an infinite endpoint cannot be closed")
-        spans.append(Interval.make(lo_v, hi_v, opener == "[", closer == "]"))
-        i += 5
-        if i < len(tokens):
-            if tokens[i] != "|":
-                raise ValueError(f"expected '|' between intervals, found {tokens[i]!r}")
-            i += 1
-    return IntervalSet.from_intervals(spans)
+    """Parse a set literal with the system format's grammar
+    (:func:`setcons.dsl.parse_set_literal`); bad input raises a ValueError."""
+    from .dsl import parse_set_literal  # dsl imports this module
+
+    return parse_set_literal(text, universe)

@@ -3,9 +3,10 @@
 Each state variable is an agent; in every round all agents apply their
 update rule to the previous round's values.  Every reachable state is a
 union of partition cells, so the run encodes its start once and steps the
-translated word map: closure (fixed point or cycle) is a repeated word
-tuple, and distances are bit counts.  Each distinct word is decoded once
-for the report, and one set-level step confirms the last word step.
+translated word map with :func:`~setcons.bindyn.walk`: closure (fixed
+point or cycle) is a repeated word tuple, and distances are bit counts.
+Each distinct word is decoded once for the report, and one set-level step
+confirms the last word step.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from .bindyn import walk
 from .dsl import SystemSpec
 from .encoding import build_partition, translate_map
 from .errors import SetconsError
@@ -28,9 +30,10 @@ class Trajectory:
 
     ``distances[t]`` is the number of encoded bits by which round t differs
     from the closure state; ``distance_lengths[t]`` is the same gap as total
-    interval length inside the reporting window, for human consumption.
-    ``closed`` is False when the round budget ran out before a repeat was
-    seen (then transient/period are None).
+    interval length inside ``window`` (the :func:`sampling_window` of the
+    system's sets), for human consumption.  ``closed`` is False when the
+    round budget ran out before a repeat was seen (then transient/period
+    are None).
     """
 
     agents: tuple[str, ...]
@@ -41,6 +44,7 @@ class Trajectory:
     distances: tuple[int, ...]
     distance_lengths: tuple[float, ...]
     closed: bool
+    window: Interval
 
     def to_json_dict(self) -> dict:
         return {
@@ -55,31 +59,31 @@ class Trajectory:
         }
 
 
-def sampling_window(universe: Universe) -> Interval:
-    """A finite window covering the interesting part of the universe: the
-    span of its finite endpoints padded by 10 percent (defaults when a side
-    is unbounded)."""
+def sampling_window(universe: Universe, sets: Iterable[IntervalSet] = ()) -> Interval:
+    """A finite window over the interesting part of the universe: the span
+    of the finite endpoints of the universe and of ``sets`` (a system's
+    initial and constant sets) padded by 10 percent, or else ``[0,100]``."""
+    # A set's intervals ascend: its extreme endpoints are in the first and last.
     finite = [
         ep.value
-        for iv in universe.carrier.intervals
+        for s in (universe.carrier, *sets) if s
+        for iv in (s.intervals[0], s.intervals[-1])
         for ep in (iv.lo, iv.hi)
         if isinstance(ep.value, Fraction)
     ]
     if not finite:
-        lo, hi = Fraction(0), Fraction(100)
-    else:
-        lo, hi = min(finite), max(finite)
-        if lo == hi:
-            hi = lo + 1
-        pad = (hi - lo) / 10
-        hi = hi + pad
-    return Interval.closed(lo, hi)
+        return Interval.closed(0, 100)
+    lo, hi = min(finite), max(finite)
+    if lo == hi:
+        hi = lo + 1
+    return Interval.closed(lo, hi + (hi - lo) / 10)
 
 
-def random_interval_set(rng: random.Random, universe: Universe, max_parts: int = 3) -> IntervalSet:
-    """A random union of up to ``max_parts`` rational-endpoint intervals
-    inside the universe (empty is possible)."""
-    window = sampling_window(universe)
+def random_interval_set(rng: random.Random, universe: Universe, max_parts: int = 3,
+                        window: Interval | None = None) -> IntervalSet:
+    """A random union of up to ``max_parts`` rational-endpoint intervals inside
+    the universe (possibly empty), drawn across ``window`` or the universe's."""
+    window = window or sampling_window(universe)
     lo, hi = window.lo.value, window.hi.value
     span = hi - lo
     parts = []
@@ -110,13 +114,14 @@ def simulate(
 ) -> Trajectory:
     """Run the system until closure or the round budget is exhausted."""
     base = spec.set_map()
+    constants = [value for _, value in spec.constants]
+    window = sampling_window(spec.universe, spec.initials + tuple(constants))
     initials = list(spec.initial_state())
     if random_init:
         rng = random.Random(seed)
-        initials = [random_interval_set(rng, spec.universe) for _ in spec.variables]
+        initials = [random_interval_set(rng, spec.universe, window=window) for _ in spec.variables]
     aug = augment_constants(base)
-    generators = dedup_generators(initials + [value for _, value in spec.constants])
-    partition = build_partition(generators, spec.universe)
+    partition = build_partition(dedup_generators(initials + constants), spec.universe)
     enc = translate_map(aug, partition)
 
     if max_rounds is None:
@@ -125,31 +130,20 @@ def simulate(
         raise SetconsError("max_rounds must be at least 1")
 
     n_visible = len(spec.variables)
-    step = enc.map.step
-    words = enc.encode_state(tuple(initials) + aug.frozen_values)
-    encoded = [words]
-    seen = {words: 0}
-    transient = period = None
-    for t in range(1, max_rounds + 1):
-        last, words = words, step(words)
-        if words in seen:
-            transient = seen[words]
-            period = t - transient
-            break
-        seen[words] = t
-        encoded.append(words)
-
+    start = enc.encode_state(tuple(initials) + aug.frozen_values)
+    encoded, transient = walk(enc.map, start, max_rounds)
+    closed = transient is not None
     # Both ends of the last step are in the trajectory: decode every
     # distinct word once, and check that step on the sets.
+    last, words = (encoded[-1], encoded[transient]) if closed else encoded[-2:]
     sets = {w: partition.decode(w) for w in set().union(*encoded)}
     if aug.eval(tuple(sets[w] for w in last)) != tuple(sets[w] for w in words):
         raise SetconsError("the word map and the set map disagree on a step")
-    closed = transient is not None
+    period = len(encoded) - transient if closed else None
     final = encoded[transient] if closed else encoded[-1]
     agreed = period == 1 and len(set(final[:n_visible])) == 1
     # Every state is a union of cells, so an agent's gap to the closure
     # state is the union of the cells where their words differ.
-    window = sampling_window(spec.universe)
     cell_lengths = [region.measure(window) for region in partition.regions]
     return Trajectory(
         agents=spec.variables,
@@ -164,6 +158,7 @@ def simulate(
             for ws in encoded
         ),
         closed=closed,
+        window=window,
     )
 
 

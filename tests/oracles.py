@@ -25,6 +25,9 @@ Each one is the plain, obviously correct form of a library routine:
   flat variable-major layout with its ``B kron I`` incidence, the n*kappa
   derivative, the per-cell equilibria scan and the column test one entry
   at a time.
+- the set-literal parser with its own regex tokenizer that the system
+  grammar replaced.  It uses only ``as_value`` and the interval
+  constructors.
 - direct checks of the paper's bounds and of attractiveness by simulation,
   built on the library's public operations.
 """
@@ -32,6 +35,7 @@ Each one is the plain, obviously correct form of a library routine:
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -64,6 +68,7 @@ from setcons.bindyn import (
     semantic_incidence,
 )
 from setcons.caps import DEFAULT, Caps
+from setcons.intervals import as_value
 from setcons.expr import (
     Complement,
     ConstRef,
@@ -199,10 +204,11 @@ def set_level_simulate(
     """The simulator that evaluates the set map every round and encodes
     every state by intersections to detect closure."""
     base = spec.set_map()
+    window = sampling_window(spec.universe, spec.initials + tuple(spec.constants_map.values()))
     initials = list(spec.initial_state())
     if random_init:
         rng = random.Random(seed)
-        initials = [random_interval_set(rng, spec.universe) for _ in spec.variables]
+        initials = [random_interval_set(rng, spec.universe, window=window) for _ in spec.variables]
     aug = augment_constants(base)
     generators = dedup_generators(initials + [value for _, value in spec.constants])
     partition = build_partition(generators, spec.universe)
@@ -235,7 +241,6 @@ def set_level_simulate(
         if all(s == final[0] for s in final[:n_visible]):
             consensus = final[0]
     final_words = encoded[transient] if closed else encoded[-1]
-    window = sampling_window(spec.universe)
     cell_lengths = [region.measure(window) for region in partition.regions]
     return Trajectory(
         agents=spec.variables,
@@ -256,6 +261,7 @@ def set_level_simulate(
             for words in encoded
         ),
         closed=closed,
+        window=window,
     )
 
 
@@ -561,7 +567,7 @@ def cell_map(enc: EncodedSystem, h: int) -> BinaryMap:
 
 def flat_map(enc: EncodedSystem) -> BinaryMap:
     """The translated map on n*kappa bits in variable-major layout, every
-    cell stepped by its own cell map, with the block incidence B kron I."""
+    cell stepped by its own cell map."""
     n, k = enc.arity, enc.kappa
     cells = [cell_map(enc, h) for h in range(k)]
 
@@ -573,7 +579,7 @@ def flat_map(enc: EncodedSystem) -> BinaryMap:
                 out[i * k + h] = cell_out[i]
         return tuple(out)
 
-    return BinaryMap(n * k, fn, incidence=kron_identity(enc.set_map.incidence(), k))
+    return BinaryMap(n * k, fn)
 
 
 def flat_derivative_at(enc: EncodedSystem, bits: Sequence[int]) -> BoolMatrix:
@@ -615,9 +621,9 @@ def column_at_most_one_by_entries(a: BoolMatrix) -> bool:
 
 
 def block_incidence_verdict(f: SetMap, partition: Partition) -> bool:
-    """Contractivity decided on the n*kappa block incidence of the
+    """Contractivity decided on the n*kappa block incidence B kron I of the
     translated map."""
-    return power_is_nilpotent(flat_map(translate_map(f, partition)).incidence)
+    return power_is_nilpotent(kron_identity(f.incidence(), partition.kappa))
 
 
 def flat_local_verdict(f: SetMap, x_eq: Sequence[IntervalSet], partition: Partition) -> bool:
@@ -625,6 +631,71 @@ def flat_local_verdict(f: SetMap, x_eq: Sequence[IntervalSet], partition: Partit
     enc = translate_map(f, partition)
     d = flat_derivative_at(enc, flat_bits(enc.encode_state(tuple(x_eq)), enc.kappa))
     return power_is_nilpotent(d) and column_at_most_one_by_entries(d)
+
+
+# -- the set-literal parser that the system grammar replaced ----------------------
+#
+# [a,b]  (a,b)  [a,b)  (a,b]  joined with `|`, plus `empty` and `X` (the
+# universe).  Numbers are decimal rationals (7, 3.5, 1/3) with the sign
+# attached, and `inf`/`-inf`.
+
+_REGEX_LIT_TOKEN = re.compile(
+    r"\s*(?:(?P<brack>[\[\]\(\)|,])|(?P<inf>-?inf\b)|(?P<num>-?\d+(?:\.\d+)?(?:/\d+)?)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
+)
+
+
+def _regex_lit_tokens(text: str):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _REGEX_LIT_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise ValueError(f"bad interval literal near {rest[:12]!r}")
+        out.append(m.group(m.lastgroup))
+        pos = m.end()
+    return out
+
+
+def regex_parse_interval_set(text: str, universe: Universe | None = None) -> IntervalSet:
+    """Parse the textual literal syntax into a canonical IntervalSet."""
+    tokens = _regex_lit_tokens(text)
+    if not tokens:
+        raise ValueError("empty interval literal")
+    if tokens == ["empty"]:
+        return IntervalSet.empty()
+    if tokens == ["X"]:
+        if universe is None:
+            raise ValueError("universe literal X needs a universe")
+        return universe.carrier
+    spans = []
+    i = 0
+    while i < len(tokens):
+        opener = tokens[i]
+        if opener not in "[(":
+            raise ValueError(f"expected interval, found {opener!r}")
+        if i + 4 >= len(tokens):
+            raise ValueError("truncated interval literal")
+        lo, comma, hi, closer = tokens[i + 1 : i + 5]
+        if comma != ",":
+            raise ValueError("expected ',' inside interval")
+        if closer not in ")]":
+            raise ValueError(f"expected interval close, found {closer!r}")
+        lo_v, hi_v = as_value(lo), as_value(hi)
+        if opener == "[" and isinstance(lo_v, float):
+            raise ValueError("an infinite endpoint cannot be closed")
+        if closer == "]" and isinstance(hi_v, float):
+            raise ValueError("an infinite endpoint cannot be closed")
+        spans.append(Interval.make(lo_v, hi_v, opener == "[", closer == "]"))
+        i += 5
+        if i < len(tokens):
+            if tokens[i] != "|":
+                raise ValueError(f"expected '|' between intervals, found {tokens[i]!r}")
+            i += 1
+    return IntervalSet.from_intervals(spans)
 
 
 # -- checks only tests need -------------------------------------------------------

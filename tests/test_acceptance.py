@@ -214,7 +214,7 @@ def _random_map_with_incidence(rng: random.Random, incidence: BoolMatrix) -> Bin
             return table[tuple(x[j] for j in reads)]
 
         components.append(comp)
-    return BinaryMap.from_components(components, incidence=incidence)
+    return BinaryMap.from_components(components)
 
 
 def test_criterion_7_vnn_theorem_matches_simulation():

@@ -13,7 +13,15 @@ from setcons import (
     orbit,
     semantic_incidence,
 )
-from setcons.bindyn import all_states, dependency_witness, flip, format_bits, parse_bits
+from setcons.bindyn import (
+    all_states,
+    dependency_witness,
+    derivative_blocks,
+    flip,
+    format_bits,
+    parse_bits,
+    walk,
+)
 from setcons.caps import Caps
 from setcons.errors import CapExceeded, OrbitLimitError
 
@@ -51,6 +59,64 @@ def test_orbit_budget_error():
 def test_orbit_json():
     summary = orbit(ref3_binary(), (0, 0, 1))
     assert summary.to_json_dict() == {"transient": 0, "period": 2, "cycle": ["001", "100"]}
+
+
+def test_walk_returns_distinct_states_and_the_repeat():
+    f = ref3_binary()
+    assert walk(f, (1, 1, 0), 8) == ([(1, 1, 0), (0, 1, 1), (0, 1, 0)], 2)
+    assert walk(f, (1, 1, 0), 2) == ([(1, 1, 0), (0, 1, 1), (0, 1, 0)], None)
+    assert walk(f, (0, 0, 1), 8) == ([(0, 0, 1), (1, 0, 0)], 0)
+    assert walk(f, (0, 1, 0), 1) == ([(0, 1, 0)], 0)
+    assert walk(f, (0, 1, 0), 0) == ([(0, 1, 0)], None)
+
+
+def _copies(f: BinaryMap, width: int) -> BinaryMap:
+    """``width`` copies of a 0/1 map stepped together, copy h in bit h."""
+
+    def fn(words):
+        outs = [f.step(tuple((w >> h) & 1 for w in words)) for h in range(width)]
+        return tuple(sum(out[i] << h for h, out in enumerate(outs)) for i in range(f.n))
+
+    return BinaryMap(f.n, fn, width)
+
+
+def _pack(states) -> tuple[int, ...]:
+    return tuple(sum(x[i] << h for h, x in enumerate(states)) for i in range(len(states[0])))
+
+
+def test_word_map_is_copies_of_one_bit_map():
+    f = ref3_binary()
+    states = [(0, 0, 1), (1, 1, 1), (0, 1, 0), (1, 0, 1)]
+    g = _copies(f, len(states))
+    words = _pack(states)
+    assert g.step(words) == _pack([f.step(x) for x in states])
+    # One block per bit position, each that copy's own derivative.
+    assert derivative_blocks(g, words) == tuple(discrete_derivative(f, x) for x in states)
+    assert derivative_blocks(f, states[0]) == (discrete_derivative(f, states[0]),)
+    # Attractive in every position exactly when every copy's equilibrium is.
+    eqs = equilibria(f)
+    for choice in [(eqs[0],) * 4, (eqs[1],) * 4, (eqs[0], eqs[1], eqs[1], eqs[0])]:
+        assert is_vnn_attractive(g, _pack(choice)) == all(is_vnn_attractive(f, x) for x in choice)
+    # The orbit of the words closes when the last copy's orbit has.
+    summary = orbit(g, words)
+    copies = [orbit(f, x) for x in states]
+    assert summary.transient == max(c.transient for c in copies)
+    assert summary.period == 2 and {c.period for c in copies} == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        equilibria,
+        semantic_incidence,
+        lambda g: dependency_witness(g, 0, 1),
+        lambda g: discrete_derivative(g, (0, 0, 0)),
+    ],
+    ids=["equilibria", "semantic_incidence", "dependency_witness", "discrete_derivative"],
+)
+def test_bit_scans_refuse_wider_words(scan):
+    with pytest.raises(ValueError, match="-bit"):
+        scan(_copies(ref3_binary(), 2))
 
 
 def test_equilibria_reference():
@@ -233,7 +299,7 @@ def _map_with_incidence(rng: random.Random, incidence: BoolMatrix) -> BinaryMap:
             return table[tuple(x[j] for j in reads)]
 
         components.append(comp)
-    return BinaryMap.from_components(components, incidence=incidence)
+    return BinaryMap.from_components(components)
 
 
 def test_bit_formatting():

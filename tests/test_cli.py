@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import setcons
 from setcons.cli import main
 
 from test_dsl import CYCLIC3_TEXT, PINNED6_TEXT
@@ -136,6 +141,41 @@ def test_zero_round_option_is_a_positioned_diagnostic(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", str(bad))
     assert (code, out) == (1, "")
     assert err == "4:21: error: option values must be positive integers\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "universe [0,1/0]\n",
+        f"universe [0,{'7' * 5000}]\n",
+        f"universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1\noption max_rounds = {'7' * 5000}\n",
+    ],
+    ids=["zero-denominator", "long-endpoint", "long-option"],
+)
+def test_unreadable_numbers_exit_1_without_traceback(tmp_path, capsys, text):
+    bad = tmp_path / "number.sbm"
+    bad.write_text(text)
+    code, out, err = run(capsys, "simulate", str(bad))
+    assert (code, out) == (1, "")
+    assert "cannot read the number" in err and "Traceback" not in err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # The reader of the pipe is gone before the CLI writes a byte.
+    src = Path(setcons.__file__).resolve().parents[1]
+    sample = Path(__file__).resolve().parents[1] / "samples" / "pinned6.sbm"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "setcons.cli", "simulate", str(sample), "--format", "text"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):

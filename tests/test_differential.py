@@ -1,14 +1,15 @@
-"""Differential tests: the linear-time interval algebra, the endpoint-sweep
-partition, the cell-sum distance lengths, the expression fold and the
-cell-sliced word map with its analyzers against the reference versions in
-``oracles.py`` and against pointwise membership."""
+"""Differential tests: the linear-time interval algebra, the set-literal
+grammar, the endpoint-sweep partition, the cell-sum distance lengths, the
+expression fold and the cell-sliced word map with its analyzers against the
+reference versions in ``oracles.py`` and against pointwise membership."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from setcons import (
@@ -29,10 +30,11 @@ from setcons import (
     is_nilpotent,
     normal_form,
     parse,
+    parse_interval_set,
     simulate,
     translate_map,
 )
-from setcons.bindyn import discrete_derivative
+from setcons.bindyn import derivative_blocks, discrete_derivative
 from setcons.caps import Caps
 from setcons.expr import (
     Complement,
@@ -53,7 +55,7 @@ from setcons.expr import (
 from setcons.dsl import SystemSpec
 from setcons.sim import dedup_generators, sampling_window
 
-from helpers import assert_same_membership, iv, probe_points
+from helpers import HALF_LINE, assert_same_membership, iv, probe_points
 from oracles import (
     cell_map,
     intersecting_encode,
@@ -72,6 +74,7 @@ from oracles import (
     recursive_evaluate,
     recursive_expr_to_text,
     recursive_variables_of,
+    regex_parse_interval_set,
     resorting_or,
     set_level_distance_lengths,
     set_level_distances,
@@ -164,6 +167,79 @@ def test_derived_operations_membership(a, b):
     assert_same_membership(a.complement_line(), lambda x: not x, a)
 
 
+# -- the one set-literal grammar against the regex parser it replaced ----------
+
+_number = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.integers(0, 40),
+    st.sampled_from(["", ".5", ".25", ".0"]),
+    st.sampled_from(["", "", "/2", "/3", "/0"]),
+)
+_endpoint = st.one_of(_number, st.sampled_from(["inf", "-inf"]))
+_interval_tokens = st.tuples(
+    st.sampled_from("[("), _endpoint, st.just(","), _endpoint, st.sampled_from("])")
+).map(list)
+_literal_tokens = st.one_of(
+    st.sampled_from([["empty"], ["X"]]),
+    st.lists(_interval_tokens, min_size=1, max_size=3).map(
+        lambda spans: sum(([*span, "|"] for span in spans), [])[:-1]
+    ),
+)
+
+
+@st.composite
+def literal_texts(draw):
+    """A literal, possibly with one token dropped, repeated or moved, and
+    spaces, tabs or line breaks between tokens (none inside a number)."""
+    tokens = list(draw(_literal_tokens))
+    k = draw(st.integers(0, len(tokens) - 1))
+    change = draw(st.sampled_from(["none", "none", "drop", "repeat", "move"]))
+    if change == "drop":
+        del tokens[k]
+    elif change == "repeat":
+        tokens.insert(k, tokens[k])
+    elif change == "move":
+        tokens.insert(draw(st.integers(0, len(tokens) - 1)), tokens.pop(k))
+    gaps = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+    return "".join(draw(gaps) + token for token in tokens) + draw(gaps)
+
+
+def _outcome(parser, text, universe):
+    try:
+        return parser(text, universe)
+    except (ValueError, ZeroDivisionError):  # the regex parser let 1/0 through
+        return "rejected"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(literal_texts(), st.sampled_from([None, HALF_LINE]))
+@example("(-inf, 3] | [7/2,4)", None)
+@example("[1,2]\n|\t[3/0,4]", None)
+@example("X", None)
+@example(" X ", HALF_LINE)
+def test_literal_grammar_matches_regex_parser(text, universe):
+    # Only the regex parser took a literal ending in '|'; see below.
+    assume(not text.rstrip().endswith("|"))
+    assert _outcome(parse_interval_set, text, universe) == _outcome(
+        regex_parse_interval_set, text, universe
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["[- 3,4]", "(- inf,0]", "[0,1] # a comment", "[0,1] # a comment\n| [2,3]"]
+)
+def test_only_the_grammar_takes_spaced_signs_and_comments(text):
+    assert _outcome(regex_parse_interval_set, text, None) == "rejected"
+    assert isinstance(parse_interval_set(text), IntervalSet)
+
+
+@pytest.mark.parametrize("text", ["[0,1] |", "[0,1] | [2,3] |", "[0,1]\r\n", "[0,1]\f"])
+def test_only_the_regex_parser_takes_a_trailing_bar_or_other_spacing(text):
+    assert isinstance(regex_parse_interval_set(text), IntervalSet)
+    assert _outcome(parse_interval_set, text, None) == "rejected"
+
+
 @CHECK
 @given(universes, st.lists(interval_sets, max_size=4))
 @example(Universe.of(Interval.closed(0, 8)), [iv("[1,1]"), iv("[1,2]"), iv("[2,2] | (2,3)")])
@@ -183,7 +259,7 @@ def test_partition_matches_signature_scan(universe, sets):
 def test_distance_lengths_match_set_level(path, seed):
     spec = parse(path.read_text())
     traj = simulate(spec, seed=seed, random_init=True)
-    window = sampling_window(spec.universe)
+    window = sampling_window(spec.universe, spec.initials + tuple(spec.constants_map.values()))
     assert traj.distance_lengths == set_level_distance_lengths(traj, window)
     # The run's partition: its initial sets and constants generate the cells.
     gens = dedup_generators(list(traj.rounds[0]) + [value for _, value in spec.constants])
@@ -276,7 +352,7 @@ def test_word_map_and_analyzers_match_per_cell_maps(rules, sets):
     flipped = tuple(w ^ ((1 << k) - 1) for w in words[:ARITY]) + words[ARITY:]
     for state in (words, flipped):
         assert flat_bits(enc.map.step(state), k) == flat_map(enc).step(flat_bits(state, k))
-        for h, block in enumerate(enc.derivative_at(state)):
+        for h, block in enumerate(derivative_blocks(enc.map, state)):
             assert block == discrete_derivative(cell_map(enc, h), flat_bits(state, k)[h::k])
     # Equilibria: the same fixed points in every cell.
     report = equilibria_sbm(f, p, Caps(listing=16))

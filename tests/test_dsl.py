@@ -137,6 +137,40 @@ def test_option_value_zero_is_positioned(value):
     assert (diag.line, diag.column) == (4, 21)
 
 
+BIG = "1" * 5000  # more digits than Python's int conversion takes
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("universe [0,1/0]\n", (1, 13)),
+        ("universe [-1/0,1]\n", (1, 12)),
+        (f"universe [0,{BIG}]\n", (1, 13)),
+        (f"universe [0,1.{BIG}]\n", (1, 13)),
+        ("universe [0,9]\nstate X1 = [0,3.5/2]\n", (2, 15)),
+        (f"universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1\noption max_rounds = {BIG}\n", (4, 21)),
+    ],
+    ids=["zero-denominator", "negative-zero-denominator", "long-endpoint", "long-decimal",
+         "decimal-with-denominator", "long-option"],
+)
+def test_unreadable_numbers_are_positioned(text, where):
+    with pytest.raises(DslError) as err:
+        parse(text)
+    diag = err.value.diagnostics[0]
+    assert (diag.line, diag.column) == where
+    assert diag.message.startswith("cannot read the number ")
+    assert len(diag.render()) < 200
+
+
+@pytest.mark.parametrize("literal", ["]0,1]", "-3,4]", "0,1]", "|[0,1]"])
+def test_an_interval_starts_with_a_bracket(literal):
+    with pytest.raises(DslError) as err:
+        parse(f"universe {literal}\n")
+    diag = err.value.diagnostics[0]
+    assert (diag.line, diag.column) == (1, 10)
+    assert diag.message.startswith("expected an interval")
+
+
 def test_repeated_option_is_positioned():
     text = "universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1\noption max_rounds = 5\noption max_rounds = 9\n"
     with pytest.raises(DslError) as err:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,28 @@ def test_simulate_checks_the_last_word_step_on_sets(monkeypatch):
         simulate(spec, max_rounds=5)
 
 
+def test_simulate_checks_the_closing_word_step_on_sets(monkeypatch):
+    # A word map that is right on every step but the closing one, where it
+    # jumps from the fixed point back to the start: only a check of the step
+    # from the last distinct state to the repeated one catches it.
+    spec = parse(PINNED6_TEXT)
+    right = EncodedSystem.map.fget
+
+    def wrong(enc):
+        g, visited = right(enc), []
+
+        def fn(words):
+            visited.append(words)
+            out = g.step(words)
+            return visited[0] if out == words else out
+
+        return BinaryMap(g.n, fn, g.width)
+
+    monkeypatch.setattr(EncodedSystem, "map", property(wrong))
+    with pytest.raises(SetconsError, match="disagree"):
+        simulate(spec, max_rounds=40)
+
+
 def test_simulate_budget_exhaustion_reported():
     spec = parse(CYCLIC3_TEXT)
     traj = simulate(spec, max_rounds=1)
@@ -121,6 +144,30 @@ def test_sampling_window():
     assert w.lo.value == 0 and w.hi.value == 220
     unbounded = sampling_window(Universe.real_line())
     assert unbounded.lo.value == 0 and unbounded.hi.value == 100
+
+
+def test_sampling_window_spans_the_systems_sets():
+    spec = parse(CYCLIC3_TEXT)  # universe [0,inf), sets [2,5], [4,7], [8,11]
+    assert sampling_window(spec.universe) == Interval.closed(0, Fraction(11, 10))
+    window = sampling_window(spec.universe, spec.initials)
+    assert window == Interval.closed(0, Fraction(121, 10))
+    # A bounded universe holds every set of its system, so its window stays.
+    assert sampling_window(BOX200, [iv("[5,7]"), iv("[190,200]")]) == sampling_window(BOX200)
+    sets = [iv("[-4,-3] | [1,2] | (5,6)"), iv("(-inf,-5] | [2,3]"), IntervalSet.empty()]
+    assert sampling_window(Universe.real_line(), sets) == Interval.closed(-5, Fraction(71, 10))
+    # Random initial sets are drawn across the same window.
+    drawn = [
+        s
+        for seed in range(8)
+        for s in simulate(spec, max_rounds=1, seed=seed, random_init=True).rounds[0]
+        if not s.is_empty()
+    ]
+    assert all(s.is_subset(IntervalSet.of(window)) for s in drawn)
+    assert max(s.intervals[-1].hi.value for s in drawn) > 6
+    # The distance lengths measure the gaps inside that window.
+    traj = simulate(spec)
+    cells_apart = traj.rounds[0][2] ^ traj.rounds[traj.transient][2]
+    assert traj.distance_lengths[0] >= float(cells_apart.measure(window))
 
 
 def test_render_timeline():
