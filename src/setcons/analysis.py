@@ -1,16 +1,18 @@
 """Top-level convergence analyzers for set-valued systems.
 
 Global contractivity is decided on the 0/1 projection of the incidence
-matrix.  The global fixed point, equilibria and local attractiveness are
-decided on the translated binary map, whose state is n words of kappa bits
-(one bit per cell): one word step answers a question for every cell at
-once, and no matrix over the n*kappa bits is ever built.  Consensus
+matrix.  The global fixed point and local attractiveness step the
+translated map on n words of kappa bits, one bit per cell, and equilibria
+step it on truth tables, one bit per free state, once per pinned pattern of
+the cells: no matrix over the n*kappa bits is ever built.  Consensus
 existence for linear maps reduces to the intersection of row unions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +21,7 @@ from .boolmat import BoolMatrix, Permutation, column_at_most_one, dependency_ord
 from .caps import DEFAULT, Caps
 from .encoding import EncodedSystem, Partition, translate_map
 from .errors import CapExceeded, SetconsError
-from .expr import LinearSetMap, SetMap
+from .expr import LinearSetMap, SetMap, truth_columns
 from .intervals import IntervalSet
 
 SetVector = tuple[IntervalSet, ...]
@@ -153,38 +155,35 @@ def equilibria_sbm(
 ) -> CellEquilibriaReport:
     """Enumerate equilibria through the per-cell structure of the encoding.
 
-    Each assignment of the free variables is put into every cell at once
-    and stepped as one word state; the cells where it is fixed are the AND
-    over the components of ``~(out_i ^ in_i)``.
+    Cells whose frozen variables carry the same pinned bits share one n-bit
+    map, stepped once on words of 2**n_free bits: free variable j reads its
+    truth-table column, a frozen one 0 or all ones, and the fixed states
+    are the set bits of the AND over the free i of ``~(out_i ^ column_i)``.
     """
     enc = translate_map(f, partition)
-    step = enc.map.step
-    n_free, k = f.arity - f.frozen_count, partition.kappa
+    n_free = f.arity - f.frozen_count
     if n_free > caps.enumeration:
         raise CapExceeded(f"per-cell enumeration needs 2**{n_free} states (cap {caps.enumeration})")
-    full = (1 << k) - 1
-    pinned = [tuple((w >> h) & 1 for w in enc.pinned_words) for h in range(k)]
-    per_cell: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
-    for mask in range(1 << n_free):
-        free = tuple((mask >> i) & 1 for i in range(n_free))
-        words = tuple(full if bit else 0 for bit in free) + enc.pinned_words
+    size = 1 << n_free
+    full = (1 << size) - 1
+    columns = truth_columns(n_free)
+    pins = [tuple((w >> h) & 1 for w in enc.pinned_words) for h in range(partition.kappa)]
+    found = {}
+    for bits in dict.fromkeys(pins):
+        pinned = tuple(full if bit else 0 for bit in bits)
         fixed = full
-        for x, y in zip(words, step(words)):
+        for x, y in zip(columns, enc.word_map(pinned, size).step(columns + pinned)):
             fixed &= ~(x ^ y)
-        while fixed:
-            h = (fixed & -fixed).bit_length() - 1
-            per_cell[h].append(free + pinned[h])
-            fixed &= fixed - 1
-    cells = tuple(tuple(sorted(fps)) for fps in per_cell)
-    total = 1
-    for fps in cells:
-        total *= len(fps)
+        table = bin(fixed)[:1:-1]  # character ``mask`` is bit ``mask``
+        found[bits] = tuple(sorted(
+            tuple((m.start() >> i) & 1 for i in range(n_free)) + bits for m in re.finditer("1", table)
+        ))
+    cells = tuple(found[bits] for bits in pins)
+    total = math.prod(len(fps) for fps in cells)
     listed: tuple[SetVector, ...] | None = None
     if list_all and 0 < total <= caps.listing:
         listed = tuple(
-            enc.decode_state(
-                [sum(fp[i] << h for h, fp in enumerate(choice)) for i in range(f.arity)]
-            )
+            enc.decode_state([sum(fp[i] << h for h, fp in enumerate(choice)) for i in range(f.arity)])
             for choice in itertools.product(*cells)
         )
     return CellEquilibriaReport(partition, cells, total, listed)

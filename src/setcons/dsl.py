@@ -15,8 +15,9 @@ Rule expressions use ``|`` union, ``&`` intersection, ``~`` complement,
 ``\\`` difference, ``^`` symmetric difference, with ``~`` binding tightest,
 then ``&``, then ``\\``/``^``, then ``|``.  ``X`` denotes the universe and
 ``empty`` the empty set.  Numbers are decimal rationals (``7``, ``3.5``,
-``1/3``); ``inf``/``-inf`` mark unbounded endpoints.  Parentheses nest at
-most :data:`MAX_NESTING` levels deep; ``~`` may repeat any number of times.
+``1/3``); ``inf``/``-inf`` mark unbounded endpoints.  ``\\r``, ``\\f`` and
+``\\v`` are blanks like space and tab.  Parentheses nest at most
+:data:`MAX_NESTING` levels deep; ``~`` may repeat any number of times.
 :func:`parse_set_literal` reads one set literal with this same grammar.
 
 The only option is ``max_rounds``, the simulator's round budget: a
@@ -98,9 +99,6 @@ class SystemSpec:
     def set_map(self) -> SetMap:
         return SetMap(self.rules, self.universe, self.constants)
 
-    def initial_state(self) -> tuple[IntervalSet, ...]:
-        return self.initials
-
 
 @dataclass(frozen=True)
 class _Token:
@@ -111,7 +109,7 @@ class _Token:
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t]+)"
+    r"(?P<ws>[ \t\r\f\v]+)"
     r"|(?P<comment>#[^\n]*)"
     r"|(?P<newline>\n)"
     r"|(?P<number>\d+(?:\.\d+)?(?:/\d+)?)"

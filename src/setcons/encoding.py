@@ -2,9 +2,9 @@
 
 The m distinguished generator sets cut the universe into nonempty cells:
 at most 2**m of them, and at most 2d+1 when the generators and the universe
-have d distinct finite endpoints.  The cells are found by one sweep over
-those endpoints, so building the partition costs time linear in d for each
-generator, never 2**m.  Every set built from the generators by union,
+have d distinct finite endpoints.  The line is cut at those endpoints and
+each generator's intervals are bisected into the pieces, never visiting
+2**m signatures.  Every set built from the generators by union,
 intersection and complement is an exact union of cells and therefore
 round-trips through a kappa-bit word (bit h = overlap with cell h).
 
@@ -41,9 +41,8 @@ class Partition:
     Cells are listed with the all-generators-in signature first, then in
     decreasing order of the signature read as a binary number whose most
     significant bit says "inside generator 1".  :func:`build_partition`
-    finds them by an endpoint sweep, in time linear in the number of
-    distinct endpoints for each generator, and never visits an empty
-    signature.
+    finds them from the elementary pieces between endpoints and never
+    visits an empty signature.
     """
 
     generators: tuple[IntervalSet, ...]
@@ -124,10 +123,11 @@ def build_partition(generators: Sequence[IntervalSet], universe: Universe) -> Pa
 
     The distinct finite endpoints of the generators and the universe cut
     the line into elementary pieces (:func:`~setcons.intervals.elementary_pieces`).
-    Each set holds a piece wholly or not at all, so one merge walk per set
-    labels every piece, and a cell is the union of the universe's pieces
-    that share a signature.  With d distinct endpoints that is 2d+1 pieces,
-    at most that many cells, and O(m*d) work after sorting the endpoints.
+    Each set holds a piece wholly or not at all, so two bisections per
+    interval find the run of pieces it covers and one slice assignment
+    labels it, and a cell is the union of the universe's pieces that share
+    a signature.  With d distinct endpoints that is 2d+1 pieces, at most
+    that many cells, and O(r log d) comparisons for a set of r intervals.
     """
     gens = tuple(generators)
     for g in gens:
@@ -152,15 +152,13 @@ def build_partition(generators: Sequence[IntervalSet], universe: Universe) -> Pa
 
 def _membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:
     """1 for every piece inside ``s``, else 0, for ascending pieces that
-    each lie wholly inside or outside ``s``: one merge walk."""
-    spans = s.intervals
-    n = len(spans)
-    j = 0
-    out = []
-    for piece in pieces:
-        while j < n and spans[j].hi_key < piece.lo_key:
-            j += 1
-        out.append(1 if j < n and spans[j].lo_key <= piece.lo_key else 0)
+    each lie wholly inside or outside ``s``; bisected per interval."""
+    out = [0] * len(pieces)
+    b = 0
+    for span in s.intervals:
+        a = bisect_left(pieces, span.lo_key, b, key=lambda piece: piece.hi_key)
+        b = bisect_right(pieces, span.hi_key, a, key=lambda piece: piece.lo_key)
+        out[a:b] = [1] * (b - a)
     return out
 
 
@@ -188,15 +186,18 @@ class EncodedSystem:
 
     @property
     def map(self) -> BinaryMap:
-        programs = self.set_map.programs[: self.arity - len(self.pinned_words)]
-        ops = bit_ops((1 << self.kappa) - 1)
-        pinned = self.pinned_words
+        return self.word_map(self.pinned_words, self.kappa)
+
+    def word_map(self, pinned: Words, width: int) -> BinaryMap:
+        """The map on ``width``-bit words whose frozen components output ``pinned``."""
+        programs = self.set_map.programs[: self.arity - len(pinned)]
+        ops = bit_ops((1 << width) - 1)
 
         def fn(words):
             leaf = bind(words)
             return tuple([fold(program, leaf, ops) for program in programs]) + pinned
 
-        return BinaryMap(self.arity, fn, self.kappa)
+        return BinaryMap(self.arity, fn, width)
 
     def encode_state(self, state: Sequence[IntervalSet]) -> Words:
         if len(state) != self.arity:

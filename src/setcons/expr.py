@@ -17,8 +17,8 @@ type to a function of its children's values.  The algebras are:
 - interval sets (:func:`set_ops`): ``| & ^`` and the universe's complement,
   for :func:`evaluate` and :meth:`SetMap.eval`;
 - ints (:func:`bit_ops`): ``| & ^`` and complement ``x ^ mask``, for
-  :func:`bit_evaluate` and the encoding's cell maps with mask 1, and for
-  :func:`normal_form`'s bit-sliced truth tables with one bit per input;
+  :func:`bit_evaluate` with mask 1, the encoding's word maps, and the
+  :func:`truth_columns` of :func:`normal_form` and the equilibria scan;
 - trees: node constructors, for :func:`augment_constants` and
   :func:`compose`, and the rewrite rules of :func:`desugar`;
 - text: ``(text, precedence)`` pairs, for :func:`expr_to_text`.
@@ -435,12 +435,6 @@ class NormalForm:
             mask |= 1 << j
         return self.coeffs[mask]
 
-    def as_dict(self) -> dict[frozenset, int]:
-        return {
-            frozenset(j for j in range(self.arity) if mask >> j & 1): bit
-            for mask, bit in enumerate(self.coeffs)
-        }
-
     def to_expr(self) -> SetExpr:
         """Rebuild an expression that evaluates to the described component."""
         terms: list[SetExpr] = []
@@ -463,6 +457,13 @@ class NormalForm:
         return out
 
 
+def truth_columns(arity: int) -> tuple[int, ...]:
+    """Each variable's truth table over the 2**arity inputs: bit ``mask`` of
+    variable j's int is set iff j is in ``mask`` (runs of 2**j 0s, 2**j 1s)."""
+    full = (1 << (1 << arity)) - 1
+    return tuple((((1 << (1 << j)) - 1) << (1 << j)) * (full // ((1 << (2 << j)) - 1)) for j in range(arity))
+
+
 def normal_form(
     component: SetExpr,
     arity: int,
@@ -472,15 +473,13 @@ def normal_form(
 ) -> NormalForm:
     """Coefficients computed by the subset parity transform over evaluations
     at indicator inputs (variable j = universe iff j is in the subset).
-    All 2**arity evaluations run as one fold over truth-table ints: bit
-    ``mask`` of variable j's int is set iff j is in the subset ``mask``.
+    All 2**arity evaluations run as one fold over the :func:`truth_columns`.
 
     Constants must evaluate to the empty set or the whole universe.
     """
     if arity > caps.normal_form:
         raise CapExceeded(f"normal form needs 2**{arity} evaluations (cap {caps.normal_form})")
-    size = 1 << arity
-    full = (1 << size) - 1
+    full = (1 << (1 << arity)) - 1
     const_tables: dict[str, int] = {}
     if constants:
         if universe is None:
@@ -494,16 +493,13 @@ def normal_form(
                 raise ValueError(
                     f"constant {name!r} is neither empty nor the universe; augment the map first"
                 )
-    # Variable j's table: runs of 2**j zeros then 2**j ones, repeated.
-    columns = [
-        (((1 << (1 << j)) - 1) << (1 << j)) * (full // ((1 << (2 << j)) - 1)) for j in range(arity)
-    ]
+    columns = truth_columns(arity)
     table = fold(postorder(component), bind(columns, const_tables), bit_ops(full))
     # Subset parity (Moebius) transform, all masks at once: every mask with
     # bit j set absorbs the value of the mask without it.
     for j, column in enumerate(columns):
         table ^= (table & ~column) << (1 << j)
-    return NormalForm(arity, tuple((table >> mask) & 1 for mask in range(size)))
+    return NormalForm(arity, tuple((table >> mask) & 1 for mask in range(1 << arity)))
 
 
 def as_linear(f: SetMap) -> "LinearSetMap | None":

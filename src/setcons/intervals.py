@@ -5,7 +5,9 @@ non-adjacent intervals with exact open/closed endpoints.  Two sets are equal
 as sets of points if and only if they are structurally equal, which keeps set
 equality decidable and bit-stable.  Finite endpoints are rationals
 (``fractions.Fraction``); unbounded endpoints are the float infinities and
-are always open.
+are always open.  In an interval's sort keys an integral endpoint is an
+``int``, so merges, bisections and sorts over integral endpoints compare
+ints in C and never reach ``Fraction`` comparison.
 
 The union/intersection/complement trio is the core; difference and symmetric
 difference are defined on top of it.  Because every operand is already
@@ -18,6 +20,7 @@ is read by the system grammar (:func:`parse_interval_set` hands it over).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Union as _Union
 
@@ -54,9 +57,11 @@ def format_value(v: Value) -> str:
     # than comparing a Fraction with a float.
     if isinstance(v, float):
         return "inf" if v > 0 else "-inf"
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    try:
+        return str(v)
+    except ValueError:  # past the interpreter's int-to-str limit, which Decimal does not apply
+        text = str(Decimal(v.numerator))
+        return text if v.denominator == 1 else f"{text}/{Decimal(v.denominator)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,13 +79,13 @@ class Endpoint:
         return Endpoint(self.value, not self.closed)
 
 
-def _lo_key(e: Endpoint):
-    # (value, eps): eps 0 = the point itself, 1 = just above it.
-    return (e.value, 0 if e.closed else 1)
-
-
-def _hi_key(e: Endpoint):
-    return (e.value, 0 if e.closed else -1)
+def _key(e: Endpoint, eps_open: int):
+    # (value, eps): eps 0 = the point itself, 1 = just above it, -1 = just
+    # below it.  An integral Fraction enters as an int, which compares exactly.
+    v = e.value
+    if type(v) is Fraction and v.denominator == 1:
+        v = v.numerator
+    return (v, 0 if e.closed else eps_open)
 
 
 def _succ(hi_key):
@@ -94,7 +99,8 @@ class Interval:
 
     ``lo_key``/``hi_key`` are the sort keys of the first and last point the
     interval contains; they are derived from the endpoints, computed once,
-    and take no part in equality or hashing.
+    and take no part in equality or hashing.  An integral endpoint enters
+    its key as an ``int``; nothing reads a value back out of a key.
     """
 
     lo: Endpoint
@@ -103,7 +109,7 @@ class Interval:
     hi_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo_key, hi_key = _lo_key(self.lo), _hi_key(self.hi)
+        lo_key, hi_key = _key(self.lo, 1), _key(self.hi, -1)
         if lo_key > hi_key:
             raise ValueError(f"empty interval: {self}")
         object.__setattr__(self, "lo_key", lo_key)

@@ -116,7 +116,7 @@ def simulate(
     base = spec.set_map()
     constants = [value for _, value in spec.constants]
     window = sampling_window(spec.universe, spec.initials + tuple(constants))
-    initials = list(spec.initial_state())
+    initials = list(spec.initials)
     if random_init:
         rng = random.Random(seed)
         initials = [random_interval_set(rng, spec.universe, window=window) for _ in spec.variables]

@@ -4,9 +4,9 @@ checked against, and checks that only tests need.
 Each one is the plain, obviously correct form of a library routine:
 
 - the pairwise intersection, the union that sorts the concatenation again,
-  the subset test through intersection, the partition found by trying all
-  2**m signatures, and the simulator's distance lengths measured on the
-  sets themselves.  They use only each other and the interval constructors,
+  the subset test through intersection, the piece labels found by one
+  merge walk, the partition found by trying all 2**m signatures, and the
+  simulator's distance lengths measured on the sets themselves.  They use only each other and the interval constructors,
   never the library operations they check.
 - the set-level dynamics that the word map replaced: encoding by one
   intersection per cell, the simulator that evaluates the set map and
@@ -23,8 +23,9 @@ Each one is the plain, obviously correct form of a library routine:
 - the translated map on n*kappa bits that the cell-sliced word map
   replaced: one n-bit map per cell, evaluated by the recursive walker, the
   flat variable-major layout with its ``B kron I`` incidence, the n*kappa
-  derivative, the per-cell equilibria scan and the column test one entry
-  at a time.
+  derivative, the per-cell equilibria scan, the equilibria scan that steps
+  the word map once per free state, and the column test one entry at a
+  time.
 - the set-literal parser with its own regex tokenizer that the system
   grammar replaced.  It uses only ``as_value`` and the interval
   constructors.
@@ -117,6 +118,21 @@ def complement_within(s: IntervalSet, carrier: IntervalSet) -> IntervalSet:
     return pairwise_and(s.complement_line(), carrier)
 
 
+def merge_walk_membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:
+    """1 for every piece inside ``s``, else 0, for ascending pieces that
+    each lie wholly inside or outside ``s``: one merge walk over the pieces
+    and the set's intervals."""
+    spans = s.intervals
+    n = len(spans)
+    j = 0
+    out = []
+    for piece in pieces:
+        while j < n and spans[j].hi_key < piece.lo_key:
+            j += 1
+        out.append(1 if j < n and spans[j].lo_key <= piece.lo_key else 0)
+    return out
+
+
 def signature_scan_partition(
     generators: Sequence[IntervalSet], universe: Universe
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[IntervalSet, ...]]:
@@ -205,7 +221,7 @@ def set_level_simulate(
     every state by intersections to detect closure."""
     base = spec.set_map()
     window = sampling_window(spec.universe, spec.initials + tuple(spec.constants_map.values()))
-    initials = list(spec.initial_state())
+    initials = list(spec.initials)
     if random_init:
         rng = random.Random(seed)
         initials = [random_interval_set(rng, spec.universe, window=window) for _ in spec.variables]
@@ -610,6 +626,27 @@ def per_cell_equilibria(enc: EncodedSystem) -> tuple[tuple[tuple[int, ...], ...]
                 fixed.append(bits)
         out.append(tuple(sorted(fixed)))
     return tuple(out)
+
+
+def word_scan_equilibria(enc: EncodedSystem) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every cell's fixed points, one kappa-bit word step per free state:
+    the state is put into every cell at once, and the cells where it is
+    fixed are the AND over the components of ``~(out_i ^ in_i)``."""
+    step = enc.map.step
+    n_free, k = enc.arity - len(enc.pinned_words), enc.kappa
+    full = (1 << k) - 1
+    pinned = [tuple((w >> h) & 1 for w in enc.pinned_words) for h in range(k)]
+    per_cell: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    for mask in range(1 << n_free):
+        free = tuple((mask >> i) & 1 for i in range(n_free))
+        words = tuple(full if bit else 0 for bit in free) + enc.pinned_words
+        fixed = full
+        for x, y in zip(words, step(words)):
+            fixed &= ~(x ^ y)
+        for h in range(k):
+            if (fixed >> h) & 1:
+                per_cell[h].append(free + pinned[h])
+    return tuple(tuple(sorted(fps)) for fps in per_cell)
 
 
 def column_at_most_one_by_entries(a: BoolMatrix) -> bool:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,24 @@ def test_unreadable_numbers_exit_1_without_traceback(tmp_path, capsys, text):
     code, out, err = run(capsys, "simulate", str(bad))
     assert (code, out) == (1, "")
     assert "cannot read the number" in err and "Traceback" not in err
+
+
+def test_endpoints_past_the_digit_limit_print_in_full(tmp_path, capsys):
+    # The window's padded end hi*11/10 has 4301 digits, one more than
+    # Python's default limit for converting an int to text.
+    nines = "9" * 4300
+    path = tmp_path / "long.sbm"
+    path.write_text(f"universe [0,{nines}]\nstate A = [0,1]\nrule A = A\n")
+    code, out, err = run(capsys, "simulate", "--format", "text", str(path))
+    assert code == 0 and "Traceback" not in err
+    end = Fraction(int(nines) * 11, 10)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"{end.numerator}/{end.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert f"[0,{expected}]" in out
 
 
 def test_closed_stdout_exits_1_without_traceback():

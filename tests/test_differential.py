@@ -1,10 +1,15 @@
 """Differential tests: the linear-time interval algebra, the set-literal
-grammar, the endpoint-sweep partition, the cell-sum distance lengths, the
-expression fold and the cell-sliced word map with its analyzers against the
-reference versions in ``oracles.py`` and against pointwise membership."""
+grammar, the bisected piece labels and the endpoint-sweep partition, the
+cell-sum distance lengths, the expression fold and the cell-sliced word map
+with its analyzers and truth-table equilibria against the reference
+versions in ``oracles.py`` and against pointwise membership; and the
+integral sort keys against an order-preserving image with Fraction keys
+only."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +18,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from setcons import (
+    CapExceeded,
+    CellEncodingError,
     ContractivityVerdict,
+    Endpoint,
     Interval,
     IntervalSet,
     SetconsError,
@@ -36,6 +44,8 @@ from setcons import (
 )
 from setcons.bindyn import derivative_blocks, discrete_derivative
 from setcons.caps import Caps
+from setcons.encoding import _membership
+from setcons.intervals import elementary_pieces
 from setcons.expr import (
     Complement,
     ConstRef,
@@ -63,6 +73,7 @@ from oracles import (
     flat_local_verdict,
     flat_map,
     kron_identity,
+    merge_walk_membership,
     pairwise_and,
     per_cell_equilibria,
     per_mask_normal_form,
@@ -82,6 +93,7 @@ from oracles import (
     set_level_simulate,
     signature_scan_partition,
     subset_via_and,
+    word_scan_equilibria,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -167,6 +179,65 @@ def test_derived_operations_membership(a, b):
     assert_same_membership(a.complement_line(), lambda x: not x, a)
 
 
+# -- integral keys against an image with Fraction keys only ---------------------
+#
+# An integral endpoint enters the sort keys as an int.  phi(x) = x/3 + 1/7
+# keeps order and sends every point of the half-unit grid (7k + 6 is never
+# a multiple of 42) to a non-integer, so the image of a set has Fraction
+# keys only: every operation must commute with phi.
+
+
+def phi(x):
+    return x if isinstance(x, float) else x / 3 + Fraction(1, 7)
+
+
+def phi_inverse(x):
+    return x if isinstance(x, float) else (x - Fraction(1, 7)) * 3
+
+
+def mapped(s: IntervalSet, fn) -> IntervalSet:
+    return IntervalSet(tuple(
+        Interval(Endpoint(fn(x.lo.value), x.lo.closed), Endpoint(fn(x.hi.value), x.hi.closed))
+        for x in s.intervals
+    ))
+
+
+@CHECK
+@given(universes, interval_sets, interval_sets, st.integers(0, 2**16), st.integers(-1, 16))
+@example(Universe.of(Interval.closed(0, 8)), IntervalSet.of(Interval.make(Fraction(4, 2), 3)),
+         IntervalSet.of(Interval.closed_open(Fraction(1, 2), 2), Interval.open(3, float("inf"))), 5, 9)
+def test_integral_keys_commute_with_a_fraction_image(universe, a, b, word, point):
+    a = a & universe.carrier
+    fa, fb, fu = mapped(a, phi), mapped(b, phi), mapped(universe.carrier, phi)
+    for x in (fa, fb, fu):
+        assert all(type(k[0]) is not int for piece in x for k in (piece.lo_key, piece.hi_key))
+    results = [
+        (a & b, fa & fb),
+        (a | b, fa | fb),
+        (a.complement_in(universe), fa.complement_in(fu)),
+    ]
+    for got, image in results:
+        assert mapped(got, phi) == image
+        # Printing never sees a key: the int-keyed result reads as the one
+        # computed on Fraction keys and mapped back.
+        assert str(got) == str(mapped(image, phi_inverse))
+        assert all(type(e.value) in (Fraction, float) for piece in got for e in (piece.lo, piece.hi))
+    assert a.is_subset(b) == fa.is_subset(fb)
+    assert all(b.contains(p) == fb.contains(phi(p)) for p in probe_points(a, b))
+    assert elementary_pieces([fa, fb]) == tuple(
+        mapped(IntervalSet((x,)), phi).intervals[0] for x in elementary_pieces([a, b])
+    )
+    # The partition's words: a union of cells, and a set that straddles one.
+    p = build_partition(dedup_generators([a, b & universe.carrier]), universe)
+    fp = build_partition(dedup_generators([fa, fb & fu]), Universe(fu))
+    assert fp.signatures == p.signatures
+    s = p.decode(word % (1 << p.kappa))
+    assert fp.encode(mapped(s, phi)) == p.encode(s)
+    cut = s ^ (IntervalSet.point(Fraction(2 * point + 1, 4)) & universe.carrier)
+    want, got = outcome(p.encode, cut), outcome(fp.encode, mapped(cut, phi))
+    assert got == want if isinstance(want, int) else got[0] is want[0] is CellEncodingError
+
+
 # -- the one set-literal grammar against the regex parser it replaced ----------
 
 _number = st.builds(
@@ -234,10 +305,32 @@ def test_only_the_grammar_takes_spaced_signs_and_comments(text):
     assert isinstance(parse_interval_set(text), IntervalSet)
 
 
-@pytest.mark.parametrize("text", ["[0,1] |", "[0,1] | [2,3] |", "[0,1]\r\n", "[0,1]\f"])
+@pytest.mark.parametrize("text", ["[0,1] |", "[0,1] | [2,3] |"])
 def test_only_the_regex_parser_takes_a_trailing_bar_or_other_spacing(text):
     assert isinstance(regex_parse_interval_set(text), IntervalSet)
     assert _outcome(parse_interval_set, text, None) == "rejected"
+
+
+@pytest.mark.parametrize("text", ["[0,1]\r\n", "[0,1]\f", "[0,1]\v", "\r\n[0,1]\r\n|\f[2,3]\r\n"])
+def test_both_parsers_accept_other_blanks(text):
+    assert parse_interval_set(text) == regex_parse_interval_set(text)
+
+
+@CHECK
+@given(universes, st.lists(interval_sets, max_size=5))
+@example(Universe(iv("[0,8]")), [iv("[0,1)"), iv("[1,2]"), iv("[1,1]")])
+@example(Universe(iv("[0,8]")), [iv("[0,1] | [2,2] | (2,3)"), iv("(1,2)"), iv("[3,3] | [4,4]")])
+@example(Universe.real_line(), [iv("(-inf,0)"), iv("[0,0]"), iv("(0,inf)")])
+def test_piece_labels_match_merge_walk(universe, sets):
+    # Adjacent, touching and point intervals come up often on the grid; the
+    # labels are read on all pieces, and on those inside the universe as
+    # build_partition reads them.
+    family = sets + [universe.carrier]
+    pieces = elementary_pieces(family)
+    inside = tuple(x for x, bit in zip(pieces, merge_walk_membership(universe.carrier, pieces)) if bit)
+    for s in family:
+        for run in (pieces, inside):
+            assert _membership(s, run) == merge_walk_membership(s, run)
 
 
 @CHECK
@@ -274,13 +367,13 @@ BOX = Universe.of(Interval.closed(0, 8))
 
 
 
-def expressions_over(variables: int):
+def expressions_over(variables: int, constants=("A", "B")):
     """Expressions over the first ``variables`` state variables and the
-    constants A and B."""
+    named ``constants``."""
     return st.recursive(
         st.one_of(
             *([st.builds(Var, st.integers(0, variables - 1))] if variables else []),
-            st.builds(ConstRef, st.sampled_from(["A", "B"])),
+            *([st.builds(ConstRef, st.sampled_from(constants))] if constants else []),
             st.just(UniverseLit()),
             st.just(EmptyLit()),
         ),
@@ -373,6 +466,52 @@ def test_word_map_and_analyzers_match_per_cell_maps(rules, sets):
         assert is_locally_attractive_sbm(enc, x_eq) == flat_local_verdict(f, x_eq, p)
     # Contractivity: the projection verdict is nilpotency of B kron I.
     assert is_contractive_sbm(f).contractive == is_nilpotent(kron_identity(f.incidence(), k))
+
+
+# -- equilibria by truth tables against the per-state word scan ---------------
+
+
+@st.composite
+def pinned_systems(draw):
+    """A constant-free map with 0-7 free and 0-3 frozen variables (at least
+    one variable in all), and the partition cut by the frozen values and up
+    to three more sets, so that several cells often share a pinned pattern."""
+    n_free = draw(st.integers(0, 7))
+    c = draw(st.integers(0 if n_free else 1, 3))
+    rules = draw(st.lists(expressions_over(n_free + c, ()), min_size=n_free, max_size=n_free))
+    frozen = draw(st.lists(box_sets, min_size=c, max_size=c))
+    others = draw(st.lists(box_sets, max_size=3))
+    f = SetMap(tuple(rules) + tuple(Var(n_free + j) for j in range(c)), BOX, (), tuple(frozen))
+    return f, build_partition(dedup_generators(frozen + others), BOX)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(pinned_systems(), st.integers(0, 40))
+@example(
+    (SetMap((Var(0) | Var(1), Var(1)), BOX, (), (iv("[2,5]"),)),
+     build_partition([iv("[2,5]"), iv("[1,3] | [6,7]")], BOX)),
+    40,
+)
+@example((SetMap((Var(0),), BOX, (), (iv("[1,4]"),)), build_partition([iv("[1,4]")], BOX)), 4)
+def test_truth_table_equilibria_match_word_scan(system, listing):
+    f, p = system
+    enc = translate_map(f, p)
+    n_free = f.arity - f.frozen_count
+    report = equilibria_sbm(f, p, Caps(enumeration=n_free, listing=listing))
+    expected = word_scan_equilibria(enc)
+    assert report.per_cell == expected
+    assert report.total == math.prod(len(fps) for fps in expected)
+    if 0 < report.total <= listing:
+        assert report.listed == tuple(
+            enc.decode_state([sum(fp[i] << h for h, fp in enumerate(choice)) for i in range(f.arity)])
+            for choice in itertools.product(*expected)
+        )
+        assert all(f.eval(x) == x for x in report.listed)
+    else:
+        assert report.listed is None
+    if n_free:
+        with pytest.raises(CapExceeded, match=f"2\\*\\*{n_free} states"):
+            equilibria_sbm(f, p, Caps(enumeration=n_free - 1))
 
 
 # -- the word dynamics against the set-level dynamics -------------------------

@@ -224,6 +224,21 @@ def test_diagnostics_carry_spans():
         pytest.fail("expected a diagnostic")
 
 
+@pytest.mark.parametrize("text", [CYCLIC3_TEXT, PINNED6_TEXT], ids=["cyclic3", "pinned6"])
+def test_crlf_line_ends_read_as_lf(text):
+    assert parse(text.replace("\n", "\r\n")) == parse(text)
+    assert parse(text.replace(" = ", "\f=\v")) == parse(text)
+
+
+def test_crlf_line_ends_keep_diagnostic_positions():
+    text = "universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1 & Y9\n"
+    for variant in (text, text.replace("\n", "\r\n")):
+        with pytest.raises(DslError) as err:
+            parse(variant)
+        diag = err.value.diagnostics[0]
+        assert (diag.line, diag.column) == (3, 16)
+
+
 def test_round_trip_structural_identity():
     for text in (CYCLIC3_TEXT, PINNED6_TEXT):
         spec = parse(text)

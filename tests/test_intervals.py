@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from setcons import Interval, IntervalSet, Universe, parse_interval_set
-from setcons.intervals import Endpoint
+from setcons.intervals import Endpoint, format_value
 
 from helpers import HALF_LINE, assert_same_membership, iv, probe_points, random_set
 
@@ -180,3 +181,21 @@ def test_interval_rejects_reversed_bounds():
 def test_universe_nonempty():
     with pytest.raises(ValueError):
         Universe(IntervalSet.empty())
+
+
+@pytest.mark.parametrize("digits", [1, 639, 640, 641, 4300, 4301, 9000])
+def test_format_value_prints_any_length(digits):
+    # Under the smallest conversion limit Python allows, values of any
+    # length print as Python's own conversion prints them without a limit.
+    values = [Fraction(10**digits - 1), Fraction(-(10**digits) - 7, 3), Fraction(10**digits + 1, 10**digits)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = [format_value(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
