@@ -3,8 +3,11 @@
 Global contractivity is decided on the 0/1 projection of the incidence
 matrix.  The global fixed point and local attractiveness step the
 translated map on n words of kappa bits, one bit per cell, and equilibria
-step it on truth tables, one bit per free state, once per pinned pattern of
-the cells: no matrix over the n*kappa bits is ever built.  Consensus
+step it on truth tables, one bit per free state, for every pinned pattern
+of the cells: no matrix over the n*kappa bits is ever built.  Independent
+evaluations share one wider word, side by side: the fixed point's two runs
+(2*kappa bits), the derivative's n + 1 states ((n+1)*kappa bits) and the
+pinned patterns' truth tables, so each takes the steps of one.  Consensus
 existence for linear maps reduces to the intersection of row unions.
 """
 
@@ -16,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bindyn import derivative_blocks
+from .bindyn import derivative_blocks, repunit
 from .boolmat import BoolMatrix, Permutation, column_at_most_one, dependency_order, is_nilpotent
 from .caps import DEFAULT, Caps
 from .encoding import EncodedSystem, Partition, translate_map
@@ -25,6 +28,11 @@ from .expr import LinearSetMap, SetMap, truth_columns
 from .intervals import IntervalSet
 
 SetVector = tuple[IntervalSet, ...]
+
+# The widest word that equilibria_sbm packs pinned patterns into: 2**20
+# bits, the truth tables of one pattern at the default enumeration cap.  A
+# wider segment is stepped alone.
+PACKED_BITS = 1 << 20
 
 
 def set_distance(x: Sequence[IntervalSet], y: Sequence[IntervalSet]) -> SetVector:
@@ -98,9 +106,10 @@ def global_fixed_point(
     """Iterate a contractive map to its unique fixed point on words.
 
     The start must be a union of the encoding's cells.  The result is
-    verified to be independent of the start by re-running from the
-    componentwise complement (frozen components stay pinned), and only the
-    fixed point is decoded.
+    verified to be independent of the start by a second run from the
+    componentwise complement (frozen components stay pinned), stepped side
+    by side with the first on words of 2*kappa bits, and only the fixed
+    point is decoded.
     """
     f = enc.set_map
     verdict = verdict or is_contractive_sbm(f)
@@ -114,11 +123,14 @@ def global_fixed_point(
         raise ValueError("frozen components of the start must carry their pinned values")
     if verdict.q is None:
         raise SetconsError("a contractive verdict must carry its round bound q")
-    g = enc.map
-    state = enc.encode_state(start)
-    n_visible, full = f.arity - k, (1 << enc.kappa) - 1
-    check = tuple(w ^ full for w in state[:n_visible]) + state[n_visible:]
-    state, check = g.iterate(state, verdict.q), g.iterate(check, verdict.q)
+    # The start in the low kappa bits of every word and its complement in
+    # the high ones (frozen words pinned in both): both runs in q steps.
+    kappa, n_visible = enc.kappa, f.arity - k
+    full = (1 << kappa) - 1
+    words = enc.encode_state(start)
+    packed = tuple(w | (w ^ full if i < n_visible else w) << kappa for i, w in enumerate(words))
+    packed = enc.map.tile(2).iterate(packed, verdict.q)
+    state, check = tuple(w & full for w in packed), tuple(w >> kappa for w in packed)
     if check != state:
         raise SetconsError("two starts reached different fixed points")
     return enc.decode_state(state)
@@ -156,9 +168,11 @@ def equilibria_sbm(
     """Enumerate equilibria through the per-cell structure of the encoding.
 
     Cells whose frozen variables carry the same pinned bits share one n-bit
-    map, stepped once on words of 2**n_free bits: free variable j reads its
+    map, evaluated on a segment of 2**n_free bits: free variable j reads its
     truth-table column, a frozen one 0 or all ones, and the fixed states
     are the set bits of the AND over the free i of ``~(out_i ^ column_i)``.
+    The distinct patterns' segments lie side by side in words of up to
+    :data:`PACKED_BITS` bits, so one step serves them all.
     """
     enc = translate_map(f, partition)
     n_free = f.arity - f.frozen_count
@@ -168,16 +182,26 @@ def equilibria_sbm(
     full = (1 << size) - 1
     columns = truth_columns(n_free)
     pins = [tuple((w >> h) & 1 for w in enc.pinned_words) for h in range(partition.kappa)]
+    patterns = list(dict.fromkeys(pins))
     found = {}
-    for bits in dict.fromkeys(pins):
-        pinned = tuple(full if bit else 0 for bit in bits)
-        fixed = full
-        for x, y in zip(columns, enc.word_map(pinned, size).step(columns + pinned)):
+    batch = max(1, PACKED_BITS // size)
+    for first in range(0, len(patterns), batch):
+        group = patterns[first : first + batch]
+        width = size * len(group)
+        rep = repunit(size, len(group))
+        pinned = tuple(
+            sum(full << s * size for s, bits in enumerate(group) if bits[c])
+            for c in range(f.frozen_count)
+        )
+        words = tuple(column * rep for column in columns) + pinned
+        fixed = (1 << width) - 1
+        for x, y in zip(words[:n_free], enc.word_map(pinned, width).step(words)):
             fixed &= ~(x ^ y)
-        table = bin(fixed)[:1:-1]  # character ``mask`` is bit ``mask``
-        found[bits] = tuple(sorted(
-            tuple((m.start() >> i) & 1 for i in range(n_free)) + bits for m in re.finditer("1", table)
-        ))
+        states: list[list[tuple[int, ...]]] = [[] for _ in group]
+        for m in re.finditer("1", bin(fixed)[:1:-1]):  # character ``i`` is bit ``i``
+            s, mask = divmod(m.start(), size)
+            states[s].append(tuple((mask >> i) & 1 for i in range(n_free)) + group[s])
+        found.update((bits, tuple(sorted(fps))) for bits, fps in zip(group, states))
     cells = tuple(found[bits] for bits in pins)
     total = math.prod(len(fps) for fps in cells)
     listed: tuple[SetVector, ...] | None = None

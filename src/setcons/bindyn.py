@@ -3,8 +3,11 @@
 A state is n words of ``width`` bits, and bit h of every output word
 depends only on bit h of the inputs, as with bitwise operations: the map
 is ``width`` copies of one n-bit map, stepped together.  A 0/1 state is
-width 1.  The exhaustive scans (equilibria, exact dependencies) enumerate
-all 2**n 0/1 states and are guarded by an arity cap.
+width 1.  Independent states of one map step together in the same way:
+:meth:`BinaryMap.tile` lays them side by side in wider words, so the
+derivative at a state and at its n single-word flips takes one step.  The
+exhaustive scans (equilibria, exact dependencies) enumerate all 2**n 0/1
+states and are guarded by an arity cap.
 """
 
 from __future__ import annotations
@@ -45,10 +48,27 @@ def binary_distance(x: State, y: State) -> State:
     return tuple(a ^ b for a, b in zip(x, y))
 
 
-class BinaryMap:
-    """A total deterministic map on states of n words of ``width`` bits."""
+def repunit(width: int, copies: int) -> int:
+    """Bit 0 of each of ``copies`` segments of ``width`` bits: a ``width``-bit
+    word times this repeats the word in every segment."""
+    return ((1 << width * copies) - 1) // ((1 << width) - 1)
 
-    def __init__(self, n: int, fn: Callable[[State], State], width: int = 1):
+
+class BinaryMap:
+    """A total deterministic map on states of n words of ``width`` bits.
+
+    ``tile(copies)``, when given, returns the same map on words of
+    ``copies * width`` bits, every ``width``-bit segment stepped as one
+    state; a bitwise map builds it without leaving its words.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        fn: Callable[[State], State],
+        width: int = 1,
+        tile: Callable[[int], "BinaryMap"] | None = None,
+    ):
         if n < 1:
             raise ValueError("arity must be positive")
         if width < 1:
@@ -56,6 +76,7 @@ class BinaryMap:
         self.n = n
         self._fn = fn
         self.width = width
+        self._tile = tile
 
     @classmethod
     def from_table(cls, outputs: Sequence[State]) -> "BinaryMap":
@@ -91,6 +112,26 @@ class BinaryMap:
         for _ in range(steps):
             x = self.step(x)
         return x
+
+    def tile(self, copies: int) -> "BinaryMap":
+        """This map on words of ``copies * width`` bits: segment c of every
+        word (bits c*width and up) holds one state, and the states step
+        independently.  Without a ``tile`` function the segments are
+        stepped one after another inside each step."""
+        if copies < 1:
+            raise ValueError("copies must be positive")
+        if self._tile is not None:
+            return self._tile(copies)
+        w, mask = self.width, (1 << self.width) - 1
+
+        def fn(words: State) -> State:
+            out = [0] * self.n
+            for shift in range(0, copies * w, w):
+                for i, y in enumerate(self.step(tuple((x >> shift) & mask for x in words))):
+                    out[i] |= y << shift
+            return tuple(out)
+
+        return BinaryMap(self.n, fn, copies * w)
 
 
 def walk(f: BinaryMap, x0: State, budget: int) -> tuple[list[State], int | None]:
@@ -153,22 +194,28 @@ def derivative_blocks(f: BinaryMap, x: State) -> tuple[BoolMatrix, ...]:
     position: entry (i, j) of block h is 1 iff flipping bit h of input j
     changes bit h of output i.  Flipping word j in all positions at once
     moves each position's outputs by that position's own derivative, so
-    n + 1 steps suffice."""
-    n, full = f.n, (1 << f.width) - 1
-    x = tuple(x)
-    fx = f.step(x)
-    # moved[j][i]: the positions where output i changes when input j flips.
-    moved = [
-        [a ^ b for a, b in zip(fx, f.step(x[:j] + (x[j] ^ full,) + x[j + 1 :]))]
-        for j in range(n)
+    one step of ``f`` tiled n + 1 times finds them all: segment 0 holds
+    ``x`` and segment j + 1 holds ``x`` with word j flipped.  Each distinct
+    block is built once."""
+    n, w = f.n, f.width
+    full, rep = (1 << w) - 1, repunit(w, n + 1)
+    y = f.tile(n + 1).step(tuple(xi * rep ^ (full << (i + 1) * w) for i, xi in enumerate(x)))
+    # One string per entry (i, j), rows in order and columns from j = n-1
+    # down, with character h for position h: zipped, they give every
+    # position's block with each row a binary numeral.
+    entries = [
+        format(((yi >> (j + 1) * w) ^ yi) & full, f"0{w}b")[::-1]
+        for yi in y
+        for j in reversed(range(n))
     ]
+    built: dict[tuple[str, ...], BoolMatrix] = {}
     blocks = []
-    for h in range(f.width):
-        rows = [0] * n
-        for j, column in enumerate(moved):
-            for i, bits in enumerate(column):
-                rows[i] |= ((bits >> h) & 1) << j
-        blocks.append(BoolMatrix(n, tuple(rows)))
+    for chars in zip(*entries):
+        block = built.get(chars)
+        if block is None:
+            bits = "".join(chars)
+            block = built[chars] = BoolMatrix(n, tuple(int(bits[i * n : (i + 1) * n], 2) for i in range(n)))
+        blocks.append(block)
     return tuple(blocks)
 
 

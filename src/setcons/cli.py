@@ -8,13 +8,14 @@ Subcommands::
     setcons consensus FILE     common-fixed-point region of a linear system
     setcons equilibria FILE    per-cell equilibrium summary
 
-Exit codes: 0 success, 1 input diagnostics or a closed stdout, 2 an
-enumeration cap was hit.
+Exit codes: 0 success, 1 input diagnostics, a usage error or a closed
+stdout, 2 an enumeration cap was hit.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -116,9 +117,21 @@ def _cmd_equilibria(args, caps):
     return analysis.equilibria_sbm(aug, partition, caps)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="setcons", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error with argparse's text but exit code 1: an input
+    diagnostic, as exit code 2 stands for a cap."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every
+    :func:`main` call: parsing fills a new namespace and leaves it as it is."""
+    parser = _ArgumentParser(prog="setcons", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, fn):
@@ -136,8 +149,11 @@ def main(argv: list[str] | None = None) -> int:
     add("encode", _cmd_encode)
     add("consensus", _cmd_consensus)
     add("equilibria", _cmd_equilibria)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         caps = caps_mod.from_env()
         result = args.fn(args, caps)

@@ -32,6 +32,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .expr import (
     Complement,
@@ -100,8 +101,7 @@ class SystemSpec:
         return SetMap(self.rules, self.universe, self.constants)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT NUMBER PUNCT NEWLINE EOF
     text: str
     line: int

@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bindyn import BinaryMap
+from .bindyn import BinaryMap, repunit
 from .errors import CellEncodingError
 from .expr import SetMap, bind, bit_ops, fold
 from .intervals import Interval, IntervalSet, Universe, elementary_pieces
@@ -189,7 +189,9 @@ class EncodedSystem:
         return self.word_map(self.pinned_words, self.kappa)
 
     def word_map(self, pinned: Words, width: int) -> BinaryMap:
-        """The map on ``width``-bit words whose frozen components output ``pinned``."""
+        """The map on ``width``-bit words whose frozen components output
+        ``pinned``.  Tiled, it is the same map on wider words, with every
+        pinned word repeated in each segment."""
         programs = self.set_map.programs[: self.arity - len(pinned)]
         ops = bit_ops((1 << width) - 1)
 
@@ -197,7 +199,11 @@ class EncodedSystem:
             leaf = bind(words)
             return tuple([fold(program, leaf, ops) for program in programs]) + pinned
 
-        return BinaryMap(self.arity, fn, width)
+        def tile(copies):
+            rep = repunit(width, copies)
+            return self.word_map(tuple(word * rep for word in pinned), width * copies)
+
+        return BinaryMap(self.arity, fn, width, tile)
 
     def encode_state(self, state: Sequence[IntervalSet]) -> Words:
         if len(state) != self.arity:

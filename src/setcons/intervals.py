@@ -9,12 +9,14 @@ are always open.  In an interval's sort keys an integral endpoint is an
 ``int``, so merges, bisections and sorts over integral endpoints compare
 ints in C and never reach ``Fraction`` comparison.
 
-The union/intersection/complement trio is the core; difference and symmetric
-difference are defined on top of it.  Because every operand is already
-sorted and canonical, union, intersection and the subset test are single
-linear merges over the two interval tuples (two pointers, no re-sorting),
-and complement is one pass over the gaps.  The text form ``[a,b] | (c,d]``
-is read by the system grammar (:func:`parse_interval_set` hands it over).
+Because every operand is already sorted and canonical, union, intersection,
+difference and the subset test are single linear merges over the two
+interval tuples (two pointers, no re-sorting), and each builds only the
+intervals of its result.  The complement inside a universe is the
+universe's carrier minus the set, with no complement against the whole
+line in between; symmetric difference is the union of the two differences.
+The text form ``[a,b] | (c,d]`` is read by the system grammar
+(:func:`parse_interval_set` hands it over).
 """
 
 from __future__ import annotations
@@ -285,29 +287,36 @@ class IntervalSet:
                     out.append(Interval(last_start.lo, first_end.hi))
         return IntervalSet(tuple(out))
 
-    def complement_line(self) -> "IntervalSet":
-        """Complement relative to the whole extended real line."""
-        if not self.intervals:
-            return _FULL
-        out = []
-        first = self.intervals[0]
-        if not isinstance(first.lo.value, float):  # a float low end is -inf
-            out.append(Interval(Endpoint(NEG_INF, False), first.lo.flip()))
-        for cur, nxt in zip(self.intervals, self.intervals[1:]):
-            out.append(Interval(cur.hi.flip(), nxt.lo.flip()))
-        last = self.intervals[-1]
-        if not isinstance(last.hi.value, float):
-            out.append(Interval(last.hi.flip(), Endpoint(POS_INF, False)))
-        return IntervalSet(tuple(out))
-
     def complement_in(self, universe: "Universe | IntervalSet") -> "IntervalSet":
         carrier = universe.carrier if isinstance(universe, Universe) else universe
         if not self.is_subset(carrier):
             raise ValueError(f"{self} is not contained in the universe {carrier}")
-        return self.complement_line() & carrier
+        return carrier - self
 
     def __sub__(self, other: "IntervalSet") -> "IntervalSet":
-        return self & other.complement_line()
+        # One two-pointer sweep: each interval of self is cut by the
+        # intervals of other that meet it, and only the pieces left between
+        # them are built.  A piece lies inside one interval of self and
+        # between two of other, so the pieces are canonical as they come.
+        theirs = other.intervals
+        nb = len(theirs)
+        out: list[Interval] = []
+        j = 0
+        for a in self.intervals:
+            while j < nb and theirs[j].hi_key < a.lo_key:
+                j += 1
+            lo, lo_key = a.lo, a.lo_key  # where the uncut rest of a starts
+            while j < nb and theirs[j].lo_key <= a.hi_key:
+                b = theirs[j]
+                if lo_key < b.lo_key:
+                    out.append(Interval(lo, b.lo.flip()))
+                if b.hi_key >= a.hi_key:
+                    break  # b covers the rest of a, and may reach the next interval
+                lo, lo_key = b.hi.flip(), _succ(b.hi_key)
+                j += 1
+            else:
+                out.append(a if lo is a.lo else Interval(lo, a.hi))
+        return IntervalSet(tuple(out))
 
     def __xor__(self, other: "IntervalSet") -> "IntervalSet":
         return (self - other) | (other - self)

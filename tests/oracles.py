@@ -4,10 +4,13 @@ checked against, and checks that only tests need.
 Each one is the plain, obviously correct form of a library routine:
 
 - the pairwise intersection, the union that sorts the concatenation again,
-  the subset test through intersection, the piece labels found by one
-  merge walk, the partition found by trying all 2**m signatures, and the
-  simulator's distance lengths measured on the sets themselves.  They use only each other and the interval constructors,
-  never the library operations they check.
+  the subset test through intersection, the complement against the whole
+  line with the difference, symmetric difference and complement inside a
+  universe built on it, the piece labels found by one merge walk, the
+  partition found by trying all 2**m signatures, and the simulator's
+  distance lengths measured on the sets themselves.  They use only each
+  other and the interval constructors, never the library operations they
+  check.
 - the set-level dynamics that the word map replaced: encoding by one
   intersection per cell, the simulator that evaluates the set map and
   re-encodes every round, and the global fixed point iterated on sets.
@@ -26,6 +29,9 @@ Each one is the plain, obviously correct form of a library routine:
   derivative, the per-cell equilibria scan, the equilibria scan that steps
   the word map once per free state, and the column test one entry at a
   time.
+- the word steps that packing replaced: the derivative by n + 1 separate
+  steps, the global fixed point by two runs one after the other, and the
+  equilibria by one step per pinned pattern.
 - the set-literal parser with its own regex tokenizer that the system
   grammar replaced.  It uses only ``as_value`` and the interval
   constructors.
@@ -46,6 +52,7 @@ from setcons import (
     CellEncodingError,
     ContractivityVerdict,
     EncodedSystem,
+    Endpoint,
     Interval,
     IntervalSet,
     Partition,
@@ -81,6 +88,7 @@ from setcons.expr import (
     Union,
     UniverseLit,
     Var,
+    truth_columns,
 )
 from setcons.sim import Trajectory, dedup_generators, random_interval_set, sampling_window
 
@@ -114,8 +122,35 @@ def subset_via_and(a: IntervalSet, b: IntervalSet) -> bool:
     return pairwise_and(a, b) == a
 
 
+def complement_line(s: IntervalSet) -> IntervalSet:
+    """Complement relative to the whole extended real line: the gaps before,
+    between and after the set's intervals."""
+    spans = s.intervals
+    if not spans:
+        return IntervalSet.full()
+    out = []
+    if not isinstance(spans[0].lo.value, float):  # a float low end is -inf
+        out.append(Interval(Endpoint(float("-inf"), False), spans[0].lo.flip()))
+    for cur, nxt in zip(spans, spans[1:]):
+        out.append(Interval(cur.hi.flip(), nxt.lo.flip()))
+    if not isinstance(spans[-1].hi.value, float):
+        out.append(Interval(spans[-1].hi.flip(), Endpoint(float("inf"), False)))
+    return IntervalSet(tuple(out))
+
+
 def complement_within(s: IntervalSet, carrier: IntervalSet) -> IntervalSet:
-    return pairwise_and(s.complement_line(), carrier)
+    """The complement inside ``carrier``, which must contain ``s``."""
+    if not subset_via_and(s, carrier):
+        raise ValueError(f"{s} is not contained in the universe {carrier}")
+    return pairwise_and(complement_line(s), carrier)
+
+
+def difference_via_complement(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return pairwise_and(a, complement_line(b))
+
+
+def xor_via_complements(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return resorting_or(difference_via_complement(a, b), difference_via_complement(b, a))
 
 
 def merge_walk_membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:
@@ -170,8 +205,7 @@ def set_level_distance_lengths(traj: Trajectory, window: Interval) -> tuple[floa
     for state in traj.rounds:
         total = Fraction(0)
         for s, t in zip(state, final):
-            gap = resorting_or(pairwise_and(s, t.complement_line()),
-                               pairwise_and(t, s.complement_line()))
+            gap = xor_via_complements(s, t)
             total += measure(gap, window)
         lengths.append(float(total))
     return tuple(lengths)
@@ -186,8 +220,7 @@ def set_level_distances(traj: Trajectory, regions: Sequence[IntervalSet]) -> tup
     for state in traj.rounds:
         total = 0
         for s, t in zip(state, final):
-            gap = resorting_or(pairwise_and(s, t.complement_line()),
-                               pairwise_and(t, s.complement_line()))
+            gap = xor_via_complements(s, t)
             total += sum(1 for region in regions if pairwise_and(gap, region).intervals)
         counts.append(total)
     return tuple(counts)
@@ -647,6 +680,64 @@ def word_scan_equilibria(enc: EncodedSystem) -> tuple[tuple[tuple[int, ...], ...
             if (fixed >> h) & 1:
                 per_cell[h].append(free + pinned[h])
     return tuple(tuple(sorted(fps)) for fps in per_cell)
+
+
+def stepwise_derivative_blocks(f: BinaryMap, x: Sequence[int]) -> tuple[BoolMatrix, ...]:
+    """The derivative blocks by n + 1 separate steps, one at ``x`` and one
+    with each word flipped in all positions, read one entry at a time."""
+    n, full = f.n, (1 << f.width) - 1
+    x = tuple(x)
+    fx = f.step(x)
+    moved = [
+        [a ^ b for a, b in zip(fx, f.step(x[:j] + (x[j] ^ full,) + x[j + 1 :]))]
+        for j in range(n)
+    ]
+    blocks = []
+    for h in range(f.width):
+        rows = [0] * n
+        for j, column in enumerate(moved):
+            for i, bits in enumerate(column):
+                rows[i] |= ((bits >> h) & 1) << j
+        blocks.append(BoolMatrix(n, tuple(rows)))
+    return tuple(blocks)
+
+
+def two_run_fixed_point(
+    enc: EncodedSystem, start: Sequence[IntervalSet], verdict: ContractivityVerdict
+) -> tuple[IntervalSet, ...]:
+    """The global fixed point by q word steps from the start and q more from
+    its componentwise complement (frozen words stay pinned), one run after
+    the other."""
+    if verdict.q is None:
+        raise SetconsError("a contractive verdict must carry its round bound q")
+    state = enc.encode_state(tuple(start))
+    n_visible, full = enc.arity - len(enc.pinned_words), (1 << enc.kappa) - 1
+    check = tuple(w ^ full for w in state[:n_visible]) + state[n_visible:]
+    state, check = enc.map.iterate(state, verdict.q), enc.map.iterate(check, verdict.q)
+    if check != state:
+        raise SetconsError("two starts reached different fixed points")
+    return enc.decode_state(state)
+
+
+def per_pattern_equilibria(enc: EncodedSystem) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every cell's fixed points, one truth-table step of 2**n_free bits per
+    distinct pinned pattern of the cells."""
+    n_free = enc.arity - len(enc.pinned_words)
+    size = 1 << n_free
+    full = (1 << size) - 1
+    columns = truth_columns(n_free)
+    pins = [tuple((w >> h) & 1 for w in enc.pinned_words) for h in range(enc.kappa)]
+    found = {}
+    for bits in dict.fromkeys(pins):
+        pinned = tuple(full if bit else 0 for bit in bits)
+        fixed = full
+        for x, y in zip(columns, enc.word_map(pinned, size).step(columns + pinned)):
+            fixed &= ~(x ^ y)
+        found[bits] = tuple(sorted(
+            tuple((mask >> i) & 1 for i in range(n_free)) + bits
+            for mask in range(size) if (fixed >> mask) & 1
+        ))
+    return tuple(found[bits] for bits in pins)
 
 
 def column_at_most_one_by_entries(a: BoolMatrix) -> bool:

@@ -282,7 +282,7 @@ def test_criterion_10_interval_algebra_soundness():
         probes += assert_same_membership(s & t, lambda a, b: a and b, s, t)
         probes += assert_same_membership(s - t, lambda a, b: a and not b, s, t)
         probes += assert_same_membership(s ^ t, lambda a, b: a != b, s, t)
-        probes += assert_same_membership(s.complement_line(), lambda a: not a, s)
+        probes += assert_same_membership(s.complement_in(IntervalSet.full()), lambda a: not a, s)
     u = Universe.of(Interval.closed(0, 24))
     axioms = 0
     for _ in range(100):

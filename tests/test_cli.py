@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -283,3 +285,55 @@ def test_long_symmetric_difference_chain(tmp_path, capsys, command):
         assert report["vars"] == {"X1": "10"}
     else:
         assert report["equilibria_summary"]["per_cell_counts"] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["analyze"], "setcons analyze: error: the following arguments are required: file"),
+        (["simulate", "F", "--rounds", "x"], "setcons simulate: error: argument --rounds: invalid int value: 'x'"),
+        ([], "setcons: error: the following arguments are required: command"),
+    ],
+    ids=["missing-file", "bad-rounds", "no-command"],
+)
+def test_usage_errors_exit_1(capsys, argv, error):
+    # Exit code 2 stands for a cap; a usage error is an input diagnostic.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: setcons")
+    assert captured.err.endswith(f"\n{error}\n")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: setcons simulate")
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one():
+    # The parser is built once per process: a run with every simulate
+    # option, then a usage error, then plain runs must each print and exit
+    # as a fresh process does, so no default or namespace value carries
+    # over from one call to the next.
+    sample = str(Path(__file__).resolve().parents[1] / "samples" / "pinned6.sbm")
+    src = str(Path(setcons.__file__).resolve().parents[1])
+    calls = [
+        ["simulate", sample, "--rounds", "3", "--random-init", "--seed", "5"],
+        ["simulate", sample, "--rounds", "x"],
+        ["simulate", sample],
+        ["analyze", sample],
+    ]
+    for argv in calls:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "setcons.cli", *argv], capture_output=True, text=True,
+                               timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert (out.getvalue(), code) == (fresh.stdout, fresh.returncode), argv

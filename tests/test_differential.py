@@ -1,10 +1,10 @@
-"""Differential tests: the linear-time interval algebra, the set-literal
-grammar, the bisected piece labels and the endpoint-sweep partition, the
-cell-sum distance lengths, the expression fold and the cell-sliced word map
-with its analyzers and truth-table equilibria against the reference
-versions in ``oracles.py`` and against pointwise membership; and the
-integral sort keys against an order-preserving image with Fraction keys
-only."""
+"""Differential tests: the linear-time interval algebra with its one-sweep
+difference, the set-literal grammar, the bisected piece labels and the
+endpoint-sweep partition, the cell-sum distance lengths, the expression
+fold and the cell-sliced word map with its analyzers, truth-table
+equilibria and packed word steps against the reference versions in
+``oracles.py`` and against pointwise membership; and the integral sort
+keys against an order-preserving image with Fraction keys only."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -42,6 +43,7 @@ from setcons import (
     simulate,
     translate_map,
 )
+from setcons import analysis as analysis_module
 from setcons.bindyn import derivative_blocks, discrete_derivative
 from setcons.caps import Caps
 from setcons.encoding import _membership
@@ -68,6 +70,8 @@ from setcons.sim import dedup_generators, sampling_window
 from helpers import HALF_LINE, assert_same_membership, iv, probe_points
 from oracles import (
     cell_map,
+    complement_within,
+    difference_via_complement,
     intersecting_encode,
     flat_bits,
     flat_local_verdict,
@@ -76,6 +80,7 @@ from oracles import (
     merge_walk_membership,
     pairwise_and,
     per_cell_equilibria,
+    per_pattern_equilibria,
     per_mask_normal_form,
     recursive_augmented_components,
     recursive_bit_evaluate,
@@ -92,8 +97,11 @@ from oracles import (
     set_level_fixed_point,
     set_level_simulate,
     signature_scan_partition,
+    stepwise_derivative_blocks,
     subset_via_and,
+    two_run_fixed_point,
     word_scan_equilibria,
+    xor_via_complements,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -121,8 +129,9 @@ def intervals(draw):
 
 interval_sets = st.lists(intervals(), max_size=6).map(IntervalSet.from_intervals)
 
+ZERO_EIGHT = Universe.of(Interval.closed(0, 8))
 universes = st.sampled_from([
-    Universe.of(Interval.closed(0, 8)),
+    ZERO_EIGHT,
     Universe.of(Interval.closed_open(0, float("inf"))),
     Universe.real_line(),
     Universe(iv("[0,2] | (3,5) | [6,6] | (7,inf)")),
@@ -176,7 +185,29 @@ def test_is_subset_matches_oracle(a, b):
 def test_derived_operations_membership(a, b):
     assert_same_membership(a - b, lambda x, y: x and not y, a, b)
     assert_same_membership(a ^ b, lambda x, y: x != y, a, b)
-    assert_same_membership(a.complement_line(), lambda x: not x, a)
+    assert_same_membership(a.complement_in(IntervalSet.full()), lambda x: not x, a)
+
+
+@CHECK
+@given(interval_sets, interval_sets, universes)
+@example(iv("[0,1]"), iv("[1,2]"), ZERO_EIGHT)  # touching at a shared closed endpoint
+@example(iv("[0,1)"), iv("[1,2]"), ZERO_EIGHT)  # adjacent
+@example(iv("[0,2]"), iv("(0,1) | (1,2)"), ZERO_EIGHT)  # points left between
+@example(iv("[1,1] | [3,3]"), iv("[1,1]"), ZERO_EIGHT)
+@example(iv("(-inf,inf)"), iv("(-inf,0] | [3,3] | (5,inf)"), Universe.real_line())
+@example(iv("empty"), iv("[0,1]"), ZERO_EIGHT)
+@example(iv("[0,1]"), iv("empty"), ZERO_EIGHT)
+@example(iv("[0,9]"), iv("[1,2]"), ZERO_EIGHT)  # not inside the universe
+def test_sweep_kernels_match_complement_oracles(a, b, universe):
+    for got, expected in ((a - b, difference_via_complement(a, b)), (a ^ b, xor_via_complements(a, b))):
+        assert got == expected
+        assert_canonical(got)
+    carrier = universe.carrier
+    assert outcome(a.complement_in, universe) == outcome(complement_within, a, carrier)
+    inside = a & carrier
+    got = inside.complement_in(universe)
+    assert got == complement_within(inside, carrier) and got == carrier - inside
+    assert_canonical(got)
 
 
 # -- integral keys against an image with Fraction keys only ---------------------
@@ -563,6 +594,66 @@ def test_word_fixed_point_matches_set_level(rules, sets):
         assert outcome(global_fixed_point, enc, start, forged) == outcome(
             set_level_fixed_point, f, start, forged
         )
+
+
+# -- packed word steps against the steps they replaced ----------------------------
+
+
+@st.composite
+def contractive_systems(draw):
+    """A contractive map with 1-4 free variables, rule i reading only free
+    variables below i, and 0-3 constants (frozen once augmented); its start
+    state; and the partition of its sets, often a single cell."""
+    names = ("A", "B", "C")[: draw(st.integers(0, 3))]
+    n_free = draw(st.integers(1, 4))
+    rules = tuple(draw(expressions_over(i, names)) for i in range(n_free))
+    sets = st.sampled_from([iv("empty"), BOX.carrier]) if draw(st.booleans()) else box_sets
+    values = draw(st.lists(sets, min_size=n_free + len(names), max_size=n_free + len(names)))
+    f = augment_constants(SetMap(rules, BOX, tuple(zip(names, values[n_free:]))))
+    start = tuple(values[:n_free]) + f.frozen_values
+    return f, start, build_partition(dedup_generators(values), BOX)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(contractive_systems(), st.integers(0, 2**16))
+@example((augment_constants(SetMap((ConstRef("A"),), BOX, (("A", BOX.carrier),))),
+          (iv("empty"), BOX.carrier), build_partition([BOX.carrier], BOX)), 0)
+def test_packed_steps_match_separate_steps(system, word):
+    f, start, p = system
+    enc = translate_map(f, p)
+    verdict = is_contractive_sbm(f)
+    # The two fixed-point runs side by side, and under every forged round
+    # bound below q, which may leave them apart.
+    for q in range(verdict.q + 1):
+        forged = ContractivityVerdict(True, verdict.witness, q)
+        assert outcome(global_fixed_point, enc, start, forged) == outcome(two_run_fixed_point, enc, start, forged)
+    # The derivative at the start and at a state drawn from ``word``.
+    full = (1 << p.kappa) - 1
+    drawn = tuple((word >> (3 * i)) & full for i in range(f.arity - f.frozen_count)) + enc.pinned_words
+    for state in (enc.encode_state(start), drawn):
+        assert derivative_blocks(enc.map, state) == stepwise_derivative_blocks(enc.map, state)
+    # The map tiled three times steps each segment as the map does.
+    states = [enc.encode_state(start), drawn, tuple(w ^ full for w in drawn)]
+    packed = tuple(sum(x[i] << (c * p.kappa) for c, x in enumerate(states)) for i in range(f.arity))
+    stepped = enc.map.tile(3).step(packed)
+    assert [tuple((w >> (c * p.kappa)) & full for w in stepped) for c in range(3)] == [
+        enc.map.step(x) for x in states
+    ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(pinned_systems())
+@example((SetMap((Var(0),), BOX, (), (iv("[1,4]"),)), build_partition([iv("[1,4]")], BOX)))
+@example((SetMap((Var(0),), BOX, (), ()), build_partition([], BOX)))
+def test_packed_equilibria_match_per_pattern_steps(system):
+    f, p = system
+    enc = translate_map(f, p)
+    expected = per_pattern_equilibria(enc)
+    size = 1 << (f.arity - f.frozen_count)
+    # All patterns in one word, two to a word, and one per step.
+    for bound in (analysis_module.PACKED_BITS, 2 * size, 1):
+        with mock.patch.object(analysis_module, "PACKED_BITS", bound):
+            assert equilibria_sbm(f, p, Caps(listing=0)).per_cell == expected
 
 
 # Odd multiples of 1/4: never an endpoint of the half-unit grid.

@@ -121,7 +121,7 @@ def test_membership_probes_all_ops():
         assert_same_membership(s & t, lambda a, b: a and b, s, t)
         assert_same_membership(s - t, lambda a, b: a and not b, s, t)
         assert_same_membership(s ^ t, lambda a, b: a != b, s, t)
-        c = s.complement_line()
+        c = s.complement_in(IntervalSet.full())
         assert_same_membership(c, lambda a: not a, s)
 
 
