@@ -19,11 +19,11 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bindyn import derivative_blocks, repunit
-from .boolmat import BoolMatrix, Permutation, column_at_most_one, dependency_order, is_nilpotent
-from .caps import DEFAULT, Caps
+from .bindyn import is_vnn_attractive, repunit
+from .boolmat import BoolMatrix, Permutation, dependency_order
+from .caps import DEFAULT, Caps, check_states
 from .encoding import EncodedSystem, Partition, translate_map
-from .errors import CapExceeded, SetconsError
+from .errors import SetconsError
 from .expr import LinearSetMap, SetMap, truth_columns
 from .intervals import IntervalSet
 
@@ -176,8 +176,7 @@ def equilibria_sbm(
     """
     enc = translate_map(f, partition)
     n_free = f.arity - f.frozen_count
-    if n_free > caps.enumeration:
-        raise CapExceeded(f"per-cell enumeration needs 2**{n_free} states (cap {caps.enumeration})")
+    check_states(n_free, caps, "per-cell enumeration")
     size = 1 << n_free
     full = (1 << size) - 1
     columns = truth_columns(n_free)
@@ -220,7 +219,7 @@ def is_locally_attractive_sbm(enc: EncodedSystem, x_eq: Sequence[IntervalSet]) -
     That derivative on n*kappa bits is block-diagonal with one n x n block
     per cell, and each of its columns lies inside one block.  So it is
     nilpotent with at most one entry per column exactly when every block
-    is, and each distinct block is checked once.
+    is: the word map's :func:`~setcons.bindyn.is_vnn_attractive`.
     """
     f = enc.set_map
     x_eq = tuple(x_eq)
@@ -229,8 +228,7 @@ def is_locally_attractive_sbm(enc: EncodedSystem, x_eq: Sequence[IntervalSet]) -
     k = f.frozen_count
     if k and x_eq[f.arity - k :] != f.frozen_values:
         raise ValueError("frozen components of the equilibrium must carry their pinned values")
-    blocks = dict.fromkeys(derivative_blocks(enc.map, enc.encode_state(x_eq)))
-    return all(is_nilpotent(d) and column_at_most_one(d) for d in blocks)
+    return is_vnn_attractive(enc.map, enc.encode_state(x_eq))
 
 
 @dataclass(frozen=True)

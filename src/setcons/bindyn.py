@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .boolmat import BoolMatrix, column_at_most_one, dependency_order, is_nilpotent
-from .caps import DEFAULT, Caps
-from .errors import CapExceeded, OrbitLimitError
+from .caps import DEFAULT, Caps, check_states
+from .errors import OrbitLimitError
 
 State = tuple[int, ...]
 
@@ -179,8 +179,7 @@ def _bit_states(f: BinaryMap, caps: Caps, scan: str) -> Iterator[State]:
     """The 2**n states of a 0/1 map, once the width and the cap allow it."""
     if f.width != 1:
         raise ValueError(f"the {scan} runs over 0/1 states, not {f.width}-bit words")
-    if f.n > caps.enumeration:
-        raise CapExceeded(f"{scan} needs 2**{f.n} states (cap {caps.enumeration})")
+    check_states(f.n, caps, scan)
     return all_states(f.n)
 
 
@@ -197,6 +196,11 @@ def derivative_blocks(f: BinaryMap, x: State) -> tuple[BoolMatrix, ...]:
     one step of ``f`` tiled n + 1 times finds them all: segment 0 holds
     ``x`` and segment j + 1 holds ``x`` with word j flipped.  Each distinct
     block is built once."""
+    return _derivative(f, x)[1]
+
+
+def _derivative(f: BinaryMap, x: State) -> tuple[State, tuple[BoolMatrix, ...]]:
+    """``f(x)``, read from segment 0 of the step, and the derivative blocks."""
     n, w = f.n, f.width
     full, rep = (1 << w) - 1, repunit(w, n + 1)
     y = f.tile(n + 1).step(tuple(xi * rep ^ (full << (i + 1) * w) for i, xi in enumerate(x)))
@@ -216,7 +220,7 @@ def derivative_blocks(f: BinaryMap, x: State) -> tuple[BoolMatrix, ...]:
             bits = "".join(chars)
             block = built[chars] = BoolMatrix(n, tuple(int(bits[i * n : (i + 1) * n], 2) for i in range(n)))
         blocks.append(block)
-    return tuple(blocks)
+    return tuple(yi & full for yi in y), tuple(blocks)
 
 
 def discrete_derivative(f: BinaryMap, x: State) -> BoolMatrix:
@@ -247,11 +251,12 @@ def dependency_witness(f: BinaryMap, i: int, j: int, caps: Caps = DEFAULT) -> St
 def is_vnn_attractive(f: BinaryMap, x_eq: State) -> bool:
     """Neighborhood attractiveness decided on the derivative at the
     equilibrium: in every bit position it must be nilpotent with at most one
-    entry per column.  Each distinct block is checked once."""
-    if f.step(x_eq) != tuple(x_eq):
+    entry per column.  The derivative's step also gives f(x_eq), in its
+    segment 0.  Each distinct block is checked once."""
+    image, blocks = _derivative(f, x_eq)
+    if image != tuple(x_eq):
         raise ValueError(f"{format_bits(tuple(x_eq))} is not an equilibrium")
-    blocks = dict.fromkeys(derivative_blocks(f, x_eq))
-    return all(is_nilpotent(d) and column_at_most_one(d) for d in blocks)
+    return all(is_nilpotent(d) and column_at_most_one(d) for d in dict.fromkeys(blocks))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Resource caps that guard the exponential enumerations.
 
-Three caps remain, each bounding a table or scan of 2**n entries or a
-listing of equilibria; the partition and the encoded map grow linearly in
-their inputs and need none.  Every cap can be overridden through the
-``SETCONS_CAPS`` environment variable, e.g.
-``SETCONS_CAPS="enumeration=16,listing=100"``.
+Two caps remain: ``enumeration`` bounds n for every table or scan of 2**n
+states (the equilibria and dependency scans, the normal form) through the
+one guard :func:`check_states`, and ``listing`` the equilibria expanded
+into set vectors.  Every cap can be overridden through the ``SETCONS_CAPS``
+environment variable, e.g. ``SETCONS_CAPS="enumeration=16,listing=100"``.
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import SetconsError
+from .errors import CapExceeded, SetconsError
 
 
 @dataclass(frozen=True)
 class Caps:
-    enumeration: int = 20     # binary-map arity for exhaustive 2**n scans
+    enumeration: int = 20     # the largest n of a 2**n table or scan
     listing: int = 10_000     # max equilibria expanded into full set vectors
-    normal_form: int = 16     # arity for 2**n coefficient tables
 
 
 DEFAULT = Caps()
@@ -46,3 +45,9 @@ def from_env(base: Caps = DEFAULT, env=os.environ) -> Caps:
         except ValueError:
             raise SetconsError(f"SETCONS_CAPS: {key} needs an integer, got {value!r}") from None
     return replace(base, **overrides)
+
+
+def check_states(n: int, caps: Caps, what: str) -> None:
+    """Refuse ``what``, a table or scan of 2**n states, above the enumeration cap."""
+    if n > caps.enumeration:
+        raise CapExceeded(f"{what} needs 2**{n} states (cap {caps.enumeration})")

@@ -20,9 +20,9 @@ import os
 import sys
 
 from . import analysis, caps as caps_mod, dsl, sim
-from .encoding import build_partition, translate_map
+from .encoding import encode_system
 from .errors import CapExceeded, SetconsError
-from .expr import as_linear, augment_constants
+from .expr import as_linear
 
 
 def _load(path: str) -> dsl.SystemSpec:
@@ -34,18 +34,16 @@ def _load(path: str) -> dsl.SystemSpec:
     return dsl.parse(text)
 
 
-def _prepared(spec: dsl.SystemSpec):
-    base = spec.set_map()
-    aug = augment_constants(base)
-    generators = sim.dedup_generators(list(spec.initials) + [v for _, v in spec.constants])
-    partition = build_partition(generators, spec.universe)
-    names = spec.variables + tuple(name for name, _ in spec.constants)
-    return base, aug, partition, names
+def _names(spec: dsl.SystemSpec) -> tuple[str, ...]:
+    """The names of the encoded map's variables: the states, then the constants."""
+    return spec.variables + tuple(name for name, _ in spec.constants)
 
 
 def _cmd_analyze(args, caps) -> dict:
     spec = _load(args.file)
-    base, aug, partition, names = _prepared(spec)
+    base = spec.set_map()
+    enc = encode_system(base, spec.initials)
+    aug, names = enc.set_map, _names(spec)
     verdict = analysis.is_contractive_sbm(aug)
     report = {
         "contractive": verdict.contractive,
@@ -53,15 +51,13 @@ def _cmd_analyze(args, caps) -> dict:
         "q": verdict.q,
         "cycle": [names[i] for i in verdict.cycle] if verdict.cycle else None,
     }
-    equil = analysis.equilibria_sbm(aug, partition, caps, list_all=False)
+    equil = analysis.equilibria_sbm(aug, enc.partition, caps, list_all=False)
     report["equilibria_summary"] = equil.to_json_dict()
     linear = as_linear(base)
     report["consensus"] = analysis.consensus_region(linear).to_json_dict() if linear else None
     local = None
     if verdict.contractive:
-        enc = translate_map(aug, partition)
-        start = tuple(spec.initials) + aug.frozen_values
-        fixed = analysis.global_fixed_point(enc, start, verdict=verdict)
+        fixed = analysis.global_fixed_point(enc, spec.initials + aug.frozen_values, verdict=verdict)
         local = {
             "equilibrium": [str(s) for s in fixed[: len(spec.variables)]],
             "attractive": analysis.is_locally_attractive_sbm(enc, fixed),
@@ -89,13 +85,12 @@ def _cmd_simulate(args, caps):
 
 def _cmd_encode(args, caps) -> dict:
     spec = _load(args.file)
-    _, aug, partition, names = _prepared(spec)
-    enc = translate_map(aug, partition)
-    words = enc.encode_state(tuple(spec.initials) + aug.frozen_values)
-    report = partition.to_json_dict()
+    enc = encode_system(spec.set_map(), spec.initials)
+    words = enc.encode_state(spec.initials + enc.set_map.frozen_values)
+    report = enc.partition.to_json_dict()
     report["vars"] = {
-        name: "".join(str((word >> h) & 1) for h in range(partition.kappa))
-        for name, word in zip(names, words)
+        name: "".join(str((word >> h) & 1) for h in range(enc.kappa))
+        for name, word in zip(_names(spec), words)
     }
     return report
 
@@ -113,8 +108,8 @@ def _cmd_consensus(args, caps) -> dict:
 
 def _cmd_equilibria(args, caps):
     spec = _load(args.file)
-    _, aug, partition, _ = _prepared(spec)
-    return analysis.equilibria_sbm(aug, partition, caps)
+    enc = encode_system(spec.set_map(), spec.initials)
+    return analysis.equilibria_sbm(enc.set_map, enc.partition, caps)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

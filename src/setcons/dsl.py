@@ -13,7 +13,9 @@ optional numeric settings::
 
 Rule expressions use ``|`` union, ``&`` intersection, ``~`` complement,
 ``\\`` difference, ``^`` symmetric difference, with ``~`` binding tightest,
-then ``&``, then ``\\``/``^``, then ``|``.  ``X`` denotes the universe and
+then ``&``, then ``\\``/``^``, then ``|``; every binary operator groups to
+the left.  The parser and the printer read these from one table,
+:data:`~setcons.expr.BINARY_OPS`.  ``X`` denotes the universe and
 ``empty`` the empty set.  Numbers are decimal rationals (``7``, ``3.5``,
 ``1/3``); ``inf``/``-inf`` mark unbounded endpoints.  ``\\r``, ``\\f`` and
 ``\\v`` are blanks like space and tab.  Parentheses nest at most
@@ -34,20 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .expr import (
-    Complement,
-    ConstRef,
-    Difference,
-    EmptyLit,
-    Intersect,
-    SetExpr,
-    SetMap,
-    SymDiff,
-    Union,
-    UniverseLit,
-    Var,
-    expr_to_text,
-)
+from .expr import BINARY_OPS, Complement, ConstRef, EmptyLit, SetExpr, SetMap, UniverseLit, Var, expr_to_text
 from .intervals import Interval, IntervalSet, Universe, as_value
 
 KEYWORDS = {"universe", "const", "state", "rule", "option", "empty", "X", "inf"}
@@ -104,49 +93,43 @@ class SystemSpec:
 class _Token(NamedTuple):
     kind: str  # IDENT NUMBER PUNCT NEWLINE EOF
     text: str
-    line: int
-    column: int
+    offset: int  # of the token's first character in the text
 
 
+# One match per token.  Blanks and comments before a token are part of its
+# match and skipped; ``bad`` is the first character that starts no token.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r\f\v]+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<newline>\n)"
-    r"|(?P<number>\d+(?:\.\d+)?(?:/\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[\[\]\(\),=|&^~\\\-])"
+    r"(?:[ \t\r\f\v]+|#[^\n]*)*"
+    r"(?:(?P<NEWLINE>\n)"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?(?:/\d+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<PUNCT>[\[\]\(\),=|&^~\\\-])"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<bad>.))"
 )
 
 
+def _diagnostic(text: str, offset: int, message: str, hint: str | None) -> Diagnostic:
+    """An error at ``offset``, with its 1-based line and column in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return Diagnostic("error", text.count("\n", 0, line_start) + 1, offset - line_start + 1, message, hint)
+
+
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError([Diagnostic("error", line, col, f"unexpected character {text[pos]!r}")])
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "newline":
-            tokens.append(_Token("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-        else:
-            if kind == "number":
-                tokens.append(_Token("NUMBER", lexeme, line, col))
-            elif kind == "ident":
-                tokens.append(_Token("IDENT", lexeme, line, col))
-            elif kind == "punct":
-                tokens.append(_Token("PUNCT", lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+        if kind == "bad":
+            raise DslError([_diagnostic(text, m.start(kind), f"unexpected character {m[kind]!r}", None)])
+        tokens.append(_Token(kind, m[kind], m.start(kind)))
+        if kind == "EOF":  # the input may end in blanks: the next match would be another EOF
+            break
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses around the current expression
@@ -167,11 +150,14 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "PUNCT" and tok.text == text
 
+    def diagnostic(self, tok: _Token, message: str, hint: str | None) -> Diagnostic:
+        return _diagnostic(self.text, tok.offset, message, hint)
+
     def fail(self, tok: _Token, message: str, hint: str | None = None):
-        raise DslError(self.diagnostics + [Diagnostic("error", tok.line, tok.column, message, hint)])
+        raise DslError(self.diagnostics + [self.diagnostic(tok, message, hint)])
 
     def note(self, tok: _Token, message: str, hint: str | None = None):
-        self.diagnostics.append(Diagnostic("error", tok.line, tok.column, message, hint))
+        self.diagnostics.append(self.diagnostic(tok, message, hint))
 
     def expect_punct(self, text: str) -> _Token:
         tok = self.peek()
@@ -258,63 +244,43 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self, names: dict[str, SetExpr]) -> SetExpr:
-        return self.parse_union(names)
-
-    def parse_union(self, names) -> SetExpr:
-        left = self.parse_diff(names)
-        while self.at_punct("|"):
-            self.advance()
-            left = Union(left, self.parse_diff(names))
-        return left
-
-    def parse_diff(self, names) -> SetExpr:
-        left = self.parse_intersect(names)
-        while self.at_punct("\\") or self.at_punct("^"):
-            op = self.advance().text
-            right = self.parse_intersect(names)
-            left = Difference(left, right) if op == "\\" else SymDiff(left, right)
-        return left
-
-    def parse_intersect(self, names) -> SetExpr:
+    def parse_expr(self, names: dict[str, SetExpr], lowest: int) -> SetExpr:
+        """An expression whose binary operators all have precedence
+        ``lowest`` or higher, grouped to the left (precedence climbing over
+        :data:`~setcons.expr.BINARY_OPS`)."""
         left = self.parse_atom(names)
-        while self.at_punct("&"):
+        while True:
+            op = BINARY_OPS.get(self.peek().text)
+            if op is None or op[1] < lowest:
+                return left
             self.advance()
-            left = Intersect(left, self.parse_atom(names))
-        return left
+            left = op[0](left, self.parse_expr(names, op[1] + 1))
 
     def parse_atom(self, names) -> SetExpr:
+        """An identifier or a parenthesised expression, under any number of ``~``."""
         complements = 0
         while self.at_punct("~"):
             self.advance()
             complements += 1
-        atom = self.parse_operand(names)
-        for _ in range(complements):
-            atom = Complement(atom)
-        return atom
-
-    def parse_operand(self, names) -> SetExpr:
         tok = self.peek()
         if self.at_punct("("):
             if self.depth == MAX_NESTING:
                 self.fail(tok, f"parentheses nested deeper than {MAX_NESTING} levels")
             self.advance()
             self.depth += 1
-            inner = self.parse_expr(names)
+            atom = self.parse_expr(names, 0)
             self.depth -= 1
             self.expect_punct(")")
-            return inner
-        if tok.kind == "IDENT":
+        elif tok.kind == "IDENT":
             self.advance()
-            if tok.text == "X":
-                return UniverseLit()
-            if tok.text == "empty":
-                return EmptyLit()
-            ref = names.get(tok.text)
-            if ref is None:
+            atom = names.get(tok.text)
+            if atom is None:
                 self.fail(tok, f"undefined identifier {tok.text}", "declare it with 'state' or 'const'")
-            return ref
-        self.fail(tok, f"expected an expression, found {tok.text!r}" if tok.text else "unexpected end of input")
+        else:
+            self.fail(tok, f"expected an expression, found {tok.text!r}" if tok.text else "unexpected end of input")
+        for _ in range(complements):
+            atom = Complement(atom)
+        return atom
 
     # -- declarations ----------------------------------------------------------
 
@@ -336,7 +302,7 @@ class _Parser:
         decl_tokens: dict[str, _Token] = {}
         rules: dict[str, SetExpr] = {}
         options: list[tuple[str, int]] = []
-        seen_rule = False
+        names: dict[str, SetExpr] = {}  # what each identifier in a rule means, set at the first rule
 
         while True:
             self.skip_newlines()
@@ -347,7 +313,7 @@ class _Parser:
                 self.fail(tok, f"expected a declaration keyword, found {tok.text!r}")
             keyword = tok.text
             if keyword in ("const", "state"):
-                if seen_rule:
+                if names:
                     self.fail(tok, f"'{keyword}' declarations must precede the rules")
                 self.advance()
                 name_tok = self.peek()
@@ -372,16 +338,16 @@ class _Parser:
                     initials.append(value)
                 self.end_statement()
             elif keyword == "rule":
-                seen_rule = True
+                if not names:
+                    names = {"X": UniverseLit(), "empty": EmptyLit(), **{c: ConstRef(c) for c, _ in constants}}
+                    names.update((v, Var(i)) for i, v in enumerate(variables))
                 self.advance()
                 name_tok = self.peek()
                 if name_tok.kind != "IDENT":
                     self.fail(name_tok, "expected a variable name after 'rule'")
                 self.advance()
                 self.expect_punct("=")
-                names: dict[str, SetExpr] = {v: Var(i) for i, v in enumerate(variables)}
-                names.update({c: ConstRef(c) for c, _ in constants})
-                expr = self.parse_expr(names)
+                expr = self.parse_expr(names, 0)
                 if name_tok.text not in variables:
                     self.note(name_tok, f"rule for undeclared variable {name_tok.text}",
                               "declare it with 'state' first")
@@ -417,10 +383,7 @@ class _Parser:
             self.note(self.peek(), "a system needs at least one state variable")
         for v in variables:
             if v not in rules:
-                tok = decl_tokens[v]
-                self.diagnostics.append(
-                    Diagnostic("error", tok.line, tok.column, f"variable {v} has no rule")
-                )
+                self.note(decl_tokens[v], f"variable {v} has no rule")
         if self.diagnostics:
             raise DslError(self.diagnostics)
         return SystemSpec(

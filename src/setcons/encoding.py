@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 from .bindyn import BinaryMap, repunit
 from .errors import CellEncodingError
-from .expr import SetMap, bind, bit_ops, fold
+from .expr import SetMap, augment_constants, bind, bit_ops, fold
 from .intervals import Interval, IntervalSet, Universe, elementary_pieces
 
 Bits = tuple[int, ...]
@@ -65,16 +66,14 @@ class Partition:
         must be an exact union of cells, otherwise the encoding would be
         lossy.
 
-        One walk over the set's intervals finds by bisection the pieces each
-        one meets: a cell with a piece met is in the word, and a cell with a
-        piece outside the set or cut by it is not wholly covered.
+        Each interval of the set meets a run of pieces (:func:`_piece_runs`):
+        a cell with a piece met is in the word, and a cell with a piece
+        outside the set or cut by it is not wholly covered.
         """
         pieces, cells = self.pieces, self.piece_cells
         word = missing = 0
         i = 0  # the pieces before i are classified
-        for span in s.intervals:
-            a = bisect_left(pieces, span.lo_key, i, key=lambda piece: piece.hi_key)
-            b = bisect_right(pieces, span.hi_key, a, key=lambda piece: piece.lo_key)
+        for span, a, b in _piece_runs(s, pieces):
             for k in range(i, a):
                 missing |= 1 << cells[k]
             for k in range(a, b):
@@ -150,14 +149,25 @@ def build_partition(generators: Sequence[IntervalSet], universe: Universe) -> Pa
     return Partition(gens, universe, signatures, regions, pieces, piece_cells)
 
 
-def _membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:
-    """1 for every piece inside ``s``, else 0, for ascending pieces that
-    each lie wholly inside or outside ``s``; bisected per interval."""
-    out = [0] * len(pieces)
+_hi_key = attrgetter("hi_key")
+_lo_key = attrgetter("lo_key")
+
+
+def _piece_runs(s: IntervalSet, pieces: Sequence[Interval]) -> Iterator[tuple[Interval, int, int]]:
+    """``(interval, a, b)`` for each interval of ``s``: ``pieces[a:b]``, of the
+    ascending ``pieces``, are the ones it meets, found by two bisections."""
     b = 0
     for span in s.intervals:
-        a = bisect_left(pieces, span.lo_key, b, key=lambda piece: piece.hi_key)
-        b = bisect_right(pieces, span.hi_key, a, key=lambda piece: piece.lo_key)
+        a = bisect_left(pieces, span.lo_key, b, key=_hi_key)
+        b = bisect_right(pieces, span.hi_key, a, key=_lo_key)
+        yield span, a, b
+
+
+def _membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:
+    """1 for every piece inside ``s``, else 0, for ascending pieces that
+    each lie wholly inside or outside ``s``."""
+    out = [0] * len(pieces)
+    for _, a, b in _piece_runs(s, pieces):
         out[a:b] = [1] * (b - a)
     return out
 
@@ -226,3 +236,17 @@ def translate_map(f: SetMap, partition: Partition) -> EncodedSystem:
         raise ValueError("translate_map needs a constant-free map; augment it first")
     pinned = tuple(partition.encode(v) for v in f.frozen_values)
     return EncodedSystem(f, partition, pinned)
+
+
+def dedup_generators(sets: Sequence[IntervalSet]) -> list[IntervalSet]:
+    """The nonempty sets, each once, in order of first appearance."""
+    return list(dict.fromkeys(s for s in sets if not s.is_empty()))
+
+
+def encode_system(f: SetMap, initials: Sequence[IntervalSet]) -> EncodedSystem:
+    """A system's map ``f`` started from ``initials``: ``f`` with every named
+    constant a frozen variable, translated over the partition that the
+    nonempty initial sets and then the constants generate."""
+    constants = [value for _, value in f.constants]
+    partition = build_partition(dedup_generators([*initials, *constants]), f.universe)
+    return translate_map(augment_constants(f), partition)

@@ -21,7 +21,8 @@ type to a function of its children's values.  The algebras are:
   :func:`truth_columns` of :func:`normal_form` and the equilibria scan;
 - trees: node constructors, for :func:`augment_constants` and
   :func:`compose`, and the rewrite rules of :func:`desugar`;
-- text: ``(text, precedence)`` pairs, for :func:`expr_to_text`.
+- text: ``(text, precedence)`` pairs, for :func:`expr_to_text`, with the
+  symbols and precedences of :data:`BINARY_OPS`, which the parser reads too.
 
 :func:`variables_of` and :func:`constants_of` scan a program.  A SetMap
 compiles each component once, so expressions of any depth are evaluated
@@ -35,8 +36,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .boolmat import BoolMatrix
-from .caps import DEFAULT, Caps
-from .errors import CapExceeded
+from .caps import DEFAULT, Caps, check_states
 from .intervals import IntervalSet, Universe
 
 
@@ -226,6 +226,12 @@ def _variables(program: Sequence[SetExpr]) -> set[int]:
     return {node.index for node in program if type(node) is Var}
 
 
+def _check_arity(program: Sequence[SetExpr], n: int, component: str) -> None:
+    for v in _variables(program):
+        if not 0 <= v < n:
+            raise ValueError(f"{component} references variable index {v} outside arity {n}")
+
+
 def _constants(program: Sequence[SetExpr]) -> set[str]:
     return {node.name for node in program if type(node) is ConstRef}
 
@@ -252,6 +258,12 @@ def bit_evaluate(e: SetExpr, bits: Sequence[int], const_bits: Mapping[str, int] 
     return fold(postorder(e), bind(bits, const_bits), BITS)
 
 
+# The binary operators of the surface syntax, the one table that the parser
+# (:mod:`setcons.dsl`) and :func:`expr_to_text` read: symbol -> (node type,
+# precedence), a higher precedence binding tighter.  Every one of them
+# groups to the left.
+BINARY_OPS = {"|": (Union, 1), "\\": (Difference, 2), "^": (SymDiff, 2), "&": (Intersect, 3)}
+
 # Text: (text, precedence) pairs.  An operand is parenthesised when its
 # precedence is below the bound its position demands; atoms never are.
 _ATOM = 4
@@ -262,8 +274,11 @@ def _paren(value: tuple[str, int], bound: int) -> str:
     return f"({text})" if prec < bound else text
 
 
-def _infix(symbol: str, prec: int, associative: bool):
-    right_bound = prec + 1 if associative else prec + 2
+def _infix(symbol: str, kind: type, prec: int):
+    # A right operand of the same precedence keeps its parentheses, as every
+    # operator groups to the left; the right operand of ``\`` and ``^``
+    # keeps them unless it is an atom.
+    right_bound = _ATOM if kind in (Difference, SymDiff) else prec + 1
     return lambda left, right: (f"{_paren(left, prec)} {symbol} {_paren(right, right_bound)}", prec)
 
 
@@ -271,10 +286,7 @@ _TEXT = {
     UniverseLit: lambda: ("X", _ATOM),
     EmptyLit: lambda: ("empty", _ATOM),
     Complement: lambda child: ("~" + _paren(child, _ATOM), _ATOM),
-    Union: _infix("|", 1, True),
-    Difference: _infix("\\", 2, False),
-    SymDiff: _infix("^", 2, False),
-    Intersect: _infix("&", 3, True),
+    **{kind: _infix(symbol, kind, prec) for symbol, (kind, prec) in BINARY_OPS.items()},
 }
 
 
@@ -313,9 +325,7 @@ class SetMap:
         object.__setattr__(self, "programs", tuple(postorder(c) for c in self.components))
         bound = {name for name, _ in self.constants}
         for i, program in enumerate(self.programs):
-            for v in _variables(program):
-                if not 0 <= v < n:
-                    raise ValueError(f"component {i} references variable index {v} outside arity {n}")
+            _check_arity(program, n, f"component {i}")
             missing = _constants(program) - bound
             if missing:
                 raise ValueError(f"component {i} references unbound constants {sorted(missing)}")
@@ -473,12 +483,14 @@ def normal_form(
 ) -> NormalForm:
     """Coefficients computed by the subset parity transform over evaluations
     at indicator inputs (variable j = universe iff j is in the subset).
-    All 2**arity evaluations run as one fold over the :func:`truth_columns`.
+    All 2**arity evaluations run as one fold over the :func:`truth_columns`,
+    so the ``enumeration`` cap bounds ``arity``.
 
     Constants must evaluate to the empty set or the whole universe.
     """
-    if arity > caps.normal_form:
-        raise CapExceeded(f"normal form needs 2**{arity} evaluations (cap {caps.normal_form})")
+    check_states(arity, caps, "normal form")
+    program = postorder(component)
+    _check_arity(program, arity, "the component")
     full = (1 << (1 << arity)) - 1
     const_tables: dict[str, int] = {}
     if constants:
@@ -494,7 +506,7 @@ def normal_form(
                     f"constant {name!r} is neither empty nor the universe; augment the map first"
                 )
     columns = truth_columns(arity)
-    table = fold(postorder(component), bind(columns, const_tables), bit_ops(full))
+    table = fold(program, bind(columns, const_tables), bit_ops(full))
     # Subset parity (Moebius) transform, all masks at once: every mask with
     # bit j set absorbs the value of the mask without it.
     for j, column in enumerate(columns):
@@ -565,9 +577,6 @@ class LinearSetMap:
     def arity(self) -> int:
         return len(self.entries)
 
-    def coefficient_name(self, i: int, j: int) -> str:
-        return f"a{i + 1}_{j + 1}"
-
     def as_set_map(self) -> SetMap:
         """The same dynamics as a SetMap with one named constant per entry."""
         n = self.arity
@@ -576,7 +585,7 @@ class LinearSetMap:
         for i in range(n):
             term: SetExpr | None = None
             for j in range(n):
-                name = self.coefficient_name(i, j)
+                name = f"a{i + 1}_{j + 1}"
                 constants.append((name, self.entries[i][j]))
                 piece = Intersect(ConstRef(name), Var(j))
                 term = piece if term is None else Union(term, piece)

@@ -11,16 +11,16 @@ confirms the last word step.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bindyn import walk
 from .dsl import SystemSpec
-from .encoding import build_partition, translate_map
+from .encoding import encode_system
 from .errors import SetconsError
-from .expr import augment_constants
 from .intervals import Interval, IntervalSet, Universe
 
 
@@ -31,9 +31,9 @@ class Trajectory:
     ``distances[t]`` is the number of encoded bits by which round t differs
     from the closure state; ``distance_lengths[t]`` is the same gap as total
     interval length inside ``window`` (the :func:`sampling_window` of the
-    system's sets), for human consumption.  ``closed`` is False when the
-    round budget ran out before a repeat was seen (then transient/period
-    are None).
+    system's sets), for human consumption; a length past the float range
+    is ``inf``.  ``closed`` is False when the round budget ran out before a
+    repeat was seen (then transient/period are None).
     """
 
     agents: tuple[str, ...]
@@ -101,11 +101,6 @@ def random_interval_set(rng: random.Random, universe: Universe, max_parts: int =
     return IntervalSet.from_intervals(parts) & universe.carrier
 
 
-def dedup_generators(sets: Sequence[IntervalSet]) -> list[IntervalSet]:
-    """The nonempty sets, each once, in order of first appearance."""
-    return list(dict.fromkeys(s for s in sets if not s.is_empty()))
-
-
 def simulate(
     spec: SystemSpec,
     max_rounds: int | None = None,
@@ -113,16 +108,13 @@ def simulate(
     random_init: bool = False,
 ) -> Trajectory:
     """Run the system until closure or the round budget is exhausted."""
-    base = spec.set_map()
-    constants = [value for _, value in spec.constants]
-    window = sampling_window(spec.universe, spec.initials + tuple(constants))
-    initials = list(spec.initials)
+    window = sampling_window(spec.universe, spec.initials + tuple(value for _, value in spec.constants))
+    initials = spec.initials
     if random_init:
         rng = random.Random(seed)
-        initials = [random_interval_set(rng, spec.universe, window=window) for _ in spec.variables]
-    aug = augment_constants(base)
-    partition = build_partition(dedup_generators(initials + constants), spec.universe)
-    enc = translate_map(aug, partition)
+        initials = tuple(random_interval_set(rng, spec.universe, window=window) for _ in spec.variables)
+    enc = encode_system(spec.set_map(), initials)
+    aug, partition = enc.set_map, enc.partition
 
     if max_rounds is None:
         max_rounds = spec.options_map.get("max_rounds", 2 * aug.arity * partition.kappa)
@@ -130,7 +122,7 @@ def simulate(
         raise SetconsError("max_rounds must be at least 1")
 
     n_visible = len(spec.variables)
-    start = enc.encode_state(tuple(initials) + aug.frozen_values)
+    start = enc.encode_state(initials + aug.frozen_values)
     encoded, transient = walk(enc.map, start, max_rounds)
     closed = transient is not None
     # Both ends of the last step are in the trajectory: decode every
@@ -153,13 +145,20 @@ def simulate(
         consensus=sets[final[0]] if agreed else None,
         distances=tuple(sum((a ^ b).bit_count() for a, b in zip(ws, final)) for ws in encoded),
         distance_lengths=tuple(
-            float(sum(cell_lengths[h] for a, b in zip(ws[:n_visible], final)
-                      for h in range(partition.kappa) if ((a ^ b) >> h) & 1))
+            _float(sum(cell_lengths[h] for a, b in zip(ws[:n_visible], final)
+                       for h in range(partition.kappa) if ((a ^ b) >> h) & 1))
             for ws in encoded
         ),
         closed=closed,
         window=window,
     )
+
+
+def _float(length: Fraction) -> float:
+    try:
+        return float(length)
+    except OverflowError:
+        return math.inf
 
 
 def render_timeline(traj: Trajectory, window: Interval, width: int = 48) -> str:

@@ -35,6 +35,11 @@ Each one is the plain, obviously correct form of a library routine:
 - the set-literal parser with its own regex tokenizer that the system
   grammar replaced.  It uses only ``as_value`` and the interval
   constructors.
+- the tokenizer that matched blanks as tokens of their own and counted
+  every line and column by hand, and the expression parser with one method
+  per precedence level that precedence climbing replaced.  The parser
+  reuses the library's statement and literal grammar, so the two differ
+  only in tokens, positions and expressions.
 - direct checks of the paper's bounds and of attractiveness by simulation,
   built on the library's public operations.
 """
@@ -44,8 +49,9 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from setcons import dsl
 from setcons import (
     BinaryMap,
     BoolMatrix,
@@ -76,6 +82,7 @@ from setcons.bindyn import (
     semantic_incidence,
 )
 from setcons.caps import DEFAULT, Caps
+from setcons.dsl import Diagnostic, DslError
 from setcons.intervals import as_value
 from setcons.expr import (
     Complement,
@@ -90,7 +97,8 @@ from setcons.expr import (
     Var,
     truth_columns,
 )
-from setcons.sim import Trajectory, dedup_generators, random_interval_set, sampling_window
+from setcons.encoding import dedup_generators
+from setcons.sim import Trajectory, random_interval_set, sampling_window
 
 
 def _lo_key(iv: Interval):
@@ -824,6 +832,103 @@ def regex_parse_interval_set(text: str, universe: Universe | None = None) -> Int
                 raise ValueError(f"expected '|' between intervals, found {tokens[i]!r}")
             i += 1
     return IntervalSet.from_intervals(spans)
+
+
+# -- the hand-counted tokenizer and the three-level expression parser ------------
+
+
+class HandCountedToken(NamedTuple):
+    kind: str  # IDENT NUMBER PUNCT NEWLINE EOF
+    text: str
+    line: int
+    column: int
+
+
+_HAND_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t\r\f\v]+)"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<number>\d+(?:\.\d+)?(?:/\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>[\[\]\(\),=|&^~\\\-])"
+)
+
+
+def hand_counted_tokenize(text: str) -> list[HandCountedToken]:
+    """Tokens with the line and column of their first character, each
+    advanced by hand over every lexeme, blanks and comments included."""
+    tokens: list[HandCountedToken] = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _HAND_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise DslError([Diagnostic("error", line, col, f"unexpected character {text[pos]!r}")])
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind == "newline":
+            tokens.append(HandCountedToken("NEWLINE", "\n", line, col))
+            line += 1
+            col = 1
+        else:
+            if kind in ("number", "ident", "punct"):
+                tokens.append(HandCountedToken(kind.upper(), lexeme, line, col))
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(HandCountedToken("EOF", "", line, col))
+    return tokens
+
+
+class ThreeLevelParser(dsl._Parser):
+    """The system parser on hand-counted tokens, with one method per
+    precedence level of the binary operators: ``|``, then ``\\``/``^``,
+    then ``&``."""
+
+    def __init__(self, text: str):
+        super().__init__("")  # the parser's state, without the library's tokens
+        self.text, self.tokens = text, hand_counted_tokenize(text)
+
+    def diagnostic(self, tok, message, hint):
+        return Diagnostic("error", tok.line, tok.column, message, hint)
+
+    def parse_expr(self, names, lowest):
+        return self.parse_union(names)
+
+    def parse_union(self, names) -> SetExpr:
+        left = self.parse_diff(names)
+        while self.at_punct("|"):
+            self.advance()
+            left = Union(left, self.parse_diff(names))
+        return left
+
+    def parse_diff(self, names) -> SetExpr:
+        left = self.parse_intersect(names)
+        while self.at_punct("\\") or self.at_punct("^"):
+            op = self.advance().text
+            right = self.parse_intersect(names)
+            left = Difference(left, right) if op == "\\" else SymDiff(left, right)
+        return left
+
+    def parse_intersect(self, names) -> SetExpr:
+        left = self.parse_atom(names)
+        while self.at_punct("&"):
+            self.advance()
+            left = Intersect(left, self.parse_atom(names))
+        return left
+
+
+def three_level_parse(text: str) -> SystemSpec:
+    return ThreeLevelParser(text).parse_system()
+
+
+def three_level_parse_set_literal(text: str, universe: Universe | None = None) -> IntervalSet:
+    parser = ThreeLevelParser(text)
+    parser.tokens = [tok for tok in parser.tokens if tok.kind != "NEWLINE"]
+    value = parser.parse_interval_set(universe)
+    tok = parser.peek()
+    if tok.kind != "EOF":
+        parser.fail(tok, f"unexpected {tok.text!r} after the set literal")
+    return value
 
 
 # -- checks only tests need -------------------------------------------------------

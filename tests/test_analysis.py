@@ -26,7 +26,7 @@ from setcons import (
 from setcons.boolmat import is_strictly_lower
 from setcons.expr import LinearSetMap, Var
 from setcons.intervals import Interval
-from setcons.sim import dedup_generators
+from setcons.encoding import dedup_generators
 
 from helpers import (
     BOX200,

@@ -214,13 +214,13 @@ def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     assert "cap exceeded" in err
 
 
-@pytest.mark.parametrize("entry", ["matrix_dim=20", "generators=3"])
+@pytest.mark.parametrize("entry", ["matrix_dim=20", "generators=3", "normal_form=4"])
 def test_removed_caps_are_unknown_entries(files, capsys, monkeypatch, entry):
     from dataclasses import fields
 
     from setcons.caps import Caps
 
-    assert [f.name for f in fields(Caps)] == ["enumeration", "listing", "normal_form"]
+    assert [f.name for f in fields(Caps)] == ["enumeration", "listing"]
     monkeypatch.setenv("SETCONS_CAPS", entry)
     code, out, err = run(capsys, "analyze", files["pinned6"])
     assert code == 1

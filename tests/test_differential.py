@@ -46,7 +46,7 @@ from setcons import (
 from setcons import analysis as analysis_module
 from setcons.bindyn import derivative_blocks, discrete_derivative
 from setcons.caps import Caps
-from setcons.encoding import _membership
+from setcons.encoding import _membership, dedup_generators
 from setcons.intervals import elementary_pieces
 from setcons.expr import (
     Complement,
@@ -65,7 +65,7 @@ from setcons.expr import (
     variables_of,
 )
 from setcons.dsl import SystemSpec
-from setcons.sim import dedup_generators, sampling_window
+from setcons.sim import sampling_window
 
 from helpers import HALF_LINE, assert_same_membership, iv, probe_points
 from oracles import (

@@ -14,6 +14,7 @@ from setcons import (
     desugar,
     normal_form,
 )
+from setcons.caps import Caps
 from setcons.errors import CapExceeded
 from setcons.expr import (
     Complement,
@@ -180,8 +181,16 @@ def test_normal_form_union():
 
 
 def test_normal_form_cap():
+    # The enumeration cap bounds the 2**n coefficient table.
+    with pytest.raises(CapExceeded, match=r"normal form needs 2\*\*21 states \(cap 20\)"):
+        normal_form(Var(0), 21)
     with pytest.raises(CapExceeded):
-        normal_form(Var(0), 20)
+        normal_form(Var(0), 5, caps=Caps(enumeration=4))
+
+
+def test_normal_form_refuses_variables_outside_its_arity():
+    with pytest.raises(ValueError, match="variable index 13 outside arity 12"):
+        normal_form(Var(0) ^ (Var(13) & Var(0)), 12)
 
 
 def test_normal_form_reconstruction():

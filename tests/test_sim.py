@@ -4,12 +4,8 @@ from fractions import Fraction
 import pytest
 
 from setcons import BinaryMap, EncodedSystem, SetconsError, parse, simulate, to_json
-from setcons.sim import (
-    dedup_generators,
-    random_interval_set,
-    render_timeline,
-    sampling_window,
-)
+from setcons.encoding import dedup_generators
+from setcons.sim import random_interval_set, render_timeline, sampling_window
 from setcons.intervals import Interval, IntervalSet, Universe
 
 from helpers import BOX200, TopologyView, iv
@@ -196,3 +192,12 @@ def test_topology_view():
     ]
     assert ("X1", "X3") in [(view.agents[j], view.agents[i]) for j, i in view.edges]
     assert len(view.edges) == 8
+
+
+def test_lengths_past_the_float_range_are_inf():
+    big = "9" * 400
+    spec = parse(f"universe [0,{big}]\nstate A = [0,{big}]\nstate B = [1,2]\nrule A = B\nrule B = A\n")
+    traj = simulate(spec)
+    assert traj.period == 2
+    assert traj.distance_lengths == (0.0, float("inf"))
+    assert "Infinity" in to_json(traj)
