@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bindyn import is_vnn_attractive, repunit
-from .boolmat import BoolMatrix, Permutation, dependency_order
+from .boolmat import Permutation, dependency_order
 from .caps import DEFAULT, Caps, check_states
 from .encoding import EncodedSystem, Partition, translate_map
 from .errors import SetconsError
@@ -33,27 +33,6 @@ SetVector = tuple[IntervalSet, ...]
 # bits, the truth tables of one pattern at the default enumeration cap.  A
 # wider segment is stepped alone.
 PACKED_BITS = 1 << 20
-
-
-def set_distance(x: Sequence[IntervalSet], y: Sequence[IntervalSet]) -> SetVector:
-    """Componentwise symmetric difference of two set vectors."""
-    if len(x) != len(y):
-        raise ValueError("arity mismatch")
-    return tuple(a ^ b for a, b in zip(x, y))
-
-
-def incidence_apply(b: BoolMatrix, d: Sequence[IntervalSet]) -> SetVector:
-    """Incidence matrix times set vector: row i unions the d_j it selects."""
-    if b.n != len(d):
-        raise ValueError("dimension mismatch")
-    out = []
-    for i in range(b.n):
-        acc = IntervalSet.empty()
-        for j in range(b.n):
-            if b.entry(i, j):
-                acc = acc | d[j]
-        out.append(acc)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -72,14 +51,6 @@ class ContractivityVerdict:
 
     def __bool__(self) -> bool:
         return self.contractive
-
-    def to_json_dict(self) -> dict:
-        return {
-            "contractive": self.contractive,
-            "witness_order": list(self.witness.order) if self.witness else None,
-            "q": self.q,
-            "cycle": list(self.cycle) if self.cycle else None,
-        }
 
 
 def is_contractive_sbm(f: SetMap) -> ContractivityVerdict:
@@ -238,9 +209,6 @@ class ConsensusVerdict:
 
     exists: bool
     region: IntervalSet
-
-    def __bool__(self) -> bool:
-        return self.exists
 
     def to_json_dict(self) -> dict:
         return {"exists": self.exists, "region": str(self.region)}

@@ -1,10 +1,11 @@
 """Resource caps that guard the exponential enumerations.
 
 Two caps remain: ``enumeration`` bounds n for every table or scan of 2**n
-states (the equilibria and dependency scans, the normal form) through the
-one guard :func:`check_states`, and ``listing`` the equilibria expanded
-into set vectors.  Every cap can be overridden through the ``SETCONS_CAPS``
-environment variable, e.g. ``SETCONS_CAPS="enumeration=16,listing=100"``.
+states (today the per-cell equilibria scan, over the free variables)
+through the one guard :func:`check_states`, and ``listing`` the equilibria
+expanded into set vectors.  Every cap can be overridden through the
+``SETCONS_CAPS`` environment variable, e.g.
+``SETCONS_CAPS="enumeration=16,listing=100"``.
 """
 
 from __future__ import annotations

@@ -26,8 +26,10 @@ from .expr import as_linear
 
 
 def _load(path: str) -> dsl.SystemSpec:
+    """Parse the file at ``path`` as written: with no newline translation, a
+    ``\r`` is a blank in a file just as in :func:`dsl.parse`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise dsl.DslError([dsl.Diagnostic("error", 0, 0, f"cannot read {path}: {exc.strerror}")])

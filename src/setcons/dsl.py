@@ -1,4 +1,4 @@
-"""Parser and printer for the textual system description format.
+"""Parser for the textual system description format, and the JSON of reports.
 
 A system file declares a universe, optional named constant sets, state
 variables with their initial sets, one update rule per variable, and
@@ -14,12 +14,13 @@ optional numeric settings::
 Rule expressions use ``|`` union, ``&`` intersection, ``~`` complement,
 ``\\`` difference, ``^`` symmetric difference, with ``~`` binding tightest,
 then ``&``, then ``\\``/``^``, then ``|``; every binary operator groups to
-the left.  The parser and the printer read these from one table,
+the left.  The parser reads these from one table,
 :data:`~setcons.expr.BINARY_OPS`.  ``X`` denotes the universe and
-``empty`` the empty set.  Numbers are decimal rationals (``7``, ``3.5``,
-``1/3``); ``inf``/``-inf`` mark unbounded endpoints.  ``\\r``, ``\\f`` and
-``\\v`` are blanks like space and tab.  Parentheses nest at most
-:data:`MAX_NESTING` levels deep; ``~`` may repeat any number of times.
+``empty`` the empty set.  Numbers are decimal rationals written with the
+ASCII digits ``0``-``9`` (``7``, ``3.5``, ``1/3``); ``inf``/``-inf`` mark
+unbounded endpoints.  ``\\r``, ``\\f`` and ``\\v`` are blanks like
+space and tab.  Parentheses nest at most :data:`MAX_NESTING` levels deep;
+``~`` may repeat any number of times.
 :func:`parse_set_literal` reads one set literal with this same grammar.
 
 The only option is ``max_rounds``, the simulator's round budget: a
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .expr import BINARY_OPS, Complement, ConstRef, EmptyLit, SetExpr, SetMap, UniverseLit, Var, expr_to_text
+from .expr import BINARY_OPS, Complement, ConstRef, EmptyLit, SetExpr, SetMap, UniverseLit, Var
 from .intervals import Interval, IntervalSet, Universe, as_value
 
 KEYWORDS = {"universe", "const", "state", "rule", "option", "empty", "X", "inf"}
@@ -79,10 +80,6 @@ class SystemSpec:
     options: tuple[tuple[str, int], ...] = ()
 
     @property
-    def constants_map(self) -> dict[str, IntervalSet]:
-        return dict(self.constants)
-
-    @property
     def options_map(self) -> dict[str, int]:
         return dict(self.options)
 
@@ -101,7 +98,7 @@ class _Token(NamedTuple):
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\f\v]+|#[^\n]*)*"
     r"(?:(?P<NEWLINE>\n)"
-    r"|(?P<NUMBER>\d+(?:\.\d+)?(?:/\d+)?)"
+    r"|(?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)"
     r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<PUNCT>[\[\]\(\),=|&^~\\\-])"
     r"|(?P<EOF>\Z)"
@@ -412,26 +409,6 @@ def parse_set_literal(text: str, universe: Universe | None = None) -> IntervalSe
     if tok.kind != "EOF":
         parser.fail(tok, f"unexpected {tok.text!r} after the set literal")
     return value
-
-
-def pretty_print(spec: SystemSpec) -> str:
-    """Canonical text form; parsing it back yields a structurally equal spec."""
-    lines = [f"universe {spec.universe.carrier}"]
-    if spec.constants:
-        lines.append("")
-        for name, value in spec.constants:
-            lines.append(f"const {name} = {value}")
-    lines.append("")
-    for name, init in zip(spec.variables, spec.initials):
-        lines.append(f"state {name} = {init}")
-    lines.append("")
-    for name, rule in zip(spec.variables, spec.rules):
-        lines.append(f"rule {name} = {expr_to_text(rule, spec.variables)}")
-    if spec.options:
-        lines.append("")
-        for key, value in spec.options:
-            lines.append(f"option {key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def _jsonify(obj):

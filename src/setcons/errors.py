@@ -11,7 +11,3 @@ class CapExceeded(SetconsError):
 
 class CellEncodingError(SetconsError):
     """A set is not exactly a union of partition cells."""
-
-
-class OrbitLimitError(SetconsError):
-    """Orbit iteration hit its step budget before closing a cycle."""

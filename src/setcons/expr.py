@@ -1,11 +1,11 @@
 """Expression trees for set-valued update maps.
 
 A :class:`SetMap` bundles one expression per state variable together with the
-universe and any named constant sets.  Expressions use only union,
-intersection and complement at the core; difference and symmetric difference
-desugar into those three.  Maps referencing named constants can be rewritten
-into constant-free form by :func:`augment_constants`, which turns every
-constant into a trailing frozen state variable.
+universe and any named constant sets.  Expressions use union, intersection,
+complement, difference and symmetric difference.  Maps referencing named
+constants can be rewritten into constant-free form by
+:func:`augment_constants`, which turns every constant into a trailing frozen
+state variable.
 
 Every question asked of an expression is one walk and one fold.
 :func:`postorder` flattens a tree, with an explicit stack, into its
@@ -16,17 +16,14 @@ type to a function of its children's values.  The algebras are:
 
 - interval sets (:func:`set_ops`): ``| & ^`` and the universe's complement,
   for :func:`evaluate` and :meth:`SetMap.eval`;
-- ints (:func:`bit_ops`): ``| & ^`` and complement ``x ^ mask``, for
-  :func:`bit_evaluate` with mask 1, the encoding's word maps, and the
-  :func:`truth_columns` of :func:`normal_form` and the equilibria scan;
-- trees: node constructors, for :func:`augment_constants` and
-  :func:`compose`, and the rewrite rules of :func:`desugar`;
-- text: ``(text, precedence)`` pairs, for :func:`expr_to_text`, with the
-  symbols and precedences of :data:`BINARY_OPS`, which the parser reads too.
+- ints (:func:`bit_ops`): ``| & ^`` and complement ``x ^ mask``, one bit per
+  evaluation, for the encoding's word maps and the :func:`truth_columns`
+  of the equilibria scan;
+- trees: node constructors, for :func:`augment_constants`.
 
-:func:`variables_of` and :func:`constants_of` scan a program.  A SetMap
-compiles each component once, so expressions of any depth are evaluated
-without recursion.
+The binary operators' symbols and precedences are :data:`BINARY_OPS`, which
+the parser reads.  A SetMap compiles each component once, so expressions of
+any depth are evaluated without recursion.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .boolmat import BoolMatrix
-from .caps import DEFAULT, Caps, check_states
 from .intervals import IntervalSet, Universe
 
 
@@ -53,12 +49,6 @@ class SetExpr:
 
     def __invert__(self) -> "SetExpr":
         return Complement(self)
-
-    def __sub__(self, other: "SetExpr") -> "SetExpr":
-        return Difference(self, other)
-
-    def __xor__(self, other: "SetExpr") -> "SetExpr":
-        return SymDiff(self, other)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,20 +196,8 @@ def bit_ops(mask: int) -> dict:
     }
 
 
-BITS = bit_ops(1)
-
 # Trees: every node rebuilt from its rewritten children.
 _TREE = {kind: kind for kind in _ARITY}
-_DESUGAR = {
-    **_TREE,
-    Difference: lambda left, right: Intersect(left, Complement(right)),
-    SymDiff: lambda left, right: Union(Intersect(Complement(left), right), Intersect(left, Complement(right))),
-}
-
-
-def desugar(e: SetExpr) -> SetExpr:
-    """Rewrite difference/symmetric difference into the core three ops."""
-    return fold(postorder(e), lambda node: node, _DESUGAR)
 
 
 def _variables(program: Sequence[SetExpr]) -> set[int]:
@@ -236,14 +214,6 @@ def _constants(program: Sequence[SetExpr]) -> set[str]:
     return {node.name for node in program if type(node) is ConstRef}
 
 
-def variables_of(e: SetExpr) -> set[int]:
-    return _variables(postorder(e))
-
-
-def constants_of(e: SetExpr) -> set[str]:
-    return _constants(postorder(e))
-
-
 def evaluate(
     e: SetExpr,
     state: Sequence[IntervalSet],
@@ -253,52 +223,10 @@ def evaluate(
     return fold(postorder(e), bind(state, constants), set_ops(universe))
 
 
-def bit_evaluate(e: SetExpr, bits: Sequence[int], const_bits: Mapping[str, int] = {}) -> int:
-    """Evaluate an expression in the two-element algebra {0, 1}."""
-    return fold(postorder(e), bind(bits, const_bits), BITS)
-
-
-# The binary operators of the surface syntax, the one table that the parser
-# (:mod:`setcons.dsl`) and :func:`expr_to_text` read: symbol -> (node type,
-# precedence), a higher precedence binding tighter.  Every one of them
-# groups to the left.
+# The binary operators of the surface syntax, read by the parser
+# (:mod:`setcons.dsl`): symbol -> (node type, precedence), a higher
+# precedence binding tighter.  Every one of them groups to the left.
 BINARY_OPS = {"|": (Union, 1), "\\": (Difference, 2), "^": (SymDiff, 2), "&": (Intersect, 3)}
-
-# Text: (text, precedence) pairs.  An operand is parenthesised when its
-# precedence is below the bound its position demands; atoms never are.
-_ATOM = 4
-
-
-def _paren(value: tuple[str, int], bound: int) -> str:
-    text, prec = value
-    return f"({text})" if prec < bound else text
-
-
-def _infix(symbol: str, kind: type, prec: int):
-    # A right operand of the same precedence keeps its parentheses, as every
-    # operator groups to the left; the right operand of ``\`` and ``^``
-    # keeps them unless it is an atom.
-    right_bound = _ATOM if kind in (Difference, SymDiff) else prec + 1
-    return lambda left, right: (f"{_paren(left, prec)} {symbol} {_paren(right, right_bound)}", prec)
-
-
-_TEXT = {
-    UniverseLit: lambda: ("X", _ATOM),
-    EmptyLit: lambda: ("empty", _ATOM),
-    Complement: lambda child: ("~" + _paren(child, _ATOM), _ATOM),
-    **{kind: _infix(symbol, kind, prec) for symbol, (kind, prec) in BINARY_OPS.items()},
-}
-
-
-def expr_to_text(e: SetExpr, names: Sequence[str] | None = None) -> str:
-    """Render an expression in the DSL surface syntax with minimal parens."""
-
-    def leaf(node: SetExpr) -> tuple[str, int]:
-        if type(node) is ConstRef:
-            return node.name, _ATOM
-        return (names[node.index] if names is not None else f"X{node.index + 1}"), _ATOM
-
-    return fold(postorder(e), leaf, _TEXT)[0]
 
 
 @dataclass(frozen=True)
@@ -372,13 +300,6 @@ class SetMap:
             rows.append(mask)
         return BoolMatrix(n, tuple(rows))
 
-    def incidence_sets(self) -> list[list[IntervalSet]]:
-        """The incidence matrix with {empty, universe} entries."""
-        b = self.incidence()
-        full = self.universe.carrier
-        empty = IntervalSet.empty()
-        return [[full if b.entry(i, j) else empty for j in range(b.n)] for i in range(b.n)]
-
 
 def augment_constants(f: SetMap) -> SetMap:
     """Turn every named constant into a trailing frozen state variable.
@@ -405,113 +326,21 @@ def augment_constants(f: SetMap) -> SetMap:
     )
 
 
-def compose(f: SetMap, g: SetMap) -> SetMap:
-    """The syntactic composition x -> f(g(x))."""
-    if f.arity != g.arity:
-        raise ValueError("arity mismatch")
-    if f.frozen_values or g.frozen_values:
-        raise ValueError("compose is defined for non-augmented maps")
-    merged = dict(g.constants)
-    for name, value in f.constants:
-        if name in merged and merged[name] != value:
-            raise ValueError(f"constant {name!r} bound to different values")
-        merged[name] = value
-
-    def leaf(node: SetExpr) -> SetExpr:
-        return g.components[node.index] if type(node) is Var else node
-
-    return SetMap(
-        components=tuple(fold(program, leaf, _TREE) for program in f.programs),
-        universe=f.universe,
-        constants=tuple(merged.items()),
-    )
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Coefficients of the nested-symmetric-difference normal form.
-
-    ``coeffs[mask]`` is 1 when the coefficient of the subset encoded by
-    ``mask`` (bit j set = variable j present) is the whole universe, 0 when
-    it is the empty set.  Defined for all 2**arity subsets.
-    """
-
-    arity: int
-    coeffs: tuple[int, ...]
-
-    def coefficient(self, subset) -> int:
-        mask = 0
-        for j in subset:
-            mask |= 1 << j
-        return self.coeffs[mask]
-
-    def to_expr(self) -> SetExpr:
-        """Rebuild an expression that evaluates to the described component."""
-        terms: list[SetExpr] = []
-        for mask, bit in enumerate(self.coeffs):
-            if not bit:
-                continue
-            factors = [Var(j) for j in range(self.arity) if mask >> j & 1]
-            if not factors:
-                term: SetExpr = UniverseLit()
-            else:
-                term = factors[0]
-                for fac in factors[1:]:
-                    term = Intersect(term, fac)
-            terms.append(term)
-        if not terms:
-            return EmptyLit()
-        out = terms[0]
-        for term in terms[1:]:
-            out = SymDiff(out, term)
-        return out
-
-
 def truth_columns(arity: int) -> tuple[int, ...]:
     """Each variable's truth table over the 2**arity inputs: bit ``mask`` of
-    variable j's int is set iff j is in ``mask`` (runs of 2**j 0s, 2**j 1s)."""
-    full = (1 << (1 << arity)) - 1
-    return tuple((((1 << (1 << j)) - 1) << (1 << j)) * (full // ((1 << (2 << j)) - 1)) for j in range(arity))
-
-
-def normal_form(
-    component: SetExpr,
-    arity: int,
-    constants: Mapping[str, IntervalSet] | None = None,
-    universe: Universe | None = None,
-    caps: Caps = DEFAULT,
-) -> NormalForm:
-    """Coefficients computed by the subset parity transform over evaluations
-    at indicator inputs (variable j = universe iff j is in the subset).
-    All 2**arity evaluations run as one fold over the :func:`truth_columns`,
-    so the ``enumeration`` cap bounds ``arity``.
-
-    Constants must evaluate to the empty set or the whole universe.
-    """
-    check_states(arity, caps, "normal form")
-    program = postorder(component)
-    _check_arity(program, arity, "the component")
-    full = (1 << (1 << arity)) - 1
-    const_tables: dict[str, int] = {}
-    if constants:
-        if universe is None:
-            raise ValueError("constants need the universe to be classified")
-        for name, value in constants.items():
-            if value.is_empty():
-                const_tables[name] = 0
-            elif value == universe.carrier:
-                const_tables[name] = full
-            else:
-                raise ValueError(
-                    f"constant {name!r} is neither empty nor the universe; augment the map first"
-                )
-    columns = truth_columns(arity)
-    table = fold(program, bind(columns, const_tables), bit_ops(full))
-    # Subset parity (Moebius) transform, all masks at once: every mask with
-    # bit j set absorbs the value of the mask without it.
-    for j, column in enumerate(columns):
-        table ^= (table & ~column) << (1 << j)
-    return NormalForm(arity, tuple((table >> mask) & 1 for mask in range(1 << arity)))
+    variable j's int is set iff j is in ``mask`` (runs of 2**j 0s, 2**j 1s).
+    A column starts as one run of each and is doubled, each copy shifted
+    past the last, until it spans 2**arity bits: linear in the table size."""
+    size = 1 << arity
+    columns = []
+    for j in range(arity):
+        run = 1 << j
+        word, width = ((1 << run) - 1) << run, 2 * run
+        while width < size:
+            word |= word << width
+            width *= 2
+        columns.append(word)
+    return tuple(columns)
 
 
 def as_linear(f: SetMap) -> "LinearSetMap | None":
@@ -572,23 +401,3 @@ class LinearSetMap:
             for e in row:
                 if not self.universe.contains_set(e):
                     raise ValueError(f"coefficient {e} escapes the universe")
-
-    @property
-    def arity(self) -> int:
-        return len(self.entries)
-
-    def as_set_map(self) -> SetMap:
-        """The same dynamics as a SetMap with one named constant per entry."""
-        n = self.arity
-        constants = []
-        components = []
-        for i in range(n):
-            term: SetExpr | None = None
-            for j in range(n):
-                name = f"a{i + 1}_{j + 1}"
-                constants.append((name, self.entries[i][j]))
-                piece = Intersect(ConstRef(name), Var(j))
-                term = piece if term is None else Union(term, piece)
-            assert term is not None
-            components.append(term)
-        return SetMap(tuple(components), self.universe, tuple(constants))

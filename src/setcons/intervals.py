@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Union as _Union
+from typing import Iterable, Union as _Union
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -131,24 +131,12 @@ class Interval:
         return cls.make(lo, hi, True, True)
 
     @classmethod
-    def open(cls, lo, hi) -> "Interval":
-        return cls.make(lo, hi, False, False)
-
-    @classmethod
     def closed_open(cls, lo, hi) -> "Interval":
         return cls.make(lo, hi, True, False)
 
     @classmethod
-    def open_closed(cls, lo, hi) -> "Interval":
-        return cls.make(lo, hi, False, True)
-
-    @classmethod
     def singleton(cls, p) -> "Interval":
         return cls.make(p, p, True, True)
-
-    def contains(self, p) -> bool:
-        key = (as_value(p), 0)
-        return self.lo_key <= key <= self.hi_key
 
     def length(self) -> Value:
         if isinstance(self.lo.value, float) or isinstance(self.hi.value, float):
@@ -200,14 +188,6 @@ class IntervalSet:
     def empty(cls) -> "IntervalSet":
         return _EMPTY
 
-    @classmethod
-    def full(cls) -> "IntervalSet":
-        return _FULL
-
-    @classmethod
-    def point(cls, p) -> "IntervalSet":
-        return cls((Interval.singleton(p),))
-
     # -- predicates ------------------------------------------------------
 
     def is_empty(self) -> bool:
@@ -224,9 +204,6 @@ class IntervalSet:
             if key <= iv.hi_key:
                 return True
         return False
-
-    def __contains__(self, p) -> bool:
-        return self.contains(p)
 
     def is_subset(self, other: "IntervalSet") -> bool:
         # Each interval of self must lie inside one interval of other: the
@@ -339,9 +316,6 @@ class IntervalSet:
             return "empty"
         return " | ".join(str(iv) for iv in self.intervals)
 
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self.intervals)
-
 
 def elementary_pieces(sets: Iterable[IntervalSet]) -> tuple[Interval, ...]:
     """The line cut at every finite endpoint of ``sets``, in ascending order:
@@ -366,7 +340,6 @@ def elementary_pieces(sets: Iterable[IntervalSet]) -> tuple[Interval, ...]:
 
 
 _EMPTY = IntervalSet(())
-_FULL = IntervalSet((Interval(Endpoint(NEG_INF, False), Endpoint(POS_INF, False)),))
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,10 +355,6 @@ class Universe:
     @classmethod
     def of(cls, *spans: Interval) -> "Universe":
         return cls(IntervalSet.of(*spans))
-
-    @classmethod
-    def real_line(cls) -> "Universe":
-        return cls(IntervalSet.full())
 
     def contains_set(self, s: IntervalSet) -> bool:
         return s.is_subset(self.carrier)

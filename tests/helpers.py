@@ -10,16 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from setcons import (
-    BinaryMap,
-    BoolMatrix,
-    Interval,
-    IntervalSet,
-    SetMap,
-    Universe,
-    parse_interval_set,
-)
-from setcons.expr import ConstRef, EmptyLit, SetExpr, UniverseLit, Var
+from setcons.bindyn import BinaryMap
+from setcons.boolmat import BoolMatrix
+from setcons.expr import ConstRef, Difference, EmptyLit, SetExpr, SetMap, SymDiff, UniverseLit, Var
+from setcons.intervals import Interval, IntervalSet, Universe, parse_interval_set
+
+from oracles import as_set_map, entry, from_rows
 
 # -- reference systems -------------------------------------------------------
 
@@ -129,7 +125,7 @@ def random_expr(rng: random.Random, n: int, depth: int) -> SetExpr:
         return ~random_expr(rng, n, depth - 1)
     left = random_expr(rng, n, depth - 1)
     right = random_expr(rng, n, depth - 1)
-    return (left | right, left & right, left - right, left ^ right)[op - 1]
+    return (left | right, left & right, Difference(left, right), SymDiff(left, right))[op - 1]
 
 
 def random_set_map(rng: random.Random, n: int, depth: int, universe: Universe) -> SetMap:
@@ -137,14 +133,14 @@ def random_set_map(rng: random.Random, n: int, depth: int, universe: Universe) -
 
 
 def random_bool_matrix(rng: random.Random, n: int, density: float = 0.35) -> BoolMatrix:
-    return BoolMatrix.from_rows(
+    return from_rows(
         [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
     )
 
 
 def random_binary_map(rng: random.Random, n: int) -> BinaryMap:
     table = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(1 << n)]
-    return BinaryMap.from_table(table)
+    return BinaryMap(n, lambda x: table[sum(bit << j for j, bit in enumerate(x))])
 
 
 # -- oracles -------------------------------------------------------------------
@@ -154,7 +150,7 @@ def probe_points(*sets: IntervalSet) -> list[Fraction]:
     """Rational probes at, just around, and between every endpoint."""
     values = set()
     for s in sets:
-        for interval in s:
+        for interval in s.intervals:
             for ep in (interval.lo, interval.hi):
                 if isinstance(ep.value, Fraction):
                     values.add(ep.value)
@@ -175,8 +171,8 @@ def assert_same_membership(result: IntervalSet, expected_fn, *operands: Interval
     operands' memberships; returns the number of probes evaluated."""
     count = 0
     for p in probe_points(result, *operands):
-        want = expected_fn(*(p in s for s in operands))
-        assert (p in result) == want, f"probe {p}: got {p in result}, want {want}"
+        want = expected_fn(*(s.contains(p) for s in operands))
+        assert result.contains(p) == want, f"probe {p}: got {result.contains(p)}, want {want}"
         count += 1
     return count
 
@@ -186,12 +182,12 @@ def brute_force_triangularizable(a: BoolMatrix) -> bool:
     n = a.n
     for perm in itertools.permutations(range(n)):
         lower = all(
-            a.entry(perm[i], perm[j]) == 0 for i in range(n) for j in range(i, n)
+            entry(a, perm[i], perm[j]) == 0 for i in range(n) for j in range(i, n)
         )
         if lower:
             return True
         upper = all(
-            a.entry(perm[i], perm[j]) == 0 for i in range(n) for j in range(0, i + 1)
+            entry(a, perm[i], perm[j]) == 0 for i in range(n) for j in range(0, i + 1)
         )
         if upper:
             return True
@@ -219,15 +215,16 @@ def consensus_oracle(linear) -> IntervalSet:
     """Brute force through the encoded system: a cell belongs to the
     consensus region iff the all-agents-on-this-cell state is fixed by the
     translated map."""
-    from setcons import augment_constants, build_partition, translate_map
+    from setcons.encoding import build_partition, translate_map
+    from setcons.expr import augment_constants
 
     from oracles import cell_map
 
-    aug = augment_constants(linear.as_set_map())
+    aug = augment_constants(as_set_map(linear))
     entries = [e for row in linear.entries for e in row]
     p = build_partition([e for e in entries if not e.is_empty()], linear.universe)
     enc = translate_map(aug, p)
-    n = linear.arity
+    n = len(linear.entries)
     region = IntervalSet.empty()
     for h in range(p.kappa):
         g = cell_map(enc, h)
@@ -248,7 +245,7 @@ class TopologyView:
 
     @classmethod
     def from_incidence(cls, agents: Sequence[str], b: BoolMatrix) -> "TopologyView":
-        edges = [(j, i) for i in range(b.n) for j in range(b.n) if b.entry(i, j)]
+        edges = [(j, i) for i in range(b.n) for j in range(b.n) if entry(b, i, j)]
         return cls(tuple(agents), tuple(edges))
 
     def to_json_dict(self) -> dict:

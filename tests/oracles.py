@@ -42,62 +42,51 @@ Each one is the plain, obviously correct form of a library routine:
   only in tokens, positions and expressions.
 - direct checks of the paper's bounds and of attractiveness by simulation,
   built on the library's public operations.
+- the parts of the former library that no pipeline path runs and that tests
+  use as references: the 0/1 Boolean-map scans (equilibria, derivative,
+  exact dependencies), orbits and 0/1 contractivity, the matrix product and
+  the other matrix and permutation helpers, set distances, composition,
+  the linear map as a SetMap, the system printer, and the truth columns
+  built by one big-int division.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from setcons import dsl
-from setcons import (
-    BinaryMap,
-    BoolMatrix,
-    CellEncodingError,
-    ContractivityVerdict,
-    EncodedSystem,
-    Endpoint,
-    Interval,
-    IntervalSet,
-    Partition,
-    Permutation,
-    SetconsError,
-    SetMap,
-    SystemSpec,
-    Universe,
-    augment_constants,
-    build_partition,
-    compose,
-    is_contractive_sbm,
-    translate_map,
-)
-from setcons.analysis import incidence_apply, set_distance
-from setcons.bindyn import (
-    dependency_witness,
-    discrete_derivative,
-    flip,
-    format_bits,
-    semantic_incidence,
-)
-from setcons.caps import DEFAULT, Caps
-from setcons.dsl import Diagnostic, DslError
-from setcons.intervals import as_value
+from setcons.analysis import ContractivityVerdict, is_contractive_sbm
+from setcons.bindyn import BinaryMap, _derivative, format_bits, walk
+from setcons.boolmat import BoolMatrix, Permutation, dependency_order
+from setcons.caps import DEFAULT, Caps, check_states
+from setcons.dsl import Diagnostic, DslError, SystemSpec
+from setcons.encoding import EncodedSystem, Partition, build_partition, dedup_generators, translate_map
+from setcons.errors import CellEncodingError, SetconsError
 from setcons.expr import (
+    _TREE,
+    BINARY_OPS,
     Complement,
     ConstRef,
     Difference,
     EmptyLit,
     Intersect,
+    LinearSetMap,
     SetExpr,
+    SetMap,
     SymDiff,
     Union,
     UniverseLit,
     Var,
+    augment_constants,
+    fold,
+    postorder,
     truth_columns,
 )
-from setcons.encoding import dedup_generators
+from setcons.intervals import Endpoint, Interval, IntervalSet, Universe, as_value
 from setcons.sim import Trajectory, random_interval_set, sampling_window
 
 
@@ -135,7 +124,7 @@ def complement_line(s: IntervalSet) -> IntervalSet:
     between and after the set's intervals."""
     spans = s.intervals
     if not spans:
-        return IntervalSet.full()
+        return full_line()
     out = []
     if not isinstance(spans[0].lo.value, float):  # a float low end is -inf
         out.append(Interval(Endpoint(float("-inf"), False), spans[0].lo.flip()))
@@ -261,7 +250,7 @@ def set_level_simulate(
     """The simulator that evaluates the set map every round and encodes
     every state by intersections to detect closure."""
     base = spec.set_map()
-    window = sampling_window(spec.universe, spec.initials + tuple(spec.constants_map.values()))
+    window = sampling_window(spec.universe, spec.initials + tuple(value for _, value in spec.constants))
     initials = list(spec.initials)
     if random_init:
         rng = random.Random(seed)
@@ -351,43 +340,6 @@ def set_level_fixed_point(
 
 
 # -- recursive expression walkers ----------------------------------------------
-
-
-def recursive_desugar(e: SetExpr) -> SetExpr:
-    if isinstance(e, (Var, ConstRef, UniverseLit, EmptyLit)):
-        return e
-    if isinstance(e, Union):
-        return Union(recursive_desugar(e.left), recursive_desugar(e.right))
-    if isinstance(e, Intersect):
-        return Intersect(recursive_desugar(e.left), recursive_desugar(e.right))
-    if isinstance(e, Complement):
-        return Complement(recursive_desugar(e.child))
-    if isinstance(e, Difference):
-        return Intersect(recursive_desugar(e.left), Complement(recursive_desugar(e.right)))
-    if isinstance(e, SymDiff):
-        l, r = recursive_desugar(e.left), recursive_desugar(e.right)
-        return Union(Intersect(Complement(l), r), Intersect(l, Complement(r)))
-    raise TypeError(f"unknown node {e!r}")
-
-
-def recursive_variables_of(e: SetExpr) -> set[int]:
-    if isinstance(e, Var):
-        return {e.index}
-    if isinstance(e, (ConstRef, UniverseLit, EmptyLit)):
-        return set()
-    if isinstance(e, Complement):
-        return recursive_variables_of(e.child)
-    return recursive_variables_of(e.left) | recursive_variables_of(e.right)
-
-
-def recursive_constants_of(e: SetExpr) -> set[str]:
-    if isinstance(e, ConstRef):
-        return {e.name}
-    if isinstance(e, (Var, UniverseLit, EmptyLit)):
-        return set()
-    if isinstance(e, Complement):
-        return recursive_constants_of(e.child)
-    return recursive_constants_of(e.left) | recursive_constants_of(e.right)
 
 
 def recursive_evaluate(e, state, constants, universe) -> IntervalSet:
@@ -497,21 +449,6 @@ def recursive_composed_components(f: SetMap, g: SetMap) -> tuple[SetExpr, ...]:
     )
 
 
-def per_mask_normal_form(component: SetExpr, arity: int, const_bits={}) -> tuple[int, ...]:
-    """Normal-form coefficients from one evaluation per subset, then the
-    subset parity transform entry by entry."""
-    table = []
-    for mask in range(1 << arity):
-        bits = tuple((mask >> j) & 1 for j in range(arity))
-        table.append(recursive_bit_evaluate(component, bits, const_bits))
-    for j in range(arity):
-        step = 1 << j
-        for mask in range(1 << arity):
-            if mask & step:
-                table[mask] ^= table[mask ^ step]
-    return tuple(table)
-
-
 # -- the dependency walks that one source elimination replaced -------------------
 
 
@@ -526,18 +463,18 @@ def power_is_nilpotent(a: BoolMatrix) -> bool:
     m = a
     steps = 1
     while steps < a.n:
-        m = m @ m
+        m = matmul(m, m)
         steps *= 2
-    return m.is_zero()
+    return not any(m.rows)
 
 
 def power_nilpotency_index(a: BoolMatrix) -> int | None:
     """Smallest positive q with a**q = 0, or None if there is no such q."""
     m = a
     for q in range(1, a.n + 1):
-        if m.is_zero():
+        if not any(m.rows):
             return q
-        m = m @ a
+        m = matmul(m, a)
     return 1 if a.n == 0 else None
 
 
@@ -648,7 +585,7 @@ def flat_derivative_at(enc: EncodedSystem, bits: Sequence[int]) -> BoolMatrix:
         d = discrete_derivative(cell_map(enc, h), tuple(bits[i * k + h] for i in range(n)))
         for i in range(n):
             for j in range(n):
-                if d.entry(i, j):
+                if entry(d, i, j):
                     rows[i * k + h] |= 1 << (j * k + h)
     return BoolMatrix(n * k, tuple(rows))
 
@@ -751,7 +688,7 @@ def per_pattern_equilibria(enc: EncodedSystem) -> tuple[tuple[tuple[int, ...], .
 def column_at_most_one_by_entries(a: BoolMatrix) -> bool:
     """Count every column's entries one ``entry`` call at a time."""
     for j in range(a.n):
-        if sum(a.entry(i, j) for i in range(a.n)) > 1:
+        if sum(entry(a, i, j) for i in range(a.n)) > 1:
             return False
     return True
 
@@ -776,7 +713,7 @@ def flat_local_verdict(f: SetMap, x_eq: Sequence[IntervalSet], partition: Partit
 # attached, and `inf`/`-inf`.
 
 _REGEX_LIT_TOKEN = re.compile(
-    r"\s*(?:(?P<brack>[\[\]\(\)|,])|(?P<inf>-?inf\b)|(?P<num>-?\d+(?:\.\d+)?(?:/\d+)?)"
+    r"\s*(?:(?P<brack>[\[\]\(\)|,])|(?P<inf>-?inf\b)|(?P<num>-?[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
 )
 
@@ -848,7 +785,7 @@ _HAND_TOKEN_RE = re.compile(
     r"(?P<ws>[ \t\r\f\v]+)"
     r"|(?P<comment>#[^\n]*)"
     r"|(?P<newline>\n)"
-    r"|(?P<number>\d+(?:\.\d+)?(?:/\d+)?)"
+    r"|(?P<number>[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<punct>[\[\]\(\),=|&^~\\\-])"
 )
@@ -944,7 +881,7 @@ def check_distance_bound(f: SetMap, x: Sequence[IntervalSet], y: Sequence[Interv
 def check_composition_bound(f: SetMap, g: SetMap) -> bool:
     """Whether the composed map's incidence is bounded by the product of the
     factors' incidences."""
-    return compose(f, g).incidence().le(f.incidence() @ g.incidence())
+    return matrix_le(compose(f, g).incidence(), matmul(f.incidence(), g.incidence()))
 
 
 def find_bound_counterexample(
@@ -959,7 +896,7 @@ def find_bound_counterexample(
     live = semantic_incidence(cell_map(enc, 0), caps)
     for i in range(f.arity):
         for j in range(f.arity):
-            if live.entry(i, j) and not m.entry(i, j):
+            if entry(live, i, j) and not entry(m, i, j):
                 bits = dependency_witness(cell_map(enc, 0), i, j, caps)
                 assert bits is not None
                 region = partition.regions[0]
@@ -1019,3 +956,353 @@ def is_vnn_attractive_direct(f: BinaryMap, x_eq: tuple[int, ...]) -> bool:
         if f.iterate(y, f.n) != x_eq:
             return False
     return True
+
+
+# -- the 0/1 Boolean-map API, matrix helpers and set-map extras ------------------
+
+
+def from_rows(rows) -> BoolMatrix:
+    """The matrix with 0/1 entries ``rows[i][j]``."""
+    masks = []
+    for row in rows:
+        m = 0
+        for j, bit in enumerate(row):
+            if bit not in (0, 1, False, True):
+                raise ValueError("entries must be 0 or 1")
+            if bit:
+                m |= 1 << j
+        masks.append(m)
+    return BoolMatrix(len(masks), tuple(masks))
+
+
+def zero_matrix(n: int) -> BoolMatrix:
+    return BoolMatrix(n, (0,) * n)
+
+
+def identity_matrix(n: int) -> BoolMatrix:
+    return BoolMatrix(n, tuple(1 << i for i in range(n)))
+
+
+def entry(a: BoolMatrix, i: int, j: int) -> int:
+    return (a.rows[i] >> j) & 1
+
+
+def matmul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
+    """The (or, and) product: row i of ``a @ b`` joins the rows of ``b`` that
+    row i of ``a`` selects."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    out = []
+    for row in a.rows:
+        acc = 0
+        for k in _bits(row):
+            acc |= b.rows[k]
+        out.append(acc)
+    return BoolMatrix(a.n, tuple(out))
+
+
+def transpose(a: BoolMatrix) -> BoolMatrix:
+    out = [0] * a.n
+    for i, row in enumerate(a.rows):
+        for j in _bits(row):
+            out[j] |= 1 << i
+    return BoolMatrix(a.n, tuple(out))
+
+
+def matrix_le(a: BoolMatrix, b: BoolMatrix) -> bool:
+    """Elementwise order: every 1 of ``a`` is a 1 of ``b``."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    return all(r & ~s == 0 for r, s in zip(a.rows, b.rows))
+
+
+def to_lists(a: BoolMatrix) -> list[list[int]]:
+    return [[entry(a, i, j) for j in range(a.n)] for i in range(a.n)]
+
+
+def matrix_text(a: BoolMatrix) -> str:
+    return "\n".join(" ".join(str(entry(a, i, j)) for j in range(a.n)) for i in range(a.n))
+
+
+def identity_permutation(n: int) -> Permutation:
+    return Permutation(tuple(range(n)))
+
+
+def permutation_matrix(p: Permutation) -> BoolMatrix:
+    # Column k holds a 1 at row order[k], so P^T A P conjugates by order.
+    rows = [0] * len(p.order)
+    for k, i in enumerate(p.order):
+        rows[i] |= 1 << k
+    return BoolMatrix(len(p.order), tuple(rows))
+
+
+def conjugate(p: Permutation, a: BoolMatrix) -> BoolMatrix:
+    """``a`` with rows and columns reordered by ``p``."""
+    n = len(p.order)
+    if a.n != n:
+        raise ValueError("dimension mismatch")
+    return from_rows([[entry(a, p.order[i], p.order[j]) for j in range(n)] for i in range(n)])
+
+
+def is_strictly_lower(a: BoolMatrix) -> bool:
+    return all(row >> i == 0 for i, row in enumerate(a.rows))
+
+
+def parse_bits(text: str) -> tuple[int, ...]:
+    if any(c not in "01" for c in text):
+        raise ValueError(f"not a bit string: {text!r}")
+    return tuple(int(c) for c in text)
+
+
+def flip(x: tuple[int, ...], j: int) -> tuple[int, ...]:
+    return x[:j] + (1 - x[j],) + x[j + 1 :]
+
+
+def all_states(n: int):
+    for mask in range(1 << n):
+        yield tuple((mask >> j) & 1 for j in range(n))
+
+
+def binary_distance(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """Componentwise exclusive-or vector."""
+    if len(x) != len(y):
+        raise ValueError("length mismatch")
+    return tuple(a ^ b for a, b in zip(x, y))
+
+
+def map_from_components(fns) -> BinaryMap:
+    """The 0/1 map whose output bit i is ``fns[i](x)``."""
+    fns = list(fns)
+    return BinaryMap(len(fns), lambda x: tuple(f(x) for f in fns))
+
+
+def _bit_states(f: BinaryMap, caps: Caps, scan: str):
+    """The 2**n states of a 0/1 map, once the width and the cap allow it."""
+    if f.width != 1:
+        raise ValueError(f"the {scan} runs over 0/1 states, not {f.width}-bit words")
+    check_states(f.n, caps, scan)
+    return all_states(f.n)
+
+
+def equilibria(f: BinaryMap, caps: Caps = DEFAULT) -> list[tuple[int, ...]]:
+    """All fixed points of a 0/1 map, sorted; exhaustive over the 2**n states."""
+    return sorted(x for x in _bit_states(f, caps, "equilibria enumeration") if f.step(x) == x)
+
+
+def derivative_blocks(f: BinaryMap, x) -> tuple[BoolMatrix, ...]:
+    """The derivative at ``x`` in every bit position (the library's one tiled step)."""
+    return _derivative(f, x)[1]
+
+
+def discrete_derivative(f: BinaryMap, x) -> BoolMatrix:
+    """Entry (i, j) = 1 iff flipping input j changes output i at ``x``: the
+    one derivative block of a 0/1 map."""
+    if f.width != 1:
+        raise ValueError(f"a {f.width}-bit map has one derivative per bit; use derivative_blocks")
+    return derivative_blocks(f, x)[0]
+
+
+def semantic_incidence(f: BinaryMap, caps: Caps = DEFAULT) -> BoolMatrix:
+    """Exact dependency matrix: the join of the derivative over all states."""
+    rows = [0] * f.n
+    for x in _bit_states(f, caps, "dependency scan"):
+        for i, row in enumerate(discrete_derivative(f, x).rows):
+            rows[i] |= row
+    return BoolMatrix(f.n, tuple(rows))
+
+
+def dependency_witness(f: BinaryMap, i: int, j: int, caps: Caps = DEFAULT) -> tuple[int, ...] | None:
+    """A state where flipping input j changes output i, if one exists."""
+    for x in _bit_states(f, caps, "dependency scan"):
+        if f.step(x)[i] != f.step(flip(x, j))[i]:
+            return x
+    return None
+
+
+class OrbitLimitError(SetconsError):
+    """Orbit iteration hit its step budget before closing a cycle."""
+
+
+@dataclass(frozen=True)
+class OrbitSummary:
+    """Transient length, cycle period, and the cycle's states in visit order."""
+
+    transient: int
+    period: int
+    cycle: tuple[tuple[int, ...], ...]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "transient": self.transient,
+            "period": self.period,
+            "cycle": [format_bits(x) for x in self.cycle],
+        }
+
+
+def orbit(f: BinaryMap, x0, max_steps: int | None = None) -> OrbitSummary:
+    """Follow iterates until a state repeats; closes within 2**(n*width) steps."""
+    budget = (1 << f.n * f.width) if max_steps is None else max_steps
+    if budget < 1:
+        raise ValueError("max_steps must be at least 1")
+    path, start = walk(f, x0, budget)
+    if start is None:
+        raise OrbitLimitError(f"no closure within {budget} steps from {format_bits(tuple(x0))}")
+    return OrbitSummary(transient=start, period=len(path) - start, cycle=tuple(path[start:]))
+
+
+@dataclass(frozen=True)
+class BinaryContraction:
+    """Contractivity verdict; when positive, ``q`` iterations from any start
+    land on the unique fixed point."""
+
+    contractive: bool
+    q: int | None = None
+    fixed_point: tuple[int, ...] | None = None
+
+
+def binary_contractivity(
+    f: BinaryMap, incidence: BoolMatrix | None = None, caps: Caps = DEFAULT
+) -> BinaryContraction:
+    """Contractivity of a 0/1 map by one dependency walk over the supplied
+    incidence matrix, or else the exact dependency scan; ``q`` is its
+    longest dependency chain."""
+    m = semantic_incidence(f, caps) if incidence is None else incidence
+    if m.n != f.n:
+        raise ValueError("incidence dimension mismatch")
+    witness, q = dependency_order(m)
+    if witness is None:
+        return BinaryContraction(False)
+    return BinaryContraction(True, q, f.iterate((0,) * f.n, q))
+
+
+def set_distance(x: Sequence[IntervalSet], y: Sequence[IntervalSet]) -> tuple[IntervalSet, ...]:
+    """Componentwise symmetric difference of two set vectors."""
+    if len(x) != len(y):
+        raise ValueError("arity mismatch")
+    return tuple(a ^ b for a, b in zip(x, y))
+
+
+def incidence_apply(b: BoolMatrix, d: Sequence[IntervalSet]) -> tuple[IntervalSet, ...]:
+    """Incidence matrix times set vector: row i unions the d_j it selects."""
+    if b.n != len(d):
+        raise ValueError("dimension mismatch")
+    out = []
+    for i in range(b.n):
+        acc = IntervalSet.empty()
+        for j in range(b.n):
+            if entry(b, i, j):
+                acc = acc | d[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def compose(f: SetMap, g: SetMap) -> SetMap:
+    """The syntactic composition x -> f(g(x))."""
+    if f.arity != g.arity:
+        raise ValueError("arity mismatch")
+    if f.frozen_values or g.frozen_values:
+        raise ValueError("compose is defined for non-augmented maps")
+    merged = dict(g.constants)
+    for name, value in f.constants:
+        if name in merged and merged[name] != value:
+            raise ValueError(f"constant {name!r} bound to different values")
+        merged[name] = value
+
+    def leaf(node: SetExpr) -> SetExpr:
+        return g.components[node.index] if type(node) is Var else node
+
+    return SetMap(
+        components=tuple(fold(program, leaf, _TREE) for program in f.programs),
+        universe=f.universe,
+        constants=tuple(merged.items()),
+    )
+
+
+def as_set_map(linear: LinearSetMap) -> SetMap:
+    """The dynamics of a linear map as a SetMap with one named constant per entry."""
+    n = len(linear.entries)
+    constants = []
+    components = []
+    for i in range(n):
+        term: SetExpr | None = None
+        for j in range(n):
+            name = f"a{i + 1}_{j + 1}"
+            constants.append((name, linear.entries[i][j]))
+            piece = Intersect(ConstRef(name), Var(j))
+            term = piece if term is None else Union(term, piece)
+        components.append(term)
+    return SetMap(tuple(components), linear.universe, tuple(constants))
+
+
+def division_truth_columns(arity: int) -> tuple[int, ...]:
+    """Each variable's truth table over the 2**arity inputs, one run pair
+    times the repunit of its width, found by one big-int division."""
+    full = (1 << (1 << arity)) - 1
+    return tuple((((1 << (1 << j)) - 1) << (1 << j)) * (full // ((1 << (2 << j)) - 1)) for j in range(arity))
+
+
+def full_line() -> IntervalSet:
+    """The whole extended real line as a set."""
+    return IntervalSet.of(Interval.make(float("-inf"), float("inf")))
+
+
+def real_line() -> Universe:
+    return Universe(full_line())
+
+
+# The printer: (text, precedence) pairs, with the symbols and precedences of
+# the parser's table.  An operand is parenthesised when its precedence is
+# below the bound its position demands; atoms never are.
+_ATOM = 4
+
+
+def _paren(value: tuple[str, int], bound: int) -> str:
+    text, prec = value
+    return f"({text})" if prec < bound else text
+
+
+def _infix(symbol: str, kind: type, prec: int):
+    # A right operand of the same precedence keeps its parentheses, as every
+    # operator groups to the left; the right operand of ``\`` and ``^``
+    # keeps them unless it is an atom.
+    right_bound = _ATOM if kind in (Difference, SymDiff) else prec + 1
+    return lambda left, right: (f"{_paren(left, prec)} {symbol} {_paren(right, right_bound)}", prec)
+
+
+_TEXT = {
+    UniverseLit: lambda: ("X", _ATOM),
+    EmptyLit: lambda: ("empty", _ATOM),
+    Complement: lambda child: ("~" + _paren(child, _ATOM), _ATOM),
+    **{kind: _infix(symbol, kind, prec) for symbol, (kind, prec) in BINARY_OPS.items()},
+}
+
+
+def expr_to_text(e: SetExpr, names: Sequence[str] | None = None) -> str:
+    """Render an expression in the DSL surface syntax with minimal parens."""
+
+    def leaf(node: SetExpr) -> tuple[str, int]:
+        if type(node) is ConstRef:
+            return node.name, _ATOM
+        return (names[node.index] if names is not None else f"X{node.index + 1}"), _ATOM
+
+    return fold(postorder(e), leaf, _TEXT)[0]
+
+
+def pretty_print(spec: SystemSpec) -> str:
+    """Canonical text form; parsing it back yields a structurally equal spec."""
+    lines = [f"universe {spec.universe.carrier}"]
+    if spec.constants:
+        lines.append("")
+        for name, value in spec.constants:
+            lines.append(f"const {name} = {value}")
+    lines.append("")
+    for name, init in zip(spec.variables, spec.initials):
+        lines.append(f"state {name} = {init}")
+    lines.append("")
+    for name, rule in zip(spec.variables, spec.rules):
+        lines.append(f"rule {name} = {expr_to_text(rule, spec.variables)}")
+    if spec.options:
+        lines.append("")
+        for key, value in spec.options:
+            lines.append(f"option {key} = {value}")
+    return "\n".join(lines) + "\n"

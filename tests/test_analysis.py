@@ -2,31 +2,19 @@ import random
 
 import pytest
 
-from setcons import (
-    BoolMatrix,
-    CellEncodingError,
+from setcons.analysis import (
     ContractivityVerdict,
-    EncodedSystem,
-    IntervalSet,
-    SetconsError,
-    SetMap,
-    Universe,
-    augment_constants,
-    build_partition,
     consensus_region,
     equilibria_sbm,
     global_fixed_point,
-    incidence_apply,
     is_contractive_sbm,
     is_locally_attractive_sbm,
-    is_vnn_attractive,
-    set_distance,
-    translate_map,
 )
-from setcons.boolmat import is_strictly_lower
-from setcons.expr import LinearSetMap, Var
-from setcons.intervals import Interval
-from setcons.encoding import dedup_generators
+from setcons.bindyn import is_vnn_attractive
+from setcons.encoding import EncodedSystem, build_partition, dedup_generators, translate_map
+from setcons.errors import CellEncodingError, SetconsError
+from setcons.expr import LinearSetMap, SetMap, Var, augment_constants
+from setcons.intervals import Interval, IntervalSet, Universe
 
 from helpers import (
     BOX200,
@@ -42,11 +30,18 @@ from helpers import (
     unit_embedding_of_ref3,
 )
 from oracles import (
+    as_set_map,
     block_incidence_verdict,
     cell_map,
     check_distance_bound,
+    conjugate,
+    entry,
     find_bound_counterexample,
+    from_rows,
+    incidence_apply,
     is_locally_attractive_direct,
+    is_strictly_lower,
+    set_distance,
 )
 
 
@@ -94,16 +89,16 @@ def test_bound_counterexample_search():
         f = random_set_map(rng, n, 3, u)
         gens = [random_set(rng) & u.carrier for _ in range(2)]
         p = build_partition(gens, u)
-        from setcons.bindyn import semantic_incidence
+        from oracles import semantic_incidence
 
         live = semantic_incidence(cell_map(translate_map(f, p), 0))
-        entries = [(i, j) for i in range(n) for j in range(n) if live.entry(i, j)]
+        entries = [(i, j) for i in range(n) for j in range(n) if entry(live, i, j)]
         if not entries:
             continue
         i, j = entries[rng.randrange(len(entries))]
-        weakened = BoolMatrix.from_rows(
+        weakened = from_rows(
             [
-                [0 if (a, b) == (i, j) else live.entry(a, b) for b in range(n)]
+                [0 if (a, b) == (i, j) else entry(live, a, b) for b in range(n)]
                 for a in range(n)
             ]
         )
@@ -118,7 +113,7 @@ def test_bound_counterexample_search():
     # A matrix that dominates the incidence never admits a counterexample.
     f = cyclic3_map()
     p = build_partition(list(CYCLIC3_START), HALF_LINE)
-    full = BoolMatrix.from_rows([[1] * 3] * 3)
+    full = from_rows([[1] * 3] * 3)
     assert find_bound_counterexample(f, full, p) is None
 
 
@@ -136,7 +131,7 @@ def test_contractivity_pinned6():
     assert block_incidence_verdict(aug, p) is True
     assert verdict.contractive
     assert verdict.q is not None and verdict.q <= aug.arity
-    assert is_strictly_lower(verdict.witness.conjugate(aug.incidence()))
+    assert is_strictly_lower(conjugate(verdict.witness, aug.incidence()))
 
 
 def test_contractivity_self_loop():
@@ -316,7 +311,7 @@ def test_consensus_region_reference():
     assert verdict.region == iv("[2,4] | [6,8]")
     # Any nonempty subset of the region is a consensus fixed point; subsets
     # escaping it are not.
-    f = linear.as_set_map()
+    f = as_set_map(linear)
     inside = iv("[2,3] | [7,8]")
     assert f.eval((inside, inside)) == (inside, inside)
     outside = iv("[2,3] | (8,9]")

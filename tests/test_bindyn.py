@@ -2,31 +2,33 @@ import random
 
 import pytest
 
-from setcons import (
-    BinaryMap,
-    BoolMatrix,
-    binary_contractivity,
-    binary_distance,
-    discrete_derivative,
-    equilibria,
-    is_vnn_attractive,
-    orbit,
-    semantic_incidence,
-)
-from setcons.bindyn import (
-    all_states,
-    dependency_witness,
-    derivative_blocks,
-    flip,
-    format_bits,
-    parse_bits,
-    walk,
-)
+from setcons.bindyn import BinaryMap, format_bits, is_vnn_attractive, walk
+from setcons.boolmat import BoolMatrix
 from setcons.caps import Caps
-from setcons.errors import CapExceeded, OrbitLimitError
+from setcons.errors import CapExceeded
 
 from helpers import direct_vnn_verdict, random_binary_map, ref3_binary
-from oracles import is_vnn_attractive_direct
+from oracles import (
+    OrbitLimitError,
+    all_states,
+    binary_contractivity,
+    binary_distance,
+    dependency_witness,
+    derivative_blocks,
+    discrete_derivative,
+    entry,
+    equilibria,
+    flip,
+    from_rows,
+    identity_matrix,
+    is_vnn_attractive_direct,
+    map_from_components,
+    matrix_le,
+    orbit,
+    parse_bits,
+    semantic_incidence,
+    zero_matrix,
+)
 
 
 def test_orbit_reference_cycle():
@@ -162,10 +164,10 @@ def test_distance_axioms():
 
 def test_discrete_derivative_reference():
     f = ref3_binary()
-    assert discrete_derivative(f, (0, 1, 0)) == BoolMatrix.from_rows(
+    assert discrete_derivative(f, (0, 1, 0)) == from_rows(
         [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
     )
-    assert discrete_derivative(f, (1, 1, 1)) == BoolMatrix.from_rows(
+    assert discrete_derivative(f, (1, 1, 1)) == from_rows(
         [[1, 0, 1], [0, 0, 0], [1, 0, 0]]
     )
 
@@ -173,7 +175,7 @@ def test_discrete_derivative_reference():
 def test_derivative_of_constant_map():
     f = BinaryMap(3, lambda x: (0, 1, 0))
     for x in all_states(3):
-        assert discrete_derivative(f, x) == BoolMatrix.zero(3)
+        assert discrete_derivative(f, x) == zero_matrix(3)
 
 
 def test_vnn_reference_verdicts():
@@ -203,16 +205,16 @@ def test_vnn_verdict_matches_direct_simulation():
 
 
 def test_semantic_incidence_reference():
-    assert semantic_incidence(ref3_binary()) == BoolMatrix.from_rows(
+    assert semantic_incidence(ref3_binary()) == from_rows(
         [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
     )
 
 
 def test_semantic_incidence_dead_dependency():
     f = BinaryMap(2, lambda x: (x[0] & (1 - x[0]), x[1]))
-    assert semantic_incidence(f) == BoolMatrix.from_rows([[0, 0], [0, 1]])
+    assert semantic_incidence(f) == from_rows([[0, 0], [0, 1]])
     ident = BinaryMap(3, lambda x: x)
-    assert semantic_incidence(ident) == BoolMatrix.identity(3)
+    assert semantic_incidence(ident) == identity_matrix(3)
 
 
 def test_derivative_below_semantic_incidence():
@@ -223,7 +225,7 @@ def test_derivative_below_semantic_incidence():
         sem = semantic_incidence(f)
         for _ in range(6):
             x = tuple(rng.randint(0, 1) for _ in range(n))
-            assert discrete_derivative(f, x).le(sem)
+            assert matrix_le(discrete_derivative(f, x), sem)
 
 
 def test_dependency_witness():
@@ -261,7 +263,7 @@ def test_contraction_inequality():
         n = rng.randint(2, 6)
         order = list(range(n))
         rng.shuffle(order)
-        incidence = BoolMatrix.from_rows(
+        incidence = from_rows(
             [
                 [
                     1 if order.index(j) < order.index(i) and rng.random() < 0.5 else 0
@@ -272,7 +274,7 @@ def test_contraction_inequality():
         )
         f = _map_with_incidence(rng, incidence)
         # Exact dependencies never exceed the declared read set.
-        assert semantic_incidence(f).le(incidence)
+        assert matrix_le(semantic_incidence(f), incidence)
         verdict = binary_contractivity(f, incidence=incidence)
         assert verdict.contractive
         for _ in range(10):
@@ -281,7 +283,7 @@ def test_contraction_inequality():
             lhs = binary_distance(f.step(x), f.step(y))
             rhs_vec = binary_distance(x, y)
             rhs = tuple(
-                int(any(incidence.entry(i, j) and rhs_vec[j] for j in range(n)))
+                int(any(entry(incidence, i, j) and rhs_vec[j] for j in range(n)))
                 for i in range(n)
             )
             assert all(a <= b for a, b in zip(lhs, rhs))
@@ -292,14 +294,14 @@ def _map_with_incidence(rng: random.Random, incidence: BoolMatrix) -> BinaryMap:
     n = incidence.n
     components = []
     for i in range(n):
-        reads = [j for j in range(n) if incidence.entry(i, j)]
+        reads = [j for j in range(n) if entry(incidence, i, j)]
         table = {bits: rng.randint(0, 1) for bits in all_states(len(reads))}
 
         def comp(x, reads=tuple(reads), table=table):
             return table[tuple(x[j] for j in reads)]
 
         components.append(comp)
-    return BinaryMap.from_components(components)
+    return map_from_components(components)
 
 
 def test_bit_formatting():

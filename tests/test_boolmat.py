@@ -5,40 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setcons import (
-    BoolMatrix,
-    BoolVector,
-    IntervalSet,
-    Permutation,
-    Universe,
-    column_at_most_one,
-    dependency_order,
-    has_empty_eigenvalue,
-    has_universe_eigenvalue,
-    is_nilpotent,
-    is_strictly_lower,
-)
-from setcons.intervals import Interval
+from setcons.boolmat import BoolMatrix, Permutation, column_at_most_one, dependency_order, is_nilpotent
+from setcons.intervals import Interval, IntervalSet, Universe
 
 from helpers import (
     brute_force_triangularizable,
     cyclic3_map,
-    iv,
-    pinned6_map,
     random_bool_matrix,
     ref3_binary,
 )
-from setcons.bindyn import discrete_derivative
 from oracles import (
     column_at_most_one_by_entries,
+    conjugate,
+    discrete_derivative,
     elimination_cycle,
     elimination_order,
+    entry,
+    from_rows,
+    identity_matrix,
+    identity_permutation,
+    is_strictly_lower,
+    matmul,
+    matrix_text,
+    permutation_matrix,
     power_is_nilpotent,
     power_nilpotency_index,
+    to_lists,
+    transpose,
+    zero_matrix,
 )
 
-REF3_B = BoolMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
-PINNED6_B = BoolMatrix.from_rows(
+REF3_B = from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
+PINNED6_B = from_rows(
     [
         [0, 1, 1, 0, 1, 0],
         [0, 0, 1, 0, 0, 0],
@@ -54,54 +52,49 @@ def test_identity_is_neutral():
     rng = random.Random(2)
     for n in (1, 3, 5):
         a = random_bool_matrix(rng, n)
-        assert BoolMatrix.identity(n) @ a == a
-        assert a @ BoolMatrix.identity(n) == a
+        assert matmul(identity_matrix(n), a) == a
+        assert matmul(a, identity_matrix(n)) == a
 
 
 def test_zero_annihilates():
     rng = random.Random(4)
     a = random_bool_matrix(rng, 4)
-    assert BoolMatrix.zero(4) @ a == BoolMatrix.zero(4)
-    assert a @ BoolMatrix.zero(4) == BoolMatrix.zero(4)
+    assert matmul(zero_matrix(4), a) == zero_matrix(4)
+    assert matmul(a, zero_matrix(4)) == zero_matrix(4)
 
 
 def test_square_of_ref3_incidence():
     # Oracle: direct or/and expansion of the product.
     n = REF3_B.n
-    expected = BoolMatrix.from_rows(
+    expected = from_rows(
         [
             [
-                int(any(REF3_B.entry(i, k) and REF3_B.entry(k, j) for k in range(n)))
+                int(any(entry(REF3_B, i, k) and entry(REF3_B, k, j) for k in range(n)))
                 for j in range(n)
             ]
             for i in range(n)
         ]
     )
-    assert REF3_B @ REF3_B == expected
-    assert expected == BoolMatrix.from_rows([[1, 1, 1]] * 3)
+    assert matmul(REF3_B, REF3_B) == expected
+    assert expected == from_rows([[1, 1, 1]] * 3)
 
 
 def test_product_associative():
     rng = random.Random(6)
     for _ in range(20):
         a, b, c = (random_bool_matrix(rng, 4) for _ in range(3))
-        assert (a @ b) @ c == a @ (b @ c)
+        assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        BoolMatrix.identity(2) @ BoolMatrix.identity(3)
+        matmul(identity_matrix(2), identity_matrix(3))
 
 
 def test_analyzers_need_no_dimension_cap():
-    from setcons import (
-        SetMap,
-        build_partition,
-        equilibria_sbm,
-        is_contractive_sbm,
-        is_locally_attractive_sbm,
-        translate_map,
-    )
+    from setcons.analysis import equilibria_sbm, is_contractive_sbm, is_locally_attractive_sbm
+    from setcons.encoding import build_partition, translate_map
+    from setcons.expr import SetMap
     from setcons.caps import DEFAULT
     from setcons.expr import EmptyLit, UniverseLit
 
@@ -127,7 +120,7 @@ def test_analyzers_need_no_dimension_cap():
 
 def test_nilpotency_references():
     assert not is_nilpotent(REF3_B)
-    assert not is_nilpotent(BoolMatrix.identity(3))
+    assert not is_nilpotent(identity_matrix(3))
     f = ref3_binary()
     d1 = discrete_derivative(f, (0, 1, 0))
     d2 = discrete_derivative(f, (1, 1, 1))
@@ -138,11 +131,11 @@ def test_nilpotency_references():
 def test_triangularization_references():
     perm, _ = dependency_order(PINNED6_B)
     assert perm == elimination_order(PINNED6_B)
-    assert is_strictly_lower(perm.conjugate(PINNED6_B))
+    assert is_strictly_lower(conjugate(perm, PINNED6_B))
     assert dependency_order(cyclic3_map().incidence())[0] is None
     assert elimination_order(cyclic3_map().incidence()) is None
-    assert dependency_order(BoolMatrix.zero(3)) == (Permutation.identity(3), 1)
-    assert elimination_order(BoolMatrix.zero(3)) == Permutation.identity(3)
+    assert dependency_order(zero_matrix(3)) == (identity_permutation(3), 1)
+    assert elimination_order(zero_matrix(3)) == identity_permutation(3)
 
 
 def test_witness_always_strictly_lower():
@@ -151,13 +144,13 @@ def test_witness_always_strictly_lower():
         a = random_bool_matrix(rng, rng.randint(1, 6))
         perm, _ = dependency_order(a)
         if perm is not None:
-            assert is_strictly_lower(perm.conjugate(a))
+            assert is_strictly_lower(conjugate(perm, a))
 
 
 def test_nilpotency_equivalence_with_brute_force():
     rng = random.Random(10)
     cases = [random_bool_matrix(rng, rng.randint(1, 5), rng.uniform(0.1, 0.6)) for _ in range(120)]
-    cases += [BoolMatrix.zero(4), BoolMatrix.identity(4), REF3_B, PINNED6_B]
+    cases += [zero_matrix(4), identity_matrix(4), REF3_B, PINNED6_B]
     for a in cases:
         nilpotent = is_nilpotent(a)
         witnessed = dependency_order(a)[0] is not None
@@ -166,12 +159,12 @@ def test_nilpotency_equivalence_with_brute_force():
 
 
 def test_nilpotency_index():
-    shift = BoolMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    shift = from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     assert dependency_order(shift)[1] == power_nilpotency_index(shift) == 3
-    assert dependency_order(BoolMatrix.zero(2))[1] == power_nilpotency_index(BoolMatrix.zero(2)) == 1
-    assert dependency_order(BoolMatrix.zero(0))[1] == power_nilpotency_index(BoolMatrix.zero(0)) == 1
-    assert dependency_order(BoolMatrix.identity(2))[0] is None
-    assert power_nilpotency_index(BoolMatrix.identity(2)) is None
+    assert dependency_order(zero_matrix(2))[1] == power_nilpotency_index(zero_matrix(2)) == 1
+    assert dependency_order(zero_matrix(0))[1] == power_nilpotency_index(zero_matrix(0)) == 1
+    assert dependency_order(identity_matrix(2))[0] is None
+    assert power_nilpotency_index(identity_matrix(2)) is None
 
 
 def test_dependency_cycle():
@@ -179,7 +172,7 @@ def test_dependency_cycle():
     assert elimination_cycle(PINNED6_B) is None
     cycle = dependency_order(cyclic3_map().incidence())[1]
     assert cycle == elimination_cycle(cyclic3_map().incidence()) == (0,)
-    ring = BoolMatrix.from_rows([[0, 1], [1, 0]])
+    ring = from_rows([[0, 1], [1, 0]])
     assert sorted(dependency_order(ring)[1]) == sorted(elimination_cycle(ring)) == [0, 1]
 
 
@@ -187,12 +180,12 @@ def assert_certifies(a: BoolMatrix, order, found):
     """A returned order conjugates ``a`` to strictly lower form; a returned
     cycle is a directed cycle of distinct rows, each reading the next."""
     if order is not None:
-        assert is_strictly_lower(order.conjugate(a))
+        assert is_strictly_lower(conjugate(order, a))
         assert 1 <= found <= max(a.n, 1)
     else:
         assert 1 <= len(found) == len(set(found))
         for k, i in enumerate(found):
-            assert a.entry(i, found[(k + 1) % len(found)])
+            assert entry(a, i, found[(k + 1) % len(found)])
 
 
 def assert_matches_oracles(a: BoolMatrix):
@@ -253,87 +246,12 @@ def test_column_at_most_one():
     # The derivative at (1,1,1) has two entries in its first column, on top
     # of the self-loop that already breaks nilpotency.
     assert not column_at_most_one(discrete_derivative(f, (1, 1, 1)))
-    assert not column_at_most_one(BoolMatrix.from_rows([[1, 1], [1, 1]]))
+    assert not column_at_most_one(from_rows([[1, 1], [1, 1]]))
     # The row-mask sweep agrees with counting entries column by column.
     rng = random.Random(99)
     for _ in range(300):
         a = random_bool_matrix(rng, rng.randint(0, 12), rng.choice((0.05, 0.15, 0.35)))
         assert column_at_most_one(a) == column_at_most_one_by_entries(a)
-
-
-def test_empty_eigenvalue():
-    line = Universe.real_line()
-    a1 = [
-        [IntervalSet.empty(), IntervalSet.empty()],
-        [iv("(17,28]"), IntervalSet.point(13)],
-    ]
-    assert has_empty_eigenvalue(a1, line)
-    full = [[line.carrier] * 2 for _ in range(2)]
-    assert not has_empty_eigenvalue(full, line)
-    zero = [[IntervalSet.empty()] * 2 for _ in range(2)]
-    assert has_empty_eigenvalue(zero, line)
-
-
-def test_universe_eigenvalue():
-    u = Universe.of(Interval.closed_open(0, float("inf")))
-    assert has_universe_eigenvalue(cyclic3_map().incidence_sets(), u)
-    lower = [
-        [IntervalSet.empty(), IntervalSet.empty()],
-        [u.carrier, IntervalSet.empty()],
-    ]
-    assert not has_universe_eigenvalue(lower, u)
-    from setcons.expr import augment_constants
-
-    aug = augment_constants(pinned6_map())
-    assert not has_universe_eigenvalue(aug.incidence_sets(), aug.universe)
-    with pytest.raises(ValueError):
-        has_universe_eigenvalue([[iv("[1,2]")]], u)
-
-
-def test_eigenvalue_tests_cover_all_binary_matrices():
-    # Some scalar always belongs to the spectrum of a {empty, universe} matrix.
-    rng = random.Random(12)
-    u = Universe.of(Interval.closed(0, 10))
-    for _ in range(80):
-        n = rng.randint(1, 5)
-        entries = [
-            [u.carrier if rng.random() < 0.4 else IntervalSet.empty() for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert has_empty_eigenvalue(entries, u) or has_universe_eigenvalue(entries, u)
-
-
-def test_conjugation_preserves_eigenpairs():
-    rng = random.Random(14)
-    for _ in range(60):
-        n = rng.randint(2, 6)
-        a = random_bool_matrix(rng, n, 0.4)
-        # Build an eigenpair directly: for eigenvalue 1 take the indicator of
-        # the vertices from which an infinite forward walk exists; for 0, an
-        # all-zero-column basis vector.
-        reach = (1 << n) - 1
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                if reach >> i & 1 and a.rows[i] & reach == 0:
-                    reach &= ~(1 << i)
-                    changed = True
-        pairs = []
-        if reach:
-            pairs.append((1, BoolVector(n, reach)))
-        for j in range(n):
-            if all(a.entry(i, j) == 0 for i in range(n)):
-                pairs.append((0, BoolVector(n, 1 << j)))
-                break
-        for lam, vec in pairs:
-            assert a.apply(vec) == vec.scale(lam)
-            order = list(range(n))
-            rng.shuffle(order)
-            perm = Permutation(tuple(order))
-            conj = perm.conjugate(a)
-            pv = perm.permute_vector(vec)
-            assert conj.apply(pv) == pv.scale(lam)
 
 
 def test_permutation_matrix_conjugation_agrees():
@@ -344,10 +262,10 @@ def test_permutation_matrix_conjugation_agrees():
         order = list(range(n))
         rng.shuffle(order)
         perm = Permutation(tuple(order))
-        p = perm.to_matrix()
-        assert p.transpose() @ a @ p == perm.conjugate(a)
+        p = permutation_matrix(perm)
+        assert matmul(matmul(transpose(p), a), p) == conjugate(perm, a)
 
 
 def test_json_export():
-    assert REF3_B.to_lists() == [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
-    assert str(BoolMatrix.identity(2)) == "1 0\n0 1"
+    assert to_lists(REF3_B) == [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
+    assert matrix_text(identity_matrix(2)) == "1 0\n0 1"

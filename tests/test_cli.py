@@ -14,6 +14,8 @@ from setcons.cli import main
 
 from test_dsl import CYCLIC3_TEXT, PINNED6_TEXT
 
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
 LINEAR2_TEXT = """\
 universe [0,10]
 const a11 = [0,5]
@@ -144,6 +146,23 @@ def test_zero_round_option_is_a_positioned_diagnostic(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", str(bad))
     assert (code, out) == (1, "")
     assert err == "4:21: error: option values must be positive integers\n"
+
+
+def test_a_lone_carriage_return_is_a_blank_in_a_file(tmp_path, capsys):
+    # Read as written, a file means what the same text means to dsl.parse.
+    path = tmp_path / "cr.sbm"
+    path.write_bytes(b"universe [0,1]\rstate A = [0,1]\rrule A = A")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err == "1:16: error: unexpected 'state' after statement (one declaration per line)\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "encode", "consensus", "equilibria"])
+def test_crlf_file_prints_what_the_lf_file_prints(tmp_path, capsys, command):
+    lf = SAMPLES / "pinned6.sbm"
+    crlf = tmp_path / "pinned6.sbm"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert run(capsys, command, str(crlf)) == run(capsys, command, str(lf))
 
 
 @pytest.mark.parametrize(

@@ -18,52 +18,39 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from setcons import (
-    CapExceeded,
-    CellEncodingError,
+from setcons import analysis as analysis_module
+from setcons.analysis import (
     ContractivityVerdict,
-    Endpoint,
-    Interval,
-    IntervalSet,
-    SetconsError,
-    SetMap,
-    Universe,
-    augment_constants,
-    build_partition,
-    compose,
-    desugar,
     equilibria_sbm,
     global_fixed_point,
     is_contractive_sbm,
     is_locally_attractive_sbm,
-    is_nilpotent,
-    normal_form,
-    parse,
-    parse_interval_set,
-    simulate,
-    translate_map,
 )
-from setcons import analysis as analysis_module
-from setcons.bindyn import derivative_blocks, discrete_derivative
+from setcons.boolmat import is_nilpotent
 from setcons.caps import Caps
-from setcons.encoding import _membership, dedup_generators
-from setcons.intervals import elementary_pieces
+from setcons.dsl import parse
+from setcons.encoding import _membership, build_partition, dedup_generators, translate_map
+from setcons.errors import CapExceeded, CellEncodingError, SetconsError
 from setcons.expr import (
     Complement,
     ConstRef,
     Difference,
     EmptyLit,
     Intersect,
+    SetMap,
     SymDiff,
     Union,
     UniverseLit,
     Var,
-    bit_evaluate,
-    constants_of,
+    augment_constants,
+    bind,
+    bit_ops,
     evaluate,
-    expr_to_text,
-    variables_of,
+    fold,
+    postorder,
 )
+from setcons.intervals import Endpoint, Interval, IntervalSet, Universe, elementary_pieces, parse_interval_set
+from setcons.sim import simulate
 from setcons.dsl import SystemSpec
 from setcons.sim import sampling_window
 
@@ -71,7 +58,12 @@ from helpers import HALF_LINE, assert_same_membership, iv, probe_points
 from oracles import (
     cell_map,
     complement_within,
+    compose,
+    derivative_blocks,
     difference_via_complement,
+    discrete_derivative,
+    expr_to_text,
+    full_line,
     intersecting_encode,
     flat_bits,
     flat_local_verdict,
@@ -81,15 +73,12 @@ from oracles import (
     pairwise_and,
     per_cell_equilibria,
     per_pattern_equilibria,
-    per_mask_normal_form,
+    real_line,
     recursive_augmented_components,
     recursive_bit_evaluate,
     recursive_composed_components,
-    recursive_constants_of,
-    recursive_desugar,
     recursive_evaluate,
     recursive_expr_to_text,
-    recursive_variables_of,
     regex_parse_interval_set,
     resorting_or,
     set_level_distance_lengths,
@@ -133,7 +122,7 @@ ZERO_EIGHT = Universe.of(Interval.closed(0, 8))
 universes = st.sampled_from([
     ZERO_EIGHT,
     Universe.of(Interval.closed_open(0, float("inf"))),
-    Universe.real_line(),
+    real_line(),
     Universe(iv("[0,2] | (3,5) | [6,6] | (7,inf)")),
 ])
 
@@ -185,7 +174,7 @@ def test_is_subset_matches_oracle(a, b):
 def test_derived_operations_membership(a, b):
     assert_same_membership(a - b, lambda x, y: x and not y, a, b)
     assert_same_membership(a ^ b, lambda x, y: x != y, a, b)
-    assert_same_membership(a.complement_in(IntervalSet.full()), lambda x: not x, a)
+    assert_same_membership(a.complement_in(full_line()), lambda x: not x, a)
 
 
 @CHECK
@@ -194,7 +183,7 @@ def test_derived_operations_membership(a, b):
 @example(iv("[0,1)"), iv("[1,2]"), ZERO_EIGHT)  # adjacent
 @example(iv("[0,2]"), iv("(0,1) | (1,2)"), ZERO_EIGHT)  # points left between
 @example(iv("[1,1] | [3,3]"), iv("[1,1]"), ZERO_EIGHT)
-@example(iv("(-inf,inf)"), iv("(-inf,0] | [3,3] | (5,inf)"), Universe.real_line())
+@example(iv("(-inf,inf)"), iv("(-inf,0] | [3,3] | (5,inf)"), real_line())
 @example(iv("empty"), iv("[0,1]"), ZERO_EIGHT)
 @example(iv("[0,1]"), iv("empty"), ZERO_EIGHT)
 @example(iv("[0,9]"), iv("[1,2]"), ZERO_EIGHT)  # not inside the universe
@@ -236,12 +225,12 @@ def mapped(s: IntervalSet, fn) -> IntervalSet:
 @CHECK
 @given(universes, interval_sets, interval_sets, st.integers(0, 2**16), st.integers(-1, 16))
 @example(Universe.of(Interval.closed(0, 8)), IntervalSet.of(Interval.make(Fraction(4, 2), 3)),
-         IntervalSet.of(Interval.closed_open(Fraction(1, 2), 2), Interval.open(3, float("inf"))), 5, 9)
+         IntervalSet.of(Interval.closed_open(Fraction(1, 2), 2), Interval.make(3, float("inf"), False, False)), 5, 9)
 def test_integral_keys_commute_with_a_fraction_image(universe, a, b, word, point):
     a = a & universe.carrier
     fa, fb, fu = mapped(a, phi), mapped(b, phi), mapped(universe.carrier, phi)
     for x in (fa, fb, fu):
-        assert all(type(k[0]) is not int for piece in x for k in (piece.lo_key, piece.hi_key))
+        assert all(type(k[0]) is not int for piece in x.intervals for k in (piece.lo_key, piece.hi_key))
     results = [
         (a & b, fa & fb),
         (a | b, fa | fb),
@@ -252,7 +241,7 @@ def test_integral_keys_commute_with_a_fraction_image(universe, a, b, word, point
         # Printing never sees a key: the int-keyed result reads as the one
         # computed on Fraction keys and mapped back.
         assert str(got) == str(mapped(image, phi_inverse))
-        assert all(type(e.value) in (Fraction, float) for piece in got for e in (piece.lo, piece.hi))
+        assert all(type(e.value) in (Fraction, float) for piece in got.intervals for e in (piece.lo, piece.hi))
     assert a.is_subset(b) == fa.is_subset(fb)
     assert all(b.contains(p) == fb.contains(phi(p)) for p in probe_points(a, b))
     assert elementary_pieces([fa, fb]) == tuple(
@@ -264,7 +253,7 @@ def test_integral_keys_commute_with_a_fraction_image(universe, a, b, word, point
     assert fp.signatures == p.signatures
     s = p.decode(word % (1 << p.kappa))
     assert fp.encode(mapped(s, phi)) == p.encode(s)
-    cut = s ^ (IntervalSet.point(Fraction(2 * point + 1, 4)) & universe.carrier)
+    cut = s ^ (IntervalSet.of(Interval.singleton(Fraction(2 * point + 1, 4))) & universe.carrier)
     want, got = outcome(p.encode, cut), outcome(fp.encode, mapped(cut, phi))
     assert got == want if isinstance(want, int) else got[0] is want[0] is CellEncodingError
 
@@ -351,7 +340,7 @@ def test_both_parsers_accept_other_blanks(text):
 @given(universes, st.lists(interval_sets, max_size=5))
 @example(Universe(iv("[0,8]")), [iv("[0,1)"), iv("[1,2]"), iv("[1,1]")])
 @example(Universe(iv("[0,8]")), [iv("[0,1] | [2,2] | (2,3)"), iv("(1,2)"), iv("[3,3] | [4,4]")])
-@example(Universe.real_line(), [iv("(-inf,0)"), iv("[0,0]"), iv("(0,inf)")])
+@example(real_line(), [iv("(-inf,0)"), iv("[0,0]"), iv("(0,inf)")])
 def test_piece_labels_match_merge_walk(universe, sets):
     # Adjacent, touching and point intervals come up often on the grid; the
     # labels are read on all pieces, and on those inside the universe as
@@ -368,7 +357,7 @@ def test_piece_labels_match_merge_walk(universe, sets):
 @given(universes, st.lists(interval_sets, max_size=4))
 @example(Universe.of(Interval.closed(0, 8)), [iv("[1,1]"), iv("[1,2]"), iv("[2,2] | (2,3)")])
 @example(Universe.of(Interval.closed(0, 8)), [iv("[0,1)"), iv("[1,2]"), iv("(2,8]")])
-@example(Universe.real_line(), [iv("(-inf,0]"), iv("[0,inf)"), iv("[0,0]")])
+@example(real_line(), [iv("(-inf,0]"), iv("[0,inf)"), iv("[0,0]")])
 def test_partition_matches_signature_scan(universe, sets):
     gens = [s & universe.carrier for s in sets]
     p = build_partition(gens, universe)
@@ -383,7 +372,7 @@ def test_partition_matches_signature_scan(universe, sets):
 def test_distance_lengths_match_set_level(path, seed):
     spec = parse(path.read_text())
     traj = simulate(spec, seed=seed, random_init=True)
-    window = sampling_window(spec.universe, spec.initials + tuple(spec.constants_map.values()))
+    window = sampling_window(spec.universe, spec.initials + tuple(value for _, value in spec.constants))
     assert traj.distance_lengths == set_level_distance_lengths(traj, window)
     # The run's partition: its initial sets and constants generate the cells.
     gens = dedup_generators(list(traj.rounds[0]) + [value for _, value in spec.constants])
@@ -422,22 +411,16 @@ box_sets = interval_sets.map(lambda s: s & BOX.carrier)
 
 @CHECK
 @given(expressions, st.lists(box_sets, min_size=ARITY + 2, max_size=ARITY + 2))
-@example(Var(0) ^ Var(1) - ~ConstRef("A") | UniverseLit() & EmptyLit(), [iv("[1,2]")] * (ARITY + 2))
+@example(SymDiff(Var(0), Difference(Var(1), ~ConstRef("A"))) | UniverseLit() & EmptyLit(), [iv("[1,2]")] * (ARITY + 2))
 def test_expression_fold_matches_recursive_walkers(e, sets):
     state, constants = tuple(sets[:ARITY]), {"A": sets[ARITY], "B": sets[ARITY + 1]}
     assert evaluate(e, state, constants, BOX) == recursive_evaluate(e, state, constants, BOX)
     for mask in range(1 << (ARITY + 2)):
         bits = tuple((mask >> j) & 1 for j in range(ARITY))
         const_bits = {"A": (mask >> ARITY) & 1, "B": mask >> (ARITY + 1)}
-        assert bit_evaluate(e, bits, const_bits) == recursive_bit_evaluate(e, bits, const_bits)
-    assert desugar(e) == recursive_desugar(e)
+        assert fold(postorder(e), bind(bits, const_bits), bit_ops(1)) == recursive_bit_evaluate(e, bits, const_bits)
     assert expr_to_text(e) == recursive_expr_to_text(e)
     assert expr_to_text(e, ["P", "Q", "R"]) == recursive_expr_to_text(e, ["P", "Q", "R"])
-    assert variables_of(e) == recursive_variables_of(e)
-    assert constants_of(e) == recursive_constants_of(e)
-    # Constants that are the empty set or the universe act as 0/1 bits.
-    classified = {"A": IntervalSet.empty(), "B": BOX.carrier}
-    assert normal_form(e, ARITY, classified, BOX).coeffs == per_mask_normal_form(e, ARITY, {"A": 0, "B": 1})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -463,7 +446,7 @@ def test_map_rewrites_match_recursive_walkers(f_rules, g_rules, constants):
     st.lists(box_sets, min_size=ARITY + 2, max_size=ARITY + 2),
 )
 @example([Var(2), Var(0) & ConstRef("A"), ConstRef("B")], [iv("[1,2]")] * (ARITY + 2))
-@example([Var(0) | Var(1), ~Var(1), Var(2) ^ ConstRef("A")], [iv("[0,3]"), iv("(2,5)")] * 2 + [BOX.carrier])
+@example([Var(0) | Var(1), ~Var(1), SymDiff(Var(2), ConstRef("A"))], [iv("[0,3]"), iv("(2,5)")] * 2 + [BOX.carrier])
 def test_word_map_and_analyzers_match_per_cell_maps(rules, sets):
     initials, constants = sets[:ARITY], (("A", sets[ARITY]), ("B", sets[ARITY + 1]))
     f = augment_constants(SetMap(tuple(rules), BOX, constants))

@@ -1,15 +1,10 @@
 import pytest
 
-from setcons import (
-    DslError,
-    parse,
-    pretty_print,
-    to_json,
-)
-from setcons.dsl import MAX_NESTING, Diagnostic
+from setcons.dsl import MAX_NESTING, Diagnostic, DslError, parse, to_json
 from setcons.expr import ConstRef, Var
 
 from helpers import iv
+from oracles import pretty_print, to_lists
 
 CYCLIC3_TEXT = """\
 # three agents with a dependency cycle
@@ -48,7 +43,7 @@ def test_parse_cyclic3():
     assert spec.variables == ("X1", "X2", "X3")
     assert spec.initials == (iv("[2,5]"), iv("[4,7]"), iv("[8,11]"))
     f = spec.set_map()
-    assert f.incidence().to_lists() == [[1, 1, 1], [1, 1, 0], [1, 1, 1]]
+    assert to_lists(f.incidence()) == [[1, 1, 1], [1, 1, 0], [1, 1, 1]]
 
 
 def test_parse_minimal():
@@ -230,6 +225,13 @@ def test_crlf_line_ends_read_as_lf(text):
     assert parse(text.replace(" = ", "\f=\v")) == parse(text)
 
 
+def test_numbers_take_ascii_digits_only():
+    # An Arabic-Indic three is a character, not a digit, of the grammar.
+    with pytest.raises(DslError) as err:
+        parse("universe [0,\u0663]\nstate A = [0,1]\nrule A = A\n")
+    assert [d.render() for d in err.value.diagnostics] == ["1:13: error: unexpected character '\u0663'"]
+
+
 def test_crlf_line_ends_keep_diagnostic_positions():
     text = "universe [0,1]\nstate X1 = [0,1]\nrule X1 = X1 & Y9\n"
     for variant in (text, text.replace("\n", "\r\n")):
@@ -283,7 +285,7 @@ def test_to_json_stability():
 
 
 def test_orbit_report_json_period_field():
-    from setcons import orbit
+    from oracles import orbit
     from helpers import ref3_binary
 
     summary = orbit(ref3_binary(), (0, 0, 1))

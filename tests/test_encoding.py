@@ -2,17 +2,10 @@ import random
 
 import pytest
 
-from setcons import (
-    IntervalSet,
-    SetMap,
-    Universe,
-    augment_constants,
-    build_partition,
-    translate_map,
-)
+from setcons.encoding import build_partition, translate_map
 from setcons.errors import CellEncodingError
-from setcons.expr import Var
-from setcons.intervals import Interval
+from setcons.expr import SetMap, Var, augment_constants
+from setcons.intervals import Interval, IntervalSet, Universe
 
 from helpers import (
     BOX200,

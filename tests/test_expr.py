@@ -2,20 +2,6 @@ import random
 
 import pytest
 
-from setcons import (
-    BoolMatrix,
-    Interval,
-    IntervalSet,
-    SetMap,
-    Universe,
-    as_linear,
-    augment_constants,
-    compose,
-    desugar,
-    normal_form,
-)
-from setcons.caps import Caps
-from setcons.errors import CapExceeded
 from setcons.expr import (
     Complement,
     ConstRef,
@@ -23,29 +9,36 @@ from setcons.expr import (
     EmptyLit,
     Intersect,
     LinearSetMap,
+    SetMap,
     SymDiff,
     Union,
-    UniverseLit,
     Var,
-    bit_evaluate,
-    evaluate,
-    expr_to_text,
+    as_linear,
+    augment_constants,
+    truth_columns,
 )
+from setcons.intervals import Interval, IntervalSet, Universe
 
 from helpers import (
     BOX200,
     CYCLIC3_START,
     HALF_LINE,
-    UNIT,
     cyclic3_map,
     iv,
     pinned6_map,
-    random_expr,
     random_set,
     random_set_map,
-    random_word,
 )
-from oracles import check_composition_bound
+from oracles import (
+    as_set_map,
+    check_composition_bound,
+    compose,
+    division_truth_columns,
+    expr_to_text,
+    from_rows,
+    matmul,
+    zero_matrix,
+)
 
 
 def test_eval_reference_step():
@@ -84,8 +77,8 @@ def test_unbound_constant_rejected():
 
 
 def test_incidence_references():
-    assert cyclic3_map().incidence() == BoolMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 1, 1]])
-    assert pinned6_map().incidence() == BoolMatrix.from_rows(
+    assert cyclic3_map().incidence() == from_rows([[1, 1, 1], [1, 1, 0], [1, 1, 1]])
+    assert pinned6_map().incidence() == from_rows(
         [
             [0, 1, 1, 0, 1, 0],
             [0, 0, 1, 0, 0, 0],
@@ -96,7 +89,7 @@ def test_incidence_references():
         ]
     )
     constant_only = SetMap((ConstRef("A"), EmptyLit()), BOX200, (("A", iv("[1,2]")),))
-    assert constant_only.incidence() == BoolMatrix.zero(2)
+    assert constant_only.incidence() == zero_matrix(2)
 
 
 def test_augment_pinned6():
@@ -119,7 +112,7 @@ def test_augment_constant_free_is_identity():
 def test_augment_linear_adds_n_squared():
     entries = tuple(tuple(random_set(random.Random(i * 7 + j)) & BOX200.carrier for j in range(2)) for i in range(2))
     linear = LinearSetMap(entries, BOX200)
-    aug = augment_constants(linear.as_set_map())
+    aug = augment_constants(as_set_map(linear))
     assert aug.arity == 6
     assert aug.frozen_values == entries[0] + entries[1]
 
@@ -135,93 +128,9 @@ def test_augmented_trajectories_match():
     assert lifted[6:] == aug.frozen_values
 
 
-def test_desugar():
-    assert desugar(Var(0) - Var(1)) == Intersect(Var(0), Complement(Var(1)))
-    assert desugar(Var(0) ^ Var(1)) == Union(
-        Intersect(Complement(Var(0)), Var(1)), Intersect(Var(0), Complement(Var(1)))
-    )
-    core = Union(Var(0), Complement(Intersect(Var(1), UniverseLit())))
-    assert desugar(core) == core
-
-
-def test_eval_commutes_with_desugar():
-    rng = random.Random(21)
-    u = Universe.of(Interval.closed(0, 24))
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        e = random_expr(rng, n, 5)
-        state = tuple(random_set(rng) & u.carrier for _ in range(n))
-        assert evaluate(e, state, {}, u) == evaluate(desugar(e), state, {}, u)
-
-
-def test_normal_form_single_variable_rows():
-    u = UNIT
-    rows = [
-        (EmptyLit(), (0, 0)),
-        (Intersect(Var(0), EmptyLit()), (0, 0)),
-        (Intersect(Var(0), Complement(Var(0))), (0, 0)),
-        (UniverseLit(), (1, 0)),
-        (Union(Var(0), Complement(Var(0))), (1, 0)),
-        (Union(Var(0), UniverseLit()), (1, 0)),
-        (Var(0), (0, 1)),
-        (Union(Var(0), Var(0)), (0, 1)),
-        (Intersect(Var(0), UniverseLit()), (0, 1)),
-        (Complement(Var(0)), (1, 1)),
-    ]
-    for e, (a_empty, a_one) in rows:
-        nf = normal_form(e, 1)
-        assert nf.coefficient(()) == a_empty
-        assert nf.coefficient((0,)) == a_one
-
-
-def test_normal_form_union():
-    nf = normal_form(Var(0) | Var(1), 2)
-    assert nf.coefficient(()) == 0
-    assert nf.coefficient((0,)) == nf.coefficient((1,)) == nf.coefficient((0, 1)) == 1
-
-
-def test_normal_form_cap():
-    # The enumeration cap bounds the 2**n coefficient table.
-    with pytest.raises(CapExceeded, match=r"normal form needs 2\*\*21 states \(cap 20\)"):
-        normal_form(Var(0), 21)
-    with pytest.raises(CapExceeded):
-        normal_form(Var(0), 5, caps=Caps(enumeration=4))
-
-
-def test_normal_form_refuses_variables_outside_its_arity():
-    with pytest.raises(ValueError, match="variable index 13 outside arity 12"):
-        normal_form(Var(0) ^ (Var(13) & Var(0)), 12)
-
-
-def test_normal_form_reconstruction():
-    rng = random.Random(31)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        e = random_expr(rng, n, 4)
-        rebuilt = normal_form(e, n).to_expr()
-        for mask in range(1 << n):
-            bits = tuple((mask >> j) & 1 for j in range(n))
-            assert bit_evaluate(e, bits) == bit_evaluate(rebuilt, bits)
-
-
-def test_normal_form_reconstruction_on_sets():
-    rng = random.Random(33)
-    from setcons import build_partition
-
-    u = Universe.of(Interval.closed(0, 24))
-    for _ in range(15):
-        n = rng.randint(1, 3)
-        e = random_expr(rng, n, 4)
-        rebuilt = normal_form(e, n).to_expr()
-        gens = [random_set(rng) & u.carrier for _ in range(n)]
-        p = build_partition(gens, u)
-        state = tuple(p.decode(random_word(rng, p.kappa)) for _ in range(n))
-        assert evaluate(e, state, {}, u) == evaluate(rebuilt, state, {}, u)
-
-
 def test_composition_bound_identity():
     ident = SetMap((Var(0), Var(1)), HALF_LINE)
-    assert compose(ident, ident).incidence() == ident.incidence() @ ident.incidence()
+    assert compose(ident, ident).incidence() == matmul(ident.incidence(), ident.incidence())
     assert check_composition_bound(ident, ident)
 
 
@@ -254,10 +163,18 @@ def test_as_linear_detection():
     )
     u = Universe.of(Interval.closed(0, 10))
     linear = LinearSetMap(entries, u)
-    back = as_linear(linear.as_set_map())
+    back = as_linear(as_set_map(linear))
     assert back is not None and back.entries == entries
     assert as_linear(cyclic3_map()) is None
     bare = SetMap((Var(1), Var(0)), u)
     shaped = as_linear(bare)
     assert shaped is not None
     assert shaped.entries[0][1] == u.carrier and shaped.entries[0][0] == IntervalSet.empty()
+
+
+def test_truth_columns_match_the_division_form():
+    # Bit ``mask`` of column j is bit j of ``mask``.
+    assert truth_columns(0) == ()
+    assert truth_columns(2) == (0b1010, 0b1100)
+    for arity in range(21):
+        assert truth_columns(arity) == division_truth_columns(arity)

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from setcons import BinaryMap, EncodedSystem, SetconsError, parse, simulate, to_json
-from setcons.encoding import dedup_generators
-from setcons.sim import random_interval_set, render_timeline, sampling_window
-from setcons.intervals import Interval, IntervalSet, Universe
+from setcons.bindyn import BinaryMap
+from setcons.dsl import parse, to_json
+from setcons.encoding import EncodedSystem, dedup_generators
+from setcons.errors import SetconsError
+from setcons.sim import random_interval_set, render_timeline, sampling_window, simulate
+from setcons.intervals import Interval, IntervalSet
 
 from helpers import BOX200, TopologyView, iv
+from oracles import real_line
 from test_dsl import CYCLIC3_TEXT, PINNED6_TEXT
 
 
@@ -138,7 +141,7 @@ def test_dedup_generators():
 def test_sampling_window():
     w = sampling_window(BOX200)
     assert w.lo.value == 0 and w.hi.value == 220
-    unbounded = sampling_window(Universe.real_line())
+    unbounded = sampling_window(real_line())
     assert unbounded.lo.value == 0 and unbounded.hi.value == 100
 
 
@@ -150,7 +153,7 @@ def test_sampling_window_spans_the_systems_sets():
     # A bounded universe holds every set of its system, so its window stays.
     assert sampling_window(BOX200, [iv("[5,7]"), iv("[190,200]")]) == sampling_window(BOX200)
     sets = [iv("[-4,-3] | [1,2] | (5,6)"), iv("(-inf,-5] | [2,3]"), IntervalSet.empty()]
-    assert sampling_window(Universe.real_line(), sets) == Interval.closed(-5, Fraction(71, 10))
+    assert sampling_window(real_line(), sets) == Interval.closed(-5, Fraction(71, 10))
     # Random initial sets are drawn across the same window.
     drawn = [
         s

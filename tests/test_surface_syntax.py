@@ -16,8 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setcons import DslError, Interval, IntervalSet, SystemSpec, Universe, parse, pretty_print
-from setcons.dsl import _diagnostic, _tokenize, parse_set_literal
+from setcons.dsl import DslError, SystemSpec, _diagnostic, _tokenize, parse, parse_set_literal
 from setcons.expr import (
     Complement,
     ConstRef,
@@ -30,8 +29,10 @@ from setcons.expr import (
     Var,
 )
 
+from setcons.intervals import Interval, IntervalSet, Universe
+
 from helpers import HALF_LINE
-from oracles import hand_counted_tokenize, three_level_parse, three_level_parse_set_literal
+from oracles import hand_counted_tokenize, pretty_print, real_line, three_level_parse, three_level_parse_set_literal
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SAMPLE_TEXTS = [path.read_text() for path in sorted(SAMPLES.glob("*.sbm"))]
@@ -180,8 +181,8 @@ CONSTANTS = ("C", "K")
 UNIVERSES = [
     Universe.of(Interval.closed(0, 8)),
     HALF_LINE,
-    Universe.real_line(),
-    Universe(IntervalSet.from_intervals([Interval.closed(0, 2), Interval.open(3, 5), Interval.closed(6, 8)])),
+    real_line(),
+    Universe(IntervalSet.from_intervals([Interval.closed(0, 2), Interval.make(3, 5, False, False), Interval.closed(6, 8)])),
 ]
 
 grid = st.integers(0, 16).map(lambda k: Fraction(k, 2))
