@@ -79,8 +79,8 @@ def global_fixed_point(
     The start must be a union of the encoding's cells.  The result is
     verified to be independent of the start by a second run from the
     componentwise complement (frozen components stay pinned), stepped side
-    by side with the first on words of 2*kappa bits, and only the fixed
-    point is decoded.
+    by side with the first on words of 2*kappa bits.  Only its free words
+    are decoded; the frozen ones encode the map's own frozen values.
     """
     f = enc.set_map
     verdict = verdict or is_contractive_sbm(f)
@@ -104,7 +104,7 @@ def global_fixed_point(
     state, check = tuple(w & full for w in packed), tuple(w >> kappa for w in packed)
     if check != state:
         raise SetconsError("two starts reached different fixed points")
-    return enc.decode_state(state)
+    return tuple(enc.partition.decode(w) for w in state[:n_visible]) + f.frozen_values
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,9 @@ def _load(path: str) -> dsl.SystemSpec:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
-        raise dsl.DslError([dsl.Diagnostic("error", 0, 0, f"cannot read {path}: {exc.strerror}")])
+        raise SetconsError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SetconsError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})")
     return dsl.parse(text)
 
 

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 from .bindyn import BinaryMap, repunit
 from .errors import CellEncodingError
 from .expr import SetMap, augment_constants, bind, bit_ops, fold
-from .intervals import Interval, IntervalSet, Universe, elementary_pieces
+from .intervals import Interval, IntervalSet, Universe, _succ, elementary_pieces
 
 Bits = tuple[int, ...]
 Words = tuple[int, ...]
@@ -127,6 +127,9 @@ def build_partition(generators: Sequence[IntervalSet], universe: Universe) -> Pa
     labels it, and a cell is the union of the universe's pieces that share
     a signature.  With d distinct endpoints that is 2d+1 pieces, at most
     that many cells, and O(r log d) comparisons for a set of r intervals.
+    Each run of touching pieces of one cell is one interval of its region,
+    built once in one ascending walk; runs of a cell are parted by another
+    cell or a hole, so the regions are canonical as they come.
     """
     gens = tuple(generators)
     for g in gens:
@@ -141,11 +144,17 @@ def build_partition(generators: Sequence[IntervalSet], universe: Universe) -> Pa
     order = sorted(set(codes), reverse=True)
     cell_of = {code: h for h, code in enumerate(order)}
     piece_cells = tuple(cell_of[code] for code in codes)
-    cells: list[list[Interval]] = [[] for _ in order]
-    for piece, h in zip(pieces, piece_cells):
-        cells[h].append(piece)
+    runs: list[list[Interval]] = [[] for _ in order]
+    first = 0  # the run in progress is pieces[first:k]
+    for k in range(1, len(pieces) + 1):
+        if (k < len(pieces) and piece_cells[k] == piece_cells[first]
+                and pieces[k].lo_key == _succ(pieces[k - 1].hi_key)):
+            continue
+        a, b = pieces[first], pieces[k - 1]
+        runs[piece_cells[first]].append(a if a is b else Interval(a.lo, b.hi))
+        first = k
     signatures = tuple(tuple((code >> (m - 1 - i)) & 1 for i in range(m)) for code in order)
-    regions = tuple(IntervalSet.from_intervals(c) for c in cells)
+    regions = tuple(IntervalSet(tuple(r)) for r in runs)
     return Partition(gens, universe, signatures, regions, pieces, piece_cells)
 
 

@@ -3,11 +3,11 @@
 Sets are stored in a canonical form: an ordered tuple of pairwise disjoint,
 non-adjacent intervals with exact open/closed endpoints.  Two sets are equal
 as sets of points if and only if they are structurally equal, which keeps set
-equality decidable and bit-stable.  Finite endpoints are rationals
-(``fractions.Fraction``); unbounded endpoints are the float infinities and
-are always open.  In an interval's sort keys an integral endpoint is an
-``int``, so merges, bisections and sorts over integral endpoints compare
-ints in C and never reach ``Fraction`` comparison.
+equality decidable and bit-stable.  Endpoint values are canonical too
+(:func:`as_value`): an ``int`` when finite and integral, else a
+``fractions.Fraction`` when finite, else a float infinity (always open), so
+parsing, sorts, merges and printing over integral endpoints stay on ints.
+A division of endpoint values goes through ``Fraction`` and ``as_value``.
 
 Because every operand is already sorted and canonical, union, intersection,
 difference and the subset test are single linear merges over the two
@@ -29,29 +29,28 @@ from typing import Iterable, Union as _Union
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-Value = _Union[Fraction, float]
+Value = _Union[int, Fraction, float]
 
 
 def as_value(x) -> Value:
-    """Coerce ``x`` to a finite Fraction or an infinite float."""
-    if isinstance(x, Fraction):
-        return x
+    """The canonical endpoint value of ``x``: an ``int`` for a finite integer,
+    a ``Fraction`` for any other finite rational, a float for an infinity."""
     if isinstance(x, bool):
         raise TypeError("boolean is not a point value")
+    if isinstance(x, str):
+        x = x.strip()
+        if x.isascii() and x.isdigit():
+            return int(x)
+        x = float(x) if x in ("inf", "-inf") else Fraction(x)
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, float):
         if x == POS_INF or x == NEG_INF:
             return x
-        return Fraction(x)
-    if isinstance(x, str):
-        s = x.strip()
-        if s == "inf":
-            return POS_INF
-        if s == "-inf":
-            return NEG_INF
-        return Fraction(s)
-    raise TypeError(f"cannot use {x!r} as an endpoint value")
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"cannot use {x!r} as an endpoint value")
+    return x.numerator if x.denominator == 1 else x
 
 
 def format_value(v: Value) -> str:
@@ -68,7 +67,8 @@ def format_value(v: Value) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Endpoint:
-    """One interval bound; infinite values are always open."""
+    """One interval bound, its value canonical (:func:`as_value`, which the
+    raw constructor does not call); infinite values are always open."""
 
     value: Value
     closed: bool
@@ -82,12 +82,8 @@ class Endpoint:
 
 
 def _key(e: Endpoint, eps_open: int):
-    # (value, eps): eps 0 = the point itself, 1 = just above it, -1 = just
-    # below it.  An integral Fraction enters as an int, which compares exactly.
-    v = e.value
-    if type(v) is Fraction and v.denominator == 1:
-        v = v.numerator
-    return (v, 0 if e.closed else eps_open)
+    # (value, eps): eps 0 = the point itself, 1 = just above it, -1 = below.
+    return (e.value, 0 if e.closed else eps_open)
 
 
 def _succ(hi_key):
@@ -101,8 +97,9 @@ class Interval:
 
     ``lo_key``/``hi_key`` are the sort keys of the first and last point the
     interval contains; they are derived from the endpoints, computed once,
-    and take no part in equality or hashing.  An integral endpoint enters
-    its key as an ``int``; nothing reads a value back out of a key.
+    and take no part in equality or hashing.  :meth:`make` builds one from
+    any values :func:`as_value` accepts; the set operations build theirs
+    from endpoints they already hold, whose values are canonical.
     """
 
     lo: Endpoint
@@ -302,14 +299,8 @@ class IntervalSet:
 
     def measure(self, window: Interval) -> Value:
         """Total length of the part of the set inside ``window``."""
-        clipped = self & IntervalSet((window,))
-        total = Fraction(0)
-        for iv in clipped.intervals:
-            length = iv.length()
-            if isinstance(length, float):
-                return POS_INF
-            total += length
-        return total
+        lengths = [iv.length() for iv in (self & IntervalSet((window,))).intervals]
+        return POS_INF if POS_INF in lengths else sum(lengths, Fraction(0))
 
     def __str__(self) -> str:
         if not self.intervals:
@@ -332,9 +323,9 @@ def elementary_pieces(sets: Iterable[IntervalSet]) -> tuple[Interval, ...]:
     pieces = []
     below = Endpoint(NEG_INF, False)
     for v in values:
-        pieces.append(Interval(below, Endpoint(v, False)))
-        pieces.append(Interval.singleton(v))
-        below = Endpoint(v, False)
+        point, beside = Endpoint(v, True), Endpoint(v, False)
+        pieces += (Interval(below, beside), Interval(point, point))
+        below = beside
     pieces.append(Interval(below, Endpoint(POS_INF, False)))
     return tuple(pieces)
 

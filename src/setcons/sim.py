@@ -69,14 +69,14 @@ def sampling_window(universe: Universe, sets: Iterable[IntervalSet] = ()) -> Int
         for s in (universe.carrier, *sets) if s
         for iv in (s.intervals[0], s.intervals[-1])
         for ep in (iv.lo, iv.hi)
-        if isinstance(ep.value, Fraction)
+        if not isinstance(ep.value, float)
     ]
     if not finite:
         return Interval.closed(0, 100)
     lo, hi = min(finite), max(finite)
     if lo == hi:
         hi = lo + 1
-    return Interval.closed(lo, hi + (hi - lo) / 10)
+    return Interval.closed(lo, hi + Fraction(hi - lo, 10))
 
 
 def random_interval_set(rng: random.Random, universe: Universe, max_parts: int = 3,

@@ -5,6 +5,7 @@ direct neighborhood simulation) used to cross-check the library."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,12 +148,12 @@ def random_binary_map(rng: random.Random, n: int) -> BinaryMap:
 
 
 def probe_points(*sets: IntervalSet) -> list[Fraction]:
-    """Rational probes at, just around, and between every endpoint."""
+    """Rational probes at, just around, and between every finite endpoint."""
     values = set()
     for s in sets:
         for interval in s.intervals:
             for ep in (interval.lo, interval.hi):
-                if isinstance(ep.value, Fraction):
+                if not isinstance(ep.value, float):
                     values.add(ep.value)
     points = set()
     offsets = (Fraction(0), Fraction(1, 13), Fraction(-1, 13), Fraction(1), Fraction(-1))
@@ -161,9 +162,25 @@ def probe_points(*sets: IntervalSet) -> list[Fraction]:
             points.add(v + off)
     ordered = sorted(values)
     for a, b in zip(ordered, ordered[1:]):
-        points.add((a + b) / 2)
+        points.add(Fraction(a + b, 2))
     points.update((Fraction(-1000), Fraction(1000), Fraction(1, 2)))
     return sorted(points)
+
+
+def is_canonical_value(v) -> bool:
+    """An endpoint value of the canonical type: an ``int`` exactly when it
+    is finite and integral, a ``Fraction`` for any other finite value, and a
+    float only for an infinity."""
+    if isinstance(v, float):
+        return math.isinf(v)
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def assert_canonical_values(*sets: IntervalSet) -> None:
+    for s in sets:
+        for interval in s.intervals:
+            for ep in (interval.lo, interval.hi):
+                assert is_canonical_value(ep.value), f"{ep.value!r} in {s}"
 
 
 def assert_same_membership(result: IntervalSet, expected_fn, *operands: IntervalSet) -> int:

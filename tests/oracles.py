@@ -7,8 +7,9 @@ Each one is the plain, obviously correct form of a library routine:
   the subset test through intersection, the complement against the whole
   line with the difference, symmetric difference and complement inside a
   universe built on it, the piece labels found by one merge walk, the
-  partition found by trying all 2**m signatures, and the simulator's
-  distance lengths measured on the sets themselves.  They use only each
+  partition found by trying all 2**m signatures, the cells' regions sorted
+  and joined from their pieces, and the simulator's distance lengths
+  measured on the sets themselves.  They use only each
   other and the interval constructors, never the library operations they
   check.
 - the set-level dynamics that the word map replaced: encoding by one
@@ -186,6 +187,15 @@ def signature_scan_partition(
             signatures.append(sig)
             regions.append(region)
     return tuple(signatures), tuple(regions)
+
+
+def sort_and_join_regions(partition: Partition) -> tuple[IntervalSet, ...]:
+    """Each cell's region as the union of its pieces: gathered per cell,
+    then sorted and joined."""
+    cells: list[list[Interval]] = [[] for _ in partition.regions]
+    for piece, h in zip(partition.pieces, partition.piece_cells):
+        cells[h].append(piece)
+    return tuple(IntervalSet.from_intervals(c) for c in cells)
 
 
 def measure(s: IntervalSet, window: Interval) -> Fraction:

@@ -127,9 +127,19 @@ def test_equilibria_output(files, capsys):
 
 
 def test_missing_file_is_diagnostic(files, capsys):
-    code, out, err = run(capsys, "analyze", files["pinned6"] + ".nope")
-    assert code == 1
-    assert "cannot read" in err
+    path = files["pinned6"] + ".nope"
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {path}: No such file or directory\n"
+    assert "0:0" not in err
+
+
+def test_a_file_that_is_not_utf8_is_diagnostic(tmp_path, capsys):
+    path = tmp_path / "latin1.sbm"
+    path.write_bytes("universe [0,1]\n# caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {path}: not UTF-8 (invalid continuation byte at byte 20)\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

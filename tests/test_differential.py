@@ -1,10 +1,11 @@
 """Differential tests: the linear-time interval algebra with its one-sweep
-difference, the set-literal grammar, the bisected piece labels and the
-endpoint-sweep partition, the cell-sum distance lengths, the expression
-fold and the cell-sliced word map with its analyzers, truth-table
-equilibria and packed word steps against the reference versions in
-``oracles.py`` and against pointwise membership; and the integral sort
-keys against an order-preserving image with Fraction keys only."""
+difference, the set-literal grammar, the bisected piece labels, the
+endpoint-sweep partition and its piece-run regions, the cell-sum distance
+lengths, the expression fold and the cell-sliced word map with its
+analyzers, truth-table equilibria and packed word steps against the
+reference versions in ``oracles.py`` and against pointwise membership; and
+the int-valued integral endpoints against an order-preserving image with
+Fraction values only."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from setcons.analysis import (
 from setcons.boolmat import is_nilpotent
 from setcons.caps import Caps
 from setcons.dsl import parse
-from setcons.encoding import _membership, build_partition, dedup_generators, translate_map
+from setcons.encoding import Partition, _membership, build_partition, dedup_generators, translate_map
 from setcons.errors import CapExceeded, CellEncodingError, SetconsError
 from setcons.expr import (
     Complement,
@@ -49,12 +50,20 @@ from setcons.expr import (
     fold,
     postorder,
 )
-from setcons.intervals import Endpoint, Interval, IntervalSet, Universe, elementary_pieces, parse_interval_set
+from setcons.intervals import (
+    Endpoint,
+    Interval,
+    IntervalSet,
+    Universe,
+    as_value,
+    elementary_pieces,
+    parse_interval_set,
+)
 from setcons.sim import simulate
 from setcons.dsl import SystemSpec
 from setcons.sim import sampling_window
 
-from helpers import HALF_LINE, assert_same_membership, iv, probe_points
+from helpers import HALF_LINE, assert_canonical_values, assert_same_membership, iv, probe_points
 from oracles import (
     cell_map,
     complement_within,
@@ -86,6 +95,7 @@ from oracles import (
     set_level_fixed_point,
     set_level_simulate,
     signature_scan_partition,
+    sort_and_join_regions,
     stepwise_derivative_blocks,
     subset_via_and,
     two_run_fixed_point,
@@ -201,18 +211,19 @@ def test_sweep_kernels_match_complement_oracles(a, b, universe):
 
 # -- integral keys against an image with Fraction keys only ---------------------
 #
-# An integral endpoint enters the sort keys as an int.  phi(x) = x/3 + 1/7
-# keeps order and sends every point of the half-unit grid (7k + 6 is never
-# a multiple of 42) to a non-integer, so the image of a set has Fraction
-# keys only: every operation must commute with phi.
+# An integral endpoint is an int, in its sort keys as in its value.
+# phi(x) = x/3 + 1/7 keeps order and sends every point of the half-unit
+# grid (7k + 6 is never a multiple of 42) to a non-integer, so the image of
+# a set has Fraction values and keys only: every operation must commute
+# with phi.
 
 
 def phi(x):
-    return x if isinstance(x, float) else x / 3 + Fraction(1, 7)
+    return x if isinstance(x, float) else Fraction(x, 3) + Fraction(1, 7)
 
 
 def phi_inverse(x):
-    return x if isinstance(x, float) else (x - Fraction(1, 7)) * 3
+    return x if isinstance(x, float) else as_value((x - Fraction(1, 7)) * 3)
 
 
 def mapped(s: IntervalSet, fn) -> IntervalSet:
@@ -238,10 +249,11 @@ def test_integral_keys_commute_with_a_fraction_image(universe, a, b, word, point
     ]
     for got, image in results:
         assert mapped(got, phi) == image
-        # Printing never sees a key: the int-keyed result reads as the one
-        # computed on Fraction keys and mapped back.
-        assert str(got) == str(mapped(image, phi_inverse))
-        assert all(type(e.value) in (Fraction, float) for piece in got.intervals for e in (piece.lo, piece.hi))
+        # The int-valued result is the one computed on Fractions and mapped
+        # back, endpoint for endpoint and in print.
+        back = mapped(image, phi_inverse)
+        assert got == back and str(got) == str(back)
+        assert_canonical_values(got, image)
     assert a.is_subset(b) == fa.is_subset(fb)
     assert all(b.contains(p) == fb.contains(phi(p)) for p in probe_points(a, b))
     assert elementary_pieces([fa, fb]) == tuple(
@@ -317,6 +329,23 @@ def test_literal_grammar_matches_regex_parser(text, universe):
     )
 
 
+@CHECK
+@given(universes, st.lists(_literal_tokens.map(" ".join), min_size=2, max_size=4), st.integers(0, 2**16))
+@example(ZERO_EIGHT, ["[-0,4/2] | (3, 7/2)", "[4.0,6.5) | [7, 14/2]"], 5)
+@example(real_line(), ["(-inf, 1.5] | [3/3, 4.0)", "X", "(2/4, inf)"], 2**16)
+def test_every_finite_endpoint_is_an_int_exactly_when_integral(universe, texts, word):
+    # Parsed literals, every operation on them, and the cells they cut.
+    sets = [s for s in (_outcome(parse_interval_set, text, universe) for text in texts) if s != "rejected"]
+    assume(len(sets) >= 2)
+    a, b = sets[0], sets[1]
+    inside = [s & universe.carrier for s in sets]
+    p = build_partition(dedup_generators(inside), universe)
+    assert_canonical_values(
+        *sets, a & b, a | b, a - b, a ^ b, inside[0].complement_in(universe),
+        *p.regions, p.decode(word % (1 << p.kappa)),
+    )
+
+
 @pytest.mark.parametrize(
     "text", ["[- 3,4]", "(- inf,0]", "[0,1] # a comment", "[0,1] # a comment\n| [2,3]"]
 )
@@ -365,6 +394,23 @@ def test_partition_matches_signature_scan(universe, sets):
     # Each generator is exactly the union of the cells inside it.
     for i, g in enumerate(gens):
         assert p.decode(sum(sig[i] << h for h, sig in enumerate(p.signatures))) == g
+
+
+@CHECK
+@given(
+    st.one_of(universes, st.sampled_from([Universe(iv("[0,1] | [2,3]")), Universe(iv("[0,1) | (1,2]"))])),
+    st.lists(interval_sets, max_size=4),
+)
+@example(Universe(iv("[0,1] | [2,3]")), [iv("[0,3]"), iv("[1,2]")])  # a hole in the universe
+@example(Universe(iv("[0,1) | (1,2]")), [iv("[0,2]"), iv("(0,2)")])  # a point taken out
+@example(ZERO_EIGHT, [iv("[1,1] | [3,3]"), iv("[3,3] | [5,6]")])  # single-point cells
+@example(real_line(), [iv("(-inf,0]"), iv("[5,inf)"), iv("(-inf,inf)")])  # unbounded ends
+def test_piece_run_regions_match_sort_and_join(universe, sets):
+    p = build_partition([s & universe.carrier for s in sets], universe)
+    assert p.regions == sort_and_join_regions(p)
+    for region in p.regions:
+        assert_canonical(region)
+        assert_canonical_values(region)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -622,6 +668,26 @@ def test_packed_steps_match_separate_steps(system, word):
     assert [tuple((w >> (c * p.kappa)) & full for w in stepped) for c in range(3)] == [
         enc.map.step(x) for x in states
     ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(contractive_systems())
+@example((augment_constants(SetMap((ConstRef("A") | ConstRef("B"), Var(0) & ~ConstRef("C")), BOX,
+                                   (("A", iv("[1,2]")), ("B", iv("[3,4]")), ("C", iv("[2,3]"))))),
+          (iv("[5,6]"), iv("empty"), iv("[1,2]"), iv("[3,4]"), iv("[2,3]")),
+          build_partition([iv("[5,6]"), iv("[1,2]"), iv("[3,4]"), iv("[2,3]")], BOX)))
+def test_fixed_point_decodes_only_the_free_words(system):
+    # The frozen words encode the map's own frozen values: the fixed point
+    # ends in those values, and it equals the decoding of every word.
+    f, start, p = system
+    enc = translate_map(f, p)
+    verdict = is_contractive_sbm(f)
+    decoded = []
+    decode = Partition.decode
+    with mock.patch.object(Partition, "decode", lambda self, w: decoded.append(w) or decode(self, w)):
+        fixed = global_fixed_point(enc, start, verdict)
+    assert len(decoded) == f.arity - f.frozen_count
+    assert fixed == enc.decode_state(enc.map.iterate(enc.encode_state(start), verdict.q))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

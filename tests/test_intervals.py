@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from setcons.intervals import Endpoint, Interval, IntervalSet, Universe, format_value, parse_interval_set
+from setcons.intervals import Endpoint, Interval, IntervalSet, Universe, as_value, format_value, parse_interval_set
 
 from helpers import HALF_LINE, assert_same_membership, iv, probe_points, random_set
 from oracles import full_line
@@ -193,7 +193,7 @@ def test_universe_nonempty():
 def test_format_value_prints_any_length(digits):
     # Under the smallest conversion limit Python allows, values of any
     # length print as Python's own conversion prints them without a limit.
-    values = [Fraction(10**digits - 1), Fraction(-(10**digits) - 7, 3), Fraction(10**digits + 1, 10**digits)]
+    values = [10**digits - 1, Fraction(-(10**digits) - 7, 3), Fraction(10**digits + 1, 10**digits)]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -205,3 +205,26 @@ def test_format_value_prints_any_length(digits):
     finally:
         sys.set_int_max_str_digits(limit)
     assert got == want
+
+
+@pytest.mark.parametrize("x", [7, "7", " 7 ", "4/2", "4.0", "-0", 2.0, Fraction(6, 3)])
+def test_as_value_gives_an_int_for_an_integral_value(x):
+    value = as_value(x)
+    assert type(value) is int and value == Fraction(x.strip() if isinstance(x, str) else x)
+
+
+@pytest.mark.parametrize("x", ["7/2", "3.5", 3.5, Fraction(7, 2)])
+def test_as_value_gives_a_fraction_for_any_other_finite_value(x):
+    value = as_value(x)
+    assert type(value) is Fraction and value == Fraction(7, 2)
+
+
+@pytest.mark.parametrize("x, want", [("inf", float("inf")), (" -inf", float("-inf")), (float("inf"), float("inf"))])
+def test_as_value_gives_a_float_for_an_infinity(x, want):
+    assert as_value(x) == want and type(as_value(x)) is float
+
+
+@pytest.mark.parametrize("x", [True, False, None, b"7"])
+def test_as_value_refuses_other_types(x):
+    with pytest.raises(TypeError):
+        as_value(x)

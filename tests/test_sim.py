@@ -140,7 +140,7 @@ def test_dedup_generators():
 
 def test_sampling_window():
     w = sampling_window(BOX200)
-    assert w.lo.value == 0 and w.hi.value == 220
+    assert w.lo.value == 0 and w.hi.value == 220 and type(w.hi.value) is int
     unbounded = sampling_window(real_line())
     assert unbounded.lo.value == 0 and unbounded.hi.value == 100
 
