@@ -1,5 +1,7 @@
 """Top-level convergence analyzers for set-valued systems.
 
+A system's named constants are its map's trailing frozen variables, from
+the parser on: sources whose rows are zero and whose words stay pinned.
 Global contractivity is decided on the 0/1 projection of the incidence
 matrix.  The global fixed point and local attractiveness step the
 translated map on n words of kappa bits, one bit per cell, and equilibria
@@ -56,15 +58,13 @@ class ContractivityVerdict:
 def is_contractive_sbm(f: SetMap) -> ContractivityVerdict:
     """Decide global contractivity on the incidence matrix's 0/1 projection.
 
-    The map must be constant-free (augment first).  One walk over the
+    Frozen rows count as sources (zero rows).  One walk over the
     dependency digraph gives either a triangularizing witness order and
     ``q``, the number of variables on its longest dependency chain, or a
     dependency cycle.  The translated map on n*kappa bits has the block
     incidence ``B kron I``, which is nilpotent exactly when ``B`` is, so the
     verdict holds for every partition.
     """
-    if f.constants:
-        raise ValueError("contractivity needs a constant-free map; augment it first")
     witness, found = dependency_order(f.incidence())
     if witness is None:
         return ContractivityVerdict(False, cycle=found)

@@ -39,29 +39,28 @@ def _load(path: str) -> dsl.SystemSpec:
 
 
 def _names(spec: dsl.SystemSpec) -> tuple[str, ...]:
-    """The names of the encoded map's variables: the states, then the constants."""
+    """The names of the map's variables: the states, then the constants."""
     return spec.variables + tuple(name for name, _ in spec.constants)
 
 
 def _cmd_analyze(args, caps) -> dict:
     spec = _load(args.file)
-    base = spec.set_map()
-    enc = encode_system(base, spec.initials)
-    aug, names = enc.set_map, _names(spec)
-    verdict = analysis.is_contractive_sbm(aug)
+    f, names = spec.set_map(), _names(spec)
+    enc = encode_system(f, spec.initials)
+    verdict = analysis.is_contractive_sbm(f)
     report = {
         "contractive": verdict.contractive,
         "witness_order": [names[i] for i in verdict.witness.order] if verdict.witness else None,
         "q": verdict.q,
         "cycle": [names[i] for i in verdict.cycle] if verdict.cycle else None,
     }
-    equil = analysis.equilibria_sbm(aug, enc.partition, caps, list_all=False)
+    equil = analysis.equilibria_sbm(f, enc.partition, caps, list_all=False)
     report["equilibria_summary"] = equil.to_json_dict()
-    linear = as_linear(base)
+    linear = as_linear(f)
     report["consensus"] = analysis.consensus_region(linear).to_json_dict() if linear else None
     local = None
     if verdict.contractive:
-        fixed = analysis.global_fixed_point(enc, spec.initials + aug.frozen_values, verdict=verdict)
+        fixed = analysis.global_fixed_point(enc, spec.initials + f.frozen_values, verdict=verdict)
         local = {
             "equilibrium": [str(s) for s in fixed[: len(spec.variables)]],
             "attractive": analysis.is_locally_attractive_sbm(enc, fixed),
@@ -103,10 +102,7 @@ def _cmd_consensus(args, caps) -> dict:
     spec = _load(args.file)
     linear = as_linear(spec.set_map())
     if linear is None:
-        raise dsl.DslError(
-            [dsl.Diagnostic("error", 0, 0, "the system is not linear",
-                            "every rule must be a union of (coefficient & variable) terms")]
-        )
+        raise SetconsError("the system is not linear (every rule must be a union of (coefficient & variable) terms)")
     return analysis.consensus_region(linear).to_json_dict()
 
 

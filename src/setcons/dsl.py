@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .expr import BINARY_OPS, Complement, ConstRef, EmptyLit, SetExpr, SetMap, UniverseLit, Var
+from .expr import BINARY_OPS, Complement, EmptyLit, SetExpr, SetMap, UniverseLit, Var
 from .intervals import Interval, IntervalSet, Universe, as_value
 
 KEYWORDS = {"universe", "const", "state", "rule", "option", "empty", "X", "inf"}
@@ -70,7 +70,11 @@ class DslError(ValueError):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Parsed system description; structurally comparable."""
+    """Parsed system description; structurally comparable.
+
+    In ``rules`` constant j is the variable ``len(variables) + j``: the
+    constants follow the states, in declaration order.
+    """
 
     universe: Universe
     constants: tuple[tuple[str, IntervalSet], ...]
@@ -84,7 +88,11 @@ class SystemSpec:
         return dict(self.options)
 
     def set_map(self) -> SetMap:
-        return SetMap(self.rules, self.universe, self.constants)
+        """The rules, then an identity rule for each constant, frozen at the
+        constant's value."""
+        n = len(self.variables)
+        identities = tuple(Var(n + j) for j in range(len(self.constants)))
+        return SetMap(self.rules + identities, self.universe, tuple(value for _, value in self.constants))
 
 
 class _Token(NamedTuple):
@@ -336,8 +344,9 @@ class _Parser:
                 self.end_statement()
             elif keyword == "rule":
                 if not names:
-                    names = {"X": UniverseLit(), "empty": EmptyLit(), **{c: ConstRef(c) for c, _ in constants}}
-                    names.update((v, Var(i)) for i, v in enumerate(variables))
+                    # Each constant is a variable after every state, in declaration order.
+                    names = {"X": UniverseLit(), "empty": EmptyLit()}
+                    names.update((v, Var(i)) for i, v in enumerate(variables + [c for c, _ in constants]))
                 self.advance()
                 name_tok = self.peek()
                 if name_tok.kind != "IDENT":

@@ -8,8 +8,9 @@ each generator's intervals are bisected into the pieces, never visiting
 intersection and complement is an exact union of cells and therefore
 round-trips through a kappa-bit word (bit h = overlap with cell h).
 
-A constant-free update map translates into kappa independent copies of one
-n-bit binary map, which is where all convergence questions are decided.
+An update map, whose named constants are its trailing frozen variables
+from the parser on, translates into kappa independent copies of one n-bit
+binary map, which is where all convergence questions are decided.
 The copies are stepped together as one :class:`~setcons.bindyn.BinaryMap`
 of width kappa: a state is n words of kappa bits, and a bitwise operation
 on words is the operation in every cell at once.  Its derivative blocks are
@@ -28,7 +29,7 @@ from typing import Iterator, Sequence
 
 from .bindyn import BinaryMap, repunit
 from .errors import CellEncodingError
-from .expr import SetMap, augment_constants, bind, bit_ops, fold
+from .expr import SetMap, bit_ops, fold
 from .intervals import Interval, IntervalSet, Universe, _succ, elementary_pieces
 
 Bits = tuple[int, ...]
@@ -183,7 +184,7 @@ def _membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:
 
 @dataclass(frozen=True)
 class EncodedSystem:
-    """A constant-free map together with its binary translation.
+    """A map together with its binary translation.
 
     A state is n words, one per variable, with bit h of a word standing
     for cell h.  :attr:`map` steps every cell at once: each free component
@@ -215,8 +216,7 @@ class EncodedSystem:
         ops = bit_ops((1 << width) - 1)
 
         def fn(words):
-            leaf = bind(words)
-            return tuple([fold(program, leaf, ops) for program in programs]) + pinned
+            return tuple([fold(program, words, ops) for program in programs]) + pinned
 
         def tile(copies):
             rep = repunit(width, copies)
@@ -236,13 +236,8 @@ class EncodedSystem:
 
 
 def translate_map(f: SetMap, partition: Partition) -> EncodedSystem:
-    """Translate a constant-free map into its binary cell-wise form.
-
-    Named constants must have been folded into frozen variables first; the
-    frozen values themselves must be unions of partition cells.
-    """
-    if f.constants:
-        raise ValueError("translate_map needs a constant-free map; augment it first")
+    """Translate a map into its binary cell-wise form; its frozen values
+    must be unions of partition cells."""
     pinned = tuple(partition.encode(v) for v in f.frozen_values)
     return EncodedSystem(f, partition, pinned)
 
@@ -253,9 +248,8 @@ def dedup_generators(sets: Sequence[IntervalSet]) -> list[IntervalSet]:
 
 
 def encode_system(f: SetMap, initials: Sequence[IntervalSet]) -> EncodedSystem:
-    """A system's map ``f`` started from ``initials``: ``f`` with every named
-    constant a frozen variable, translated over the partition that the
-    nonempty initial sets and then the constants generate."""
-    constants = [value for _, value in f.constants]
-    partition = build_partition(dedup_generators([*initials, *constants]), f.universe)
-    return translate_map(augment_constants(f), partition)
+    """A system's map ``f`` started from the free variables' ``initials``,
+    translated over the partition that the nonempty initial sets and then
+    the frozen values (the constants) generate."""
+    partition = build_partition(dedup_generators([*initials, *f.frozen_values]), f.universe)
+    return translate_map(f, partition)

@@ -1,25 +1,24 @@
 """Expression trees for set-valued update maps.
 
-A :class:`SetMap` bundles one expression per state variable together with the
-universe and any named constant sets.  Expressions use union, intersection,
-complement, difference and symmetric difference.  Maps referencing named
-constants can be rewritten into constant-free form by
-:func:`augment_constants`, which turns every constant into a trailing frozen
-state variable.
+A :class:`SetMap` bundles one expression per variable together with the
+universe.  Expressions use union, intersection, complement, difference and
+symmetric difference over the variables and the literals ``X`` and
+``empty``.  A named constant set is a frozen variable from the parser on:
+the map's trailing variables, each with the identity rule and a pinned
+value in :attr:`SetMap.frozen_values`.
 
 Every question asked of an expression is one walk and one fold.
 :func:`postorder` flattens a tree, with an explicit stack, into its
 program: the nodes with every child before its parent.  :func:`fold` runs a
-program bottom-up on a value stack, given a ``leaf`` function for the
-variables and named constants and an ``ops`` table from every other node
-type to a function of its children's values.  The algebras are:
+program bottom-up on a value stack, reading variable i from a sequence of
+values and every other node type from an ``ops`` table, a function of its
+children's values.  The algebras are:
 
 - interval sets (:func:`set_ops`): ``| & ^`` and the universe's complement,
-  for :func:`evaluate` and :meth:`SetMap.eval`;
+  for :meth:`SetMap.eval`;
 - ints (:func:`bit_ops`): ``| & ^`` and complement ``x ^ mask``, one bit per
   evaluation, for the encoding's word maps and the :func:`truth_columns`
-  of the equilibria scan;
-- trees: node constructors, for :func:`augment_constants`.
+  of the equilibria scan.
 
 The binary operators' symbols and precedences are :data:`BINARY_OPS`, which
 the parser reads.  A SetMap compiles each component once, so expressions of
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .boolmat import BoolMatrix
 from .intervals import IntervalSet, Universe
@@ -54,11 +53,6 @@ class SetExpr:
 @dataclass(frozen=True, slots=True)
 class Var(SetExpr):
     index: int
-
-
-@dataclass(frozen=True, slots=True)
-class ConstRef(SetExpr):
-    name: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,8 +97,8 @@ class SymDiff(SetExpr):
 # -- the one walk and the one fold ---------------------------------------------
 
 # Children of each operator node.  The literals X and empty are the nullary
-# operators of an algebra (its top and bottom); Var and ConstRef are the
-# leaves, whose values come from the caller's ``leaf`` function.
+# operators of an algebra (its top and bottom); Var is the leaf, whose value
+# comes from the caller's sequence of values.
 _ARITY = {UniverseLit: 0, EmptyLit: 0, Complement: 1, Union: 2, Intersect: 2, Difference: 2, SymDiff: 2}
 
 
@@ -123,16 +117,16 @@ def postorder(e: SetExpr) -> tuple[SetExpr, ...]:
             stack.append(node.right)
         elif arity == 1:
             stack.append(node.child)
-        elif arity is None and type(node) not in (Var, ConstRef):
+        elif arity is None and type(node) is not Var:
             raise TypeError(f"unknown node {node!r}")
     out.reverse()
     return tuple(out)
 
 
-def fold(program: Sequence[SetExpr], leaf, ops):
+def fold(program: Sequence[SetExpr], values: Sequence, ops):
     """Evaluate a :func:`postorder` program bottom-up on a value stack.
 
-    A Var or ConstRef node is replaced by ``leaf(node)``; any other node by
+    Var i is replaced by ``values[i]``; any other node by
     ``ops[type(node)]`` applied to the values of its children (none for the
     literals, one for Complement, left and right for the rest).
     """
@@ -142,7 +136,7 @@ def fold(program: Sequence[SetExpr], leaf, ops):
         kind = type(node)
         arity = _ARITY.get(kind)
         if arity is None:
-            push(leaf(node))
+            push(values[node.index])
         elif arity == 2:
             right = pop()
             push(ops[kind](pop(), right))
@@ -151,21 +145,6 @@ def fold(program: Sequence[SetExpr], leaf, ops):
         else:
             push(ops[kind]())
     return pop()
-
-
-def bind(values: Sequence, constants: Mapping = {}):
-    """The ``leaf`` function reading Var i as ``values[i]`` and a named
-    constant from ``constants``."""
-
-    def leaf(node):
-        if type(node) is Var:
-            return values[node.index]
-        try:
-            return constants[node.name]
-        except KeyError:
-            raise ValueError(f"unbound constant {node.name!r}") from None
-
-    return leaf
 
 
 def set_ops(universe: Universe) -> dict:
@@ -196,31 +175,8 @@ def bit_ops(mask: int) -> dict:
     }
 
 
-# Trees: every node rebuilt from its rewritten children.
-_TREE = {kind: kind for kind in _ARITY}
-
-
 def _variables(program: Sequence[SetExpr]) -> set[int]:
     return {node.index for node in program if type(node) is Var}
-
-
-def _check_arity(program: Sequence[SetExpr], n: int, component: str) -> None:
-    for v in _variables(program):
-        if not 0 <= v < n:
-            raise ValueError(f"{component} references variable index {v} outside arity {n}")
-
-
-def _constants(program: Sequence[SetExpr]) -> set[str]:
-    return {node.name for node in program if type(node) is ConstRef}
-
-
-def evaluate(
-    e: SetExpr,
-    state: Sequence[IntervalSet],
-    constants: Mapping[str, IntervalSet],
-    universe: Universe,
-) -> IntervalSet:
-    return fold(postorder(e), bind(state, constants), set_ops(universe))
 
 
 # The binary operators of the surface syntax, read by the parser
@@ -232,14 +188,13 @@ BINARY_OPS = {"|": (Union, 1), "\\": (Difference, 2), "^": (SymDiff, 2), "&": (I
 @dataclass(frozen=True)
 class SetMap:
     """A vector of update expressions: component i defines the next value of
-    state variable i.  ``frozen_values`` pins the values of the trailing
-    variables introduced by constant augmentation; their rules are the
-    identity and their incidence rows are reported as zero (they act as
-    sources feeding the rest of the system)."""
+    variable i.  ``frozen_values`` pins the values of the trailing
+    variables, the system's named constants; their rules are the identity
+    and their incidence rows are reported as zero (they act as sources
+    feeding the rest of the system)."""
 
     components: tuple[SetExpr, ...]
     universe: Universe
-    constants: tuple[tuple[str, IntervalSet], ...] = ()
     frozen_values: tuple[IntervalSet, ...] = ()
     # The postorder program of each component, compiled once.
     programs: tuple[tuple[SetExpr, ...], ...] = field(init=False, repr=False, compare=False)
@@ -251,12 +206,10 @@ class SetMap:
         if len(self.frozen_values) > n:
             raise ValueError("more frozen values than components")
         object.__setattr__(self, "programs", tuple(postorder(c) for c in self.components))
-        bound = {name for name, _ in self.constants}
         for i, program in enumerate(self.programs):
-            _check_arity(program, n, f"component {i}")
-            missing = _constants(program) - bound
-            if missing:
-                raise ValueError(f"component {i} references unbound constants {sorted(missing)}")
+            for v in _variables(program):
+                if not 0 <= v < n:
+                    raise ValueError(f"component {i} references variable index {v} outside arity {n}")
         k = len(self.frozen_values)
         for offset in range(k):
             idx = n - k + offset
@@ -271,19 +224,14 @@ class SetMap:
     def frozen_count(self) -> int:
         return len(self.frozen_values)
 
-    @property
-    def constants_map(self) -> dict[str, IntervalSet]:
-        return dict(self.constants)
-
     def eval(self, state: Sequence[IntervalSet]) -> tuple[IntervalSet, ...]:
         if len(state) != self.arity:
             raise ValueError(f"state has arity {len(state)}, map has {self.arity}")
         for s in state:
             if not self.universe.contains_set(s):
                 raise ValueError(f"state component {s} escapes the universe")
-        leaf = bind(state, self.constants_map)
         ops = set_ops(self.universe)
-        return tuple(fold(program, leaf, ops) for program in self.programs)
+        return tuple(fold(program, state, ops) for program in self.programs)
 
     def incidence(self) -> BoolMatrix:
         """Syntactic dependency matrix; frozen rows reported as zero."""
@@ -299,31 +247,6 @@ class SetMap:
                 mask |= 1 << v
             rows.append(mask)
         return BoolMatrix(n, tuple(rows))
-
-
-def augment_constants(f: SetMap) -> SetMap:
-    """Turn every named constant into a trailing frozen state variable.
-
-    The rewritten map is constant-free; a constant-free input is returned
-    unchanged.  New variables follow the constants' declaration order.
-    """
-    if not f.constants:
-        return f
-    n = f.arity
-    index_of = {name: n + j for j, (name, _) in enumerate(f.constants)}
-
-    def leaf(node: SetExpr) -> SetExpr:
-        return Var(index_of[node.name]) if type(node) is ConstRef else node
-
-    components = tuple(fold(program, leaf, _TREE) for program in f.programs)
-    components += tuple(Var(n + j) for j in range(len(f.constants)))
-    values = tuple(value for _, value in f.constants)
-    return SetMap(
-        components=components,
-        universe=f.universe,
-        constants=(),
-        frozen_values=f.frozen_values + values,
-    )
 
 
 def truth_columns(arity: int) -> tuple[int, ...]:
@@ -344,27 +267,32 @@ def truth_columns(arity: int) -> tuple[int, ...]:
 
 
 def as_linear(f: SetMap) -> "LinearSetMap | None":
-    """Detect the shape 'union of (coefficient & variable) terms' per row.
+    """Detect the shape 'union of (coefficient & variable) terms' in every
+    free row, over the free variables.
 
-    Returns the coefficient matrix when every component fits, else None.
-    Coefficients may be named constants, the empty/universe literals, or a
-    bare variable (coefficient = universe); absent terms mean empty.
+    Returns the coefficient matrix when every free component fits, else
+    None.  A coefficient is a frozen variable (a named constant), the
+    empty or universe literal, or absent from a bare free variable (the
+    universe); absent terms mean empty.
     """
-    n = f.arity
-    consts = f.constants_map
+    n = f.arity - f.frozen_count
+    coefficients = {UniverseLit(): f.universe.carrier, EmptyLit(): IntervalSet.empty()}
+    coefficients.update((Var(n + j), value) for j, value in enumerate(f.frozen_values))
     entries = [[IntervalSet.empty() for _ in range(n)] for _ in range(n)]
 
     def term_coeff(term: SetExpr) -> tuple[int, IntervalSet] | None:
         if type(term) is Var:
-            return term.index, f.universe.carrier
+            return (term.index, f.universe.carrier) if term.index < n else None
         if type(term) is not Intersect:
             return None
         for var, coeff in ((term.left, term.right), (term.right, term.left)):
-            if type(var) is Var and type(coeff) in (ConstRef, UniverseLit, EmptyLit):
-                return var.index, evaluate(coeff, (), consts, f.universe)
+            # Only a leaf is looked up: hashing a deep tree would recurse.
+            if type(var) is Var and var.index < n and type(coeff) in (Var, UniverseLit, EmptyLit):
+                if coeff in coefficients:
+                    return var.index, coefficients[coeff]
         return None
 
-    for i, comp in enumerate(f.components):
+    for i, comp in enumerate(f.components[:n]):
         # The union's operands, left to right.
         terms: list[SetExpr] = []
         stack = [comp]

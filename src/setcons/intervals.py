@@ -300,7 +300,7 @@ class IntervalSet:
     def measure(self, window: Interval) -> Value:
         """Total length of the part of the set inside ``window``."""
         lengths = [iv.length() for iv in (self & IntervalSet((window,))).intervals]
-        return POS_INF if POS_INF in lengths else sum(lengths, Fraction(0))
+        return POS_INF if POS_INF in lengths else sum(lengths)
 
     def __str__(self) -> str:
         if not self.intervals:

@@ -108,28 +108,29 @@ def simulate(
     random_init: bool = False,
 ) -> Trajectory:
     """Run the system until closure or the round budget is exhausted."""
-    window = sampling_window(spec.universe, spec.initials + tuple(value for _, value in spec.constants))
+    f = spec.set_map()
+    window = sampling_window(spec.universe, spec.initials + f.frozen_values)
     initials = spec.initials
     if random_init:
         rng = random.Random(seed)
         initials = tuple(random_interval_set(rng, spec.universe, window=window) for _ in spec.variables)
-    enc = encode_system(spec.set_map(), initials)
-    aug, partition = enc.set_map, enc.partition
+    enc = encode_system(f, initials)
+    partition = enc.partition
 
     if max_rounds is None:
-        max_rounds = spec.options_map.get("max_rounds", 2 * aug.arity * partition.kappa)
+        max_rounds = spec.options_map.get("max_rounds", 2 * f.arity * partition.kappa)
     if max_rounds < 1:
         raise SetconsError("max_rounds must be at least 1")
 
     n_visible = len(spec.variables)
-    start = enc.encode_state(initials + aug.frozen_values)
+    start = enc.encode_state(initials + f.frozen_values)
     encoded, transient = walk(enc.map, start, max_rounds)
     closed = transient is not None
     # Both ends of the last step are in the trajectory: decode every
     # distinct word once, and check that step on the sets.
     last, words = (encoded[-1], encoded[transient]) if closed else encoded[-2:]
     sets = {w: partition.decode(w) for w in set().union(*encoded)}
-    if aug.eval(tuple(sets[w] for w in last)) != tuple(sets[w] for w in words):
+    if f.eval(tuple(sets[w] for w in last)) != tuple(sets[w] for w in words):
         raise SetconsError("the word map and the set map disagree on a step")
     period = len(encoded) - transient if closed else None
     final = encoded[transient] if closed else encoded[-1]

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from setcons.bindyn import BinaryMap
 from setcons.boolmat import BoolMatrix
-from setcons.expr import ConstRef, Difference, EmptyLit, SetExpr, SetMap, SymDiff, UniverseLit, Var
+from setcons.expr import Difference, EmptyLit, SetExpr, SetMap, SymDiff, UniverseLit, Var
 from setcons.intervals import Interval, IntervalSet, Universe, parse_interval_set
 
 from oracles import as_set_map, entry, from_rows
@@ -58,20 +58,29 @@ def cyclic3_map() -> SetMap:
 CYCLIC3_START = (iv("[2,5]"), iv("[4,7]"), iv("[8,11]"))
 
 
+def frozen_map(rules: Sequence[SetExpr], universe: Universe, *constants: IntervalSet) -> SetMap:
+    """The map of a system with these ``rules`` and named ``constants``, in
+    the parser's form: constant j is the variable ``len(rules) + j``, with
+    the identity rule and frozen at its value."""
+    n = len(rules)
+    return SetMap(tuple(rules) + tuple(Var(n + j) for j in range(len(constants))), universe, constants)
+
+
 def pinned6_map(pinned: IntervalSet | None = None) -> SetMap:
-    """Six agents whose third rule is pinned to a constant set C."""
+    """Six agents whose third rule is pinned to a constant set C, the
+    seventh variable."""
     c = pinned if pinned is not None else iv("[40,60] | [100,120]")
-    return SetMap(
+    return frozen_map(
         (
             Var(2) | (Var(1) & Var(4)),
             Var(2),
-            ConstRef("C"),
+            Var(6),
             Var(0) | (Var(1) & Var(2)) | (Var(4) & Var(5)),
             Var(1) & Var(2),
             (Var(0) & Var(2)) | Var(1) | Var(4),
         ),
         BOX200,
-        constants=(("C", c),),
+        c,
     )
 
 
@@ -233,14 +242,12 @@ def consensus_oracle(linear) -> IntervalSet:
     consensus region iff the all-agents-on-this-cell state is fixed by the
     translated map."""
     from setcons.encoding import build_partition, translate_map
-    from setcons.expr import augment_constants
 
     from oracles import cell_map
 
-    aug = augment_constants(as_set_map(linear))
     entries = [e for row in linear.entries for e in row]
     p = build_partition([e for e in entries if not e.is_empty()], linear.universe)
-    enc = translate_map(aug, p)
+    enc = translate_map(as_set_map(linear), p)
     n = len(linear.entries)
     region = IntervalSet.empty()
     for h in range(p.kappa):

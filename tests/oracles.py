@@ -19,6 +19,10 @@ Each one is the plain, obviously correct form of a library routine:
   function per question, each dispatching on the node type and calling
   itself on the children.  They use only the node classes and the interval
   set operators.
+- named constants as the library read them before the parser made each
+  one a frozen variable: a test-only leaf, :class:`NamedConst`, the
+  rewrite of those leaves into trailing frozen variables, and the linear
+  map read off rules over them.
 - the four routes that the one dependency walk replaced: the Boolean
   matrix powers behind the nilpotency test and the nilpotency index, the
   source elimination that emits a triangularizing order, and the second
@@ -68,10 +72,8 @@ from setcons.dsl import Diagnostic, DslError, SystemSpec
 from setcons.encoding import EncodedSystem, Partition, build_partition, dedup_generators, translate_map
 from setcons.errors import CellEncodingError, SetconsError
 from setcons.expr import (
-    _TREE,
     BINARY_OPS,
     Complement,
-    ConstRef,
     Difference,
     EmptyLit,
     Intersect,
@@ -82,7 +84,6 @@ from setcons.expr import (
     Union,
     UniverseLit,
     Var,
-    augment_constants,
     fold,
     postorder,
     truth_columns,
@@ -259,29 +260,28 @@ def set_level_simulate(
 ) -> Trajectory:
     """The simulator that evaluates the set map every round and encodes
     every state by intersections to detect closure."""
-    base = spec.set_map()
-    window = sampling_window(spec.universe, spec.initials + tuple(value for _, value in spec.constants))
+    f = spec.set_map()
+    window = sampling_window(spec.universe, spec.initials + f.frozen_values)
     initials = list(spec.initials)
     if random_init:
         rng = random.Random(seed)
         initials = [random_interval_set(rng, spec.universe, window=window) for _ in spec.variables]
-    aug = augment_constants(base)
-    generators = dedup_generators(initials + [value for _, value in spec.constants])
+    generators = dedup_generators(initials + list(f.frozen_values))
     partition = build_partition(generators, spec.universe)
     if max_rounds is None:
-        max_rounds = spec.options_map.get("max_rounds", 2 * aug.arity * partition.kappa)
+        max_rounds = spec.options_map.get("max_rounds", 2 * f.arity * partition.kappa)
 
     def encode_state(state):
         return tuple(intersecting_encode(partition, s) for s in state)
 
     n_visible = len(spec.variables)
-    state = tuple(initials) + aug.frozen_values
+    state = tuple(initials) + f.frozen_values
     states = [state]
     encoded = [encode_state(state)]
     seen = {encoded[0]: 0}
     transient = period = None
     for t in range(1, max_rounds + 1):
-        state = aug.eval(state)
+        state = f.eval(state)
         words = encode_state(state)
         if words in seen:
             transient = seen[words]
@@ -352,14 +352,20 @@ def set_level_fixed_point(
 # -- recursive expression walkers ----------------------------------------------
 
 
-def recursive_evaluate(e, state, constants, universe) -> IntervalSet:
+@dataclass(frozen=True, slots=True)
+class NamedConst(SetExpr):
+    """A constant set referred to by name: the leaf that the parser and the
+    library replaced by a frozen variable.  Only the oracles read it."""
+
+    name: str
+
+
+def recursive_evaluate(e, state, universe) -> IntervalSet:
     def ev(node):
-        return recursive_evaluate(node, state, constants, universe)
+        return recursive_evaluate(node, state, universe)
 
     if isinstance(e, Var):
         return state[e.index]
-    if isinstance(e, ConstRef):
-        return constants[e.name]
     if isinstance(e, UniverseLit):
         return universe.carrier
     if isinstance(e, EmptyLit):
@@ -377,14 +383,12 @@ def recursive_evaluate(e, state, constants, universe) -> IntervalSet:
     raise TypeError(f"unknown node {e!r}")
 
 
-def recursive_bit_evaluate(e: SetExpr, bits, const_bits={}) -> int:
+def recursive_bit_evaluate(e: SetExpr, bits) -> int:
     def ev(node):
-        return recursive_bit_evaluate(node, bits, const_bits)
+        return recursive_bit_evaluate(node, bits)
 
     if isinstance(e, Var):
         return bits[e.index]
-    if isinstance(e, ConstRef):
-        return const_bits[e.name]
     if isinstance(e, UniverseLit):
         return 1
     if isinstance(e, EmptyLit):
@@ -410,7 +414,7 @@ def recursive_expr_to_text(e: SetExpr, names=None) -> str:
     def render(node, parent_prec, right_side):
         if isinstance(node, Var):
             return names[node.index] if names is not None else f"X{node.index + 1}"
-        if isinstance(node, ConstRef):
+        if isinstance(node, NamedConst):
             return node.name
         if isinstance(node, UniverseLit):
             return "X"
@@ -432,23 +436,66 @@ def recursive_expr_to_text(e: SetExpr, names=None) -> str:
 
 def _rebuild(e: SetExpr, leaf) -> SetExpr:
     """Rebuild a tree bottom-up, replacing each leaf by ``leaf(node)``."""
-    if isinstance(e, (Var, ConstRef, UniverseLit, EmptyLit)):
+    if isinstance(e, (Var, NamedConst, UniverseLit, EmptyLit)):
         return leaf(e)
     if isinstance(e, Complement):
         return Complement(_rebuild(e.child, leaf))
     return type(e)(_rebuild(e.left, leaf), _rebuild(e.right, leaf))
 
 
-def recursive_augmented_components(f: SetMap) -> tuple[SetExpr, ...]:
-    """The components of ``augment_constants(f)``: constants become the
-    trailing variables, in declaration order, with identity rules."""
-    n = f.arity
-    index_of = {name: n + j for j, (name, _) in enumerate(f.constants)}
+def recursive_augmented_components(rules: Sequence[SetExpr], names: Sequence[str]) -> tuple[SetExpr, ...]:
+    """The components of the map of ``rules`` whose :class:`NamedConst`
+    leaves read the constants ``names``: constants become the trailing
+    variables, in declaration order, with identity rules."""
+    n = len(rules)
+    index_of = {name: n + j for j, name in enumerate(names)}
     rewritten = tuple(
-        _rebuild(c, lambda node: Var(index_of[node.name]) if isinstance(node, ConstRef) else node)
-        for c in f.components
+        _rebuild(c, lambda node: Var(index_of[node.name]) if isinstance(node, NamedConst) else node)
+        for c in rules
     )
-    return rewritten + tuple(Var(n + j) for j in range(len(f.constants)))
+    return rewritten + tuple(Var(n + j) for j in range(len(names)))
+
+
+def named_as_linear(rules: Sequence[SetExpr], constants: dict, universe: Universe) -> LinearSetMap | None:
+    """The linear map of ``rules`` over named constants, read the way the
+    library read it before constants became frozen variables: a term is a
+    bare variable, or a variable intersected with a :class:`NamedConst`,
+    ``X`` or ``empty`` on either side."""
+    n = len(rules)
+    entries = [[IntervalSet.empty() for _ in range(n)] for _ in range(n)]
+    leaf_value = {UniverseLit: lambda node: universe.carrier, EmptyLit: lambda node: IntervalSet.empty(),
+                  NamedConst: lambda node: constants[node.name]}
+
+    def term_coeff(term: SetExpr) -> tuple[int, IntervalSet] | None:
+        if type(term) is Var:
+            return term.index, universe.carrier
+        if type(term) is not Intersect:
+            return None
+        for var, coeff in ((term.left, term.right), (term.right, term.left)):
+            if type(var) is Var and type(coeff) in leaf_value:
+                return var.index, leaf_value[type(coeff)](coeff)
+        return None
+
+    for i, rule in enumerate(rules):
+        # The union's operands, left to right.
+        terms: list[SetExpr] = []
+        stack = [rule]
+        while stack:
+            term = stack.pop()
+            if type(term) is Union:
+                stack.append(term.right)
+                stack.append(term.left)
+            else:
+                terms.append(term)
+        for term in terms:
+            if type(term) is EmptyLit:
+                continue
+            parsed = term_coeff(term)
+            if parsed is None:
+                return None
+            j, coeff = parsed
+            entries[i][j] = entries[i][j] | coeff
+    return LinearSetMap(tuple(tuple(row) for row in entries), universe)
 
 
 def recursive_composed_components(f: SetMap, g: SetMap) -> tuple[SetExpr, ...]:
@@ -1206,42 +1253,41 @@ def incidence_apply(b: BoolMatrix, d: Sequence[IntervalSet]) -> tuple[IntervalSe
     return tuple(out)
 
 
+# Trees: every node rebuilt from its rewritten children.
+_TREE = {kind: kind for kind in (UniverseLit, EmptyLit, Complement, Union, Intersect, Difference, SymDiff)}
+
+
 def compose(f: SetMap, g: SetMap) -> SetMap:
     """The syntactic composition x -> f(g(x))."""
     if f.arity != g.arity:
         raise ValueError("arity mismatch")
-    if f.frozen_values or g.frozen_values:
-        raise ValueError("compose is defined for non-augmented maps")
-    merged = dict(g.constants)
-    for name, value in f.constants:
-        if name in merged and merged[name] != value:
-            raise ValueError(f"constant {name!r} bound to different values")
-        merged[name] = value
-
-    def leaf(node: SetExpr) -> SetExpr:
-        return g.components[node.index] if type(node) is Var else node
-
-    return SetMap(
-        components=tuple(fold(program, leaf, _TREE) for program in f.programs),
-        universe=f.universe,
-        constants=tuple(merged.items()),
-    )
+    if f.frozen_values != g.frozen_values:
+        raise ValueError("the maps pin different frozen values")
+    # g's frozen rules are the identity, so f's stay so.
+    return SetMap(tuple(fold(program, g.components, _TREE) for program in f.programs), f.universe, f.frozen_values)
 
 
-def as_set_map(linear: LinearSetMap) -> SetMap:
-    """The dynamics of a linear map as a SetMap with one named constant per entry."""
+def linear_spec(linear: LinearSetMap) -> SystemSpec:
+    """A linear map as a system with one named constant per entry, each
+    read as the frozen variable the parser makes of it, and empty initial
+    sets."""
     n = len(linear.entries)
     constants = []
-    components = []
+    rules = []
     for i in range(n):
         term: SetExpr | None = None
         for j in range(n):
-            name = f"a{i + 1}_{j + 1}"
-            constants.append((name, linear.entries[i][j]))
-            piece = Intersect(ConstRef(name), Var(j))
+            constants.append((f"a{i + 1}_{j + 1}", linear.entries[i][j]))
+            piece = Intersect(Var(n + len(constants) - 1), Var(j))
             term = piece if term is None else Union(term, piece)
-        components.append(term)
-    return SetMap(tuple(components), linear.universe, tuple(constants))
+        rules.append(term)
+    variables = tuple(f"X{i + 1}" for i in range(n))
+    return SystemSpec(linear.universe, tuple(constants), variables, (IntervalSet.empty(),) * n, tuple(rules))
+
+
+def as_set_map(linear: LinearSetMap) -> SetMap:
+    """The dynamics of a linear map as a SetMap with one frozen variable per entry."""
+    return linear_spec(linear).set_map()
 
 
 def division_truth_columns(arity: int) -> tuple[int, ...]:
@@ -1290,12 +1336,10 @@ _TEXT = {
 def expr_to_text(e: SetExpr, names: Sequence[str] | None = None) -> str:
     """Render an expression in the DSL surface syntax with minimal parens."""
 
-    def leaf(node: SetExpr) -> tuple[str, int]:
-        if type(node) is ConstRef:
-            return node.name, _ATOM
-        return (names[node.index] if names is not None else f"X{node.index + 1}"), _ATOM
-
-    return fold(postorder(e), leaf, _TEXT)[0]
+    program = postorder(e)
+    n = max((node.index + 1 for node in program if type(node) is Var), default=0)
+    leaves = [(names[i] if names is not None else f"X{i + 1}", _ATOM) for i in range(n)]
+    return fold(program, leaves, _TEXT)[0]
 
 
 def pretty_print(spec: SystemSpec) -> str:
@@ -1309,8 +1353,9 @@ def pretty_print(spec: SystemSpec) -> str:
     for name, init in zip(spec.variables, spec.initials):
         lines.append(f"state {name} = {init}")
     lines.append("")
+    names = spec.variables + tuple(name for name, _ in spec.constants)
     for name, rule in zip(spec.variables, spec.rules):
-        lines.append(f"rule {name} = {expr_to_text(rule, spec.variables)}")
+        lines.append(f"rule {name} = {expr_to_text(rule, names)}")
     if spec.options:
         lines.append("")
         for key, value in spec.options:

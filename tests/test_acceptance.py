@@ -11,7 +11,7 @@ from setcons.bindyn import BinaryMap, is_vnn_attractive
 from setcons.boolmat import BoolMatrix, dependency_order, is_nilpotent
 from setcons.dsl import SystemSpec
 from setcons.encoding import build_partition, translate_map
-from setcons.expr import ConstRef, LinearSetMap, Var, augment_constants
+from setcons.expr import LinearSetMap, Var
 from setcons.intervals import Interval, IntervalSet, Universe
 from setcons.sim import simulate
 
@@ -107,8 +107,11 @@ def test_criterion_2_three_agent_set_system():
 
 
 def test_criterion_3_six_agent_pinned_consensus():
-    base = pinned6_map()
-    assert base.incidence() == from_rows(
+    # The paper's incidence matrix is the block of the six agents; the
+    # constant C is a seventh, frozen variable that only the third agent
+    # reads, with a zero row of its own.
+    f = pinned6_map()
+    paper = from_rows(
         [
             [0, 1, 1, 0, 1, 0],
             [0, 0, 1, 0, 0, 0],
@@ -118,11 +121,11 @@ def test_criterion_3_six_agent_pinned_consensus():
             [1, 1, 1, 0, 1, 0],
         ]
     )
-    witness, _ = dependency_order(base.incidence())
+    assert f.incidence().rows == tuple(row | (1 << 6 if i == 2 else 0) for i, row in enumerate(paper.rows)) + (0,)
+    witness, _ = dependency_order(f.incidence())
     assert witness is not None
-    assert is_strictly_lower(conjugate(witness, base.incidence()))
-    aug = augment_constants(base)
-    assert is_contractive_sbm(aug).contractive is True
+    assert is_strictly_lower(conjugate(witness, f.incidence()))
+    assert is_contractive_sbm(f).contractive is True
 
     from setcons.sim import random_interval_set
 
@@ -138,7 +141,7 @@ def test_criterion_3_six_agent_pinned_consensus():
             rules=(
                 Var(2) | (Var(1) & Var(4)),
                 Var(2),
-                ConstRef("C"),
+                Var(6),
                 Var(0) | (Var(1) & Var(2)) | (Var(4) & Var(5)),
                 Var(1) & Var(2),
                 (Var(0) & Var(2)) | Var(1) | Var(4),

@@ -13,7 +13,7 @@ from setcons.analysis import (
 from setcons.bindyn import is_vnn_attractive
 from setcons.encoding import EncodedSystem, build_partition, dedup_generators, translate_map
 from setcons.errors import CellEncodingError, SetconsError
-from setcons.expr import LinearSetMap, SetMap, Var, augment_constants
+from setcons.expr import LinearSetMap, SetMap, Var
 from setcons.intervals import Interval, IntervalSet, Universe
 
 from helpers import (
@@ -22,6 +22,7 @@ from helpers import (
     HALF_LINE,
     UNIT,
     cyclic3_map,
+    frozen_map,
     iv,
     pinned6_map,
     random_set,
@@ -125,24 +126,19 @@ def test_contractivity_cyclic3():
 
 
 def test_contractivity_pinned6():
-    aug = augment_constants(pinned6_map())
-    p = build_partition([aug.frozen_values[0]], BOX200)
-    verdict = is_contractive_sbm(aug)
-    assert block_incidence_verdict(aug, p) is True
+    f = pinned6_map()
+    p = build_partition([f.frozen_values[0]], BOX200)
+    verdict = is_contractive_sbm(f)
+    assert block_incidence_verdict(f, p) is True
     assert verdict.contractive
-    assert verdict.q is not None and verdict.q <= aug.arity
-    assert is_strictly_lower(conjugate(verdict.witness, aug.incidence()))
+    assert verdict.q is not None and verdict.q <= f.arity
+    assert is_strictly_lower(conjugate(verdict.witness, f.incidence()))
 
 
 def test_contractivity_self_loop():
     f = SetMap((Var(0),), UNIT)
     verdict = is_contractive_sbm(f)
     assert not verdict.contractive and verdict.cycle == (0,)
-
-
-def test_contractivity_requires_constant_free():
-    with pytest.raises(ValueError):
-        is_contractive_sbm(pinned6_map())
 
 
 def test_theorem5_both_directions_random():
@@ -165,28 +161,21 @@ def encoded(f: SetMap, *states) -> EncodedSystem:
 
 
 def test_global_fixed_point_pinned6():
-    aug = augment_constants(pinned6_map())
-    c = aug.frozen_values[0]
+    f = pinned6_map()
+    c = f.frozen_values[0]
     rng = random.Random(79)
-    start = tuple(random_set(rng, 0, 200) & BOX200.carrier for _ in range(6)) + aug.frozen_values
-    other = tuple(random_set(rng, 0, 200) & BOX200.carrier for _ in range(6)) + aug.frozen_values
-    enc = encoded(aug, start, other)
+    start = tuple(random_set(rng, 0, 200) & BOX200.carrier for _ in range(6)) + f.frozen_values
+    other = tuple(random_set(rng, 0, 200) & BOX200.carrier for _ in range(6)) + f.frozen_values
+    enc = encoded(f, start, other)
     fixed = global_fixed_point(enc, start)
     assert fixed == (c,) * 7
     assert global_fixed_point(enc, other) == fixed
 
 
 def test_global_fixed_point_constant_map():
-    from setcons.expr import ConstRef
-
-    f = SetMap(
-        (ConstRef("A"), ConstRef("B")),
-        BOX200,
-        (("A", iv("[1,2]")), ("B", iv("[3,4]"))),
-    )
-    aug = augment_constants(f)
-    start = (iv("[7,9]"), IntervalSet.empty()) + aug.frozen_values
-    fixed = global_fixed_point(encoded(aug, start), start)
+    f = frozen_map((Var(2), Var(3)), BOX200, iv("[1,2]"), iv("[3,4]"))
+    start = (iv("[7,9]"), IntervalSet.empty()) + f.frozen_values
+    fixed = global_fixed_point(encoded(f, start), start)
     assert fixed[:2] == (iv("[1,2]"), iv("[3,4]"))
 
 
@@ -196,9 +185,9 @@ def test_global_fixed_point_rejects_noncontractive():
 
 
 def test_global_fixed_point_start_must_be_a_union_of_cells():
-    aug = augment_constants(pinned6_map())
-    enc = encoded(aug, aug.frozen_values)
-    start = (iv("[1,2]"),) + (IntervalSet.empty(),) * 5 + aug.frozen_values
+    f = pinned6_map()
+    enc = encoded(f, f.frozen_values)
+    start = (iv("[1,2]"),) + (IntervalSet.empty(),) * 5 + f.frozen_values
     with pytest.raises(CellEncodingError, match="straddles"):
         global_fixed_point(enc, start)
 
@@ -207,9 +196,9 @@ def test_global_fixed_point_disagreement_is_an_error():
     # A forged verdict whose round bound is too small: the runs from the
     # start and from its complement end apart, which must raise (also under
     # python -O) rather than return a wrong fixed point.
-    aug = augment_constants(pinned6_map())
-    start = (IntervalSet.empty(),) * 6 + aug.frozen_values
-    enc = encoded(aug, start)
+    f = pinned6_map()
+    start = (IntervalSet.empty(),) * 6 + f.frozen_values
+    enc = encoded(f, start)
     with pytest.raises(SetconsError, match="different fixed points"):
         global_fixed_point(enc, start, verdict=ContractivityVerdict(True, q=1))
     with pytest.raises(SetconsError, match="round bound"):
@@ -237,16 +226,16 @@ def test_equilibria_identity_map():
 
 
 def test_equilibria_pinned6():
-    aug = augment_constants(pinned6_map())
+    f = pinned6_map()
     rng = random.Random(81)
-    gens = [random_set(rng, 0, 200) & BOX200.carrier for _ in range(3)] + [aug.frozen_values[0]]
+    gens = [random_set(rng, 0, 200) & BOX200.carrier for _ in range(3)] + [f.frozen_values[0]]
     p = build_partition(gens, BOX200)
-    report = equilibria_sbm(aug, p)
+    report = equilibria_sbm(f, p)
     assert all(len(fps) == 1 for fps in report.per_cell)
     assert report.total == 1
     assert report.listed is not None
     consensus = report.listed[0]
-    assert all(s == aug.frozen_values[0] for s in consensus[:6])
+    assert all(s == f.frozen_values[0] for s in consensus[:6])
 
 
 def test_equilibria_unit_embedding():
@@ -275,9 +264,7 @@ def test_local_attractiveness_unit_embedding():
 
 
 def test_local_attractiveness_constant_map():
-    from setcons.expr import ConstRef
-
-    f = augment_constants(SetMap((ConstRef("A"),), BOX200, (("A", iv("[1,2]")),)))
+    f = frozen_map((Var(1),), BOX200, iv("[1,2]"))
     enc = translate_map(f, build_partition([iv("[1,2]")], BOX200))
     eq = (iv("[1,2]"), iv("[1,2]"))
     assert is_locally_attractive_sbm(enc, eq)
@@ -313,9 +300,9 @@ def test_consensus_region_reference():
     # escaping it are not.
     f = as_set_map(linear)
     inside = iv("[2,3] | [7,8]")
-    assert f.eval((inside, inside)) == (inside, inside)
+    assert f.eval((inside, inside) + f.frozen_values)[:2] == (inside, inside)
     outside = iv("[2,3] | (8,9]")
-    assert f.eval((outside, outside)) != (outside, outside)
+    assert f.eval((outside, outside) + f.frozen_values)[:2] != (outside, outside)
 
 
 def test_consensus_region_disjoint_rows():

@@ -114,8 +114,9 @@ def test_consensus_linear(files, capsys):
 
 def test_consensus_rejects_nonlinear(files, capsys):
     code, out, err = run(capsys, "consensus", files["cyclic3"])
-    assert code == 1
-    assert "not linear" in err
+    assert (code, out) == (1, "")
+    # No line and column: the whole system is at fault, not a token of it.
+    assert err == "error: the system is not linear (every rule must be a union of (coefficient & variable) terms)\n"
 
 
 def test_equilibria_output(files, capsys):

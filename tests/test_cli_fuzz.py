@@ -96,4 +96,6 @@ def test_cli_ends_in_an_exit_code(fuzz_file, text, command, caps):
         code = cli.main([command[0], str(fuzz_file), *command[1:]])
     assert code in (0, 1, 2), err.getvalue()
     assert time.perf_counter() - start < SECONDS
+    # Lines and columns count from 1: a diagnostic at 0:0 points nowhere.
+    assert not any(line.startswith("0:0") for line in err.getvalue().splitlines())
     assert (out.getvalue() == "") == (code != 0)

@@ -13,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import pytest
@@ -34,21 +35,19 @@ from setcons.encoding import Partition, _membership, build_partition, dedup_gene
 from setcons.errors import CapExceeded, CellEncodingError, SetconsError
 from setcons.expr import (
     Complement,
-    ConstRef,
     Difference,
     EmptyLit,
     Intersect,
+    SetExpr,
     SetMap,
     SymDiff,
     Union,
     UniverseLit,
     Var,
-    augment_constants,
-    bind,
     bit_ops,
-    evaluate,
     fold,
     postorder,
+    set_ops,
 )
 from setcons.intervals import (
     Endpoint,
@@ -63,8 +62,9 @@ from setcons.sim import simulate
 from setcons.dsl import SystemSpec
 from setcons.sim import sampling_window
 
-from helpers import HALF_LINE, assert_canonical_values, assert_same_membership, iv, probe_points
+from helpers import HALF_LINE, assert_canonical_values, assert_same_membership, frozen_map, iv, probe_points
 from oracles import (
+    NamedConst,
     cell_map,
     complement_within,
     compose,
@@ -433,13 +433,11 @@ BOX = Universe.of(Interval.closed(0, 8))
 
 
 
-def expressions_over(variables: int, constants=("A", "B")):
-    """Expressions over the first ``variables`` state variables and the
-    named ``constants``."""
+def expressions_over(leaves: Sequence[SetExpr]):
+    """Expressions whose leaves are ``leaves`` and the literals."""
     return st.recursive(
         st.one_of(
-            *([st.builds(Var, st.integers(0, variables - 1))] if variables else []),
-            *([st.builds(ConstRef, st.sampled_from(constants))] if constants else []),
+            *([st.sampled_from(leaves)] if leaves else []),
             st.just(UniverseLit()),
             st.just(EmptyLit()),
         ),
@@ -451,35 +449,53 @@ def expressions_over(variables: int, constants=("A", "B")):
     )
 
 
-expressions = expressions_over(ARITY)
+def variables(*indices: int) -> list[Var]:
+    return [Var(i) for i in indices]
+
+
+# Over the ARITY states and two constants, the variables ARITY and ARITY + 1.
+expressions = expressions_over(variables(*range(ARITY + 2)))
 box_sets = interval_sets.map(lambda s: s & BOX.carrier)
 
 
 @CHECK
 @given(expressions, st.lists(box_sets, min_size=ARITY + 2, max_size=ARITY + 2))
-@example(SymDiff(Var(0), Difference(Var(1), ~ConstRef("A"))) | UniverseLit() & EmptyLit(), [iv("[1,2]")] * (ARITY + 2))
+@example(SymDiff(Var(0), Difference(Var(1), ~Var(3))) | UniverseLit() & EmptyLit(), [iv("[1,2]")] * (ARITY + 2))
 def test_expression_fold_matches_recursive_walkers(e, sets):
-    state, constants = tuple(sets[:ARITY]), {"A": sets[ARITY], "B": sets[ARITY + 1]}
-    assert evaluate(e, state, constants, BOX) == recursive_evaluate(e, state, constants, BOX)
+    program = postorder(e)
+    assert fold(program, sets, set_ops(BOX)) == recursive_evaluate(e, sets, BOX)
     for mask in range(1 << (ARITY + 2)):
-        bits = tuple((mask >> j) & 1 for j in range(ARITY))
-        const_bits = {"A": (mask >> ARITY) & 1, "B": mask >> (ARITY + 1)}
-        assert fold(postorder(e), bind(bits, const_bits), bit_ops(1)) == recursive_bit_evaluate(e, bits, const_bits)
+        bits = tuple((mask >> j) & 1 for j in range(ARITY + 2))
+        assert fold(program, bits, bit_ops(1)) == recursive_bit_evaluate(e, bits)
     assert expr_to_text(e) == recursive_expr_to_text(e)
-    assert expr_to_text(e, ["P", "Q", "R"]) == recursive_expr_to_text(e, ["P", "Q", "R"])
+    names = ["P", "Q", "R", "A", "B"]
+    assert expr_to_text(e, names) == recursive_expr_to_text(e, names)
+
+
+NAMED = ("A", "B")
+named_expressions = expressions_over(variables(*range(ARITY)) + [NamedConst(name) for name in NAMED])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    st.lists(expressions, min_size=ARITY, max_size=ARITY),
+    st.lists(named_expressions, min_size=ARITY, max_size=ARITY),
     st.lists(expressions, min_size=ARITY, max_size=ARITY),
     st.lists(box_sets, min_size=2, max_size=2),
+    st.lists(st.integers(0, ARITY), min_size=2, max_size=2).map(sorted),
 )
-def test_map_rewrites_match_recursive_walkers(f_rules, g_rules, constants):
-    bound = (("A", constants[0]), ("B", constants[1]))
-    f = SetMap(tuple(f_rules), BOX, bound)
-    g = SetMap(tuple(g_rules), BOX, bound)
-    assert augment_constants(f).components == recursive_augmented_components(f)
+def test_map_rewrites_match_recursive_walkers(named_rules, g_rules, constants, places):
+    # The parser makes constant j the variable ARITY + j, wherever it is
+    # declared among the states: the rewrite of named constants into
+    # trailing frozen variables.
+    states = ("P", "Q", "R")
+    declarations = [f"state {name} = empty" for name in states]
+    for j in reversed(range(len(NAMED))):
+        declarations.insert(places[j], f"const {NAMED[j]} = {constants[j]}")
+    rules = [f"rule {name} = {recursive_expr_to_text(rule, states)}" for name, rule in zip(states, named_rules)]
+    f = parse("\n".join([f"universe {BOX.carrier}", *declarations, *rules]) + "\n").set_map()
+    assert f.components == recursive_augmented_components(named_rules, NAMED)
+    assert f.frozen_values == tuple(constants)
+    g = frozen_map(g_rules, BOX, *constants)
     assert compose(f, g).components == recursive_composed_components(f, g)
 
 
@@ -491,11 +507,11 @@ def test_map_rewrites_match_recursive_walkers(f_rules, g_rules, constants):
     st.lists(expressions, min_size=ARITY, max_size=ARITY),
     st.lists(box_sets, min_size=ARITY + 2, max_size=ARITY + 2),
 )
-@example([Var(2), Var(0) & ConstRef("A"), ConstRef("B")], [iv("[1,2]")] * (ARITY + 2))
-@example([Var(0) | Var(1), ~Var(1), SymDiff(Var(2), ConstRef("A"))], [iv("[0,3]"), iv("(2,5)")] * 2 + [BOX.carrier])
+@example([Var(2), Var(0) & Var(3), Var(4)], [iv("[1,2]")] * (ARITY + 2))
+@example([Var(0) | Var(1), ~Var(1), SymDiff(Var(2), Var(3))], [iv("[0,3]"), iv("(2,5)")] * 2 + [BOX.carrier])
 def test_word_map_and_analyzers_match_per_cell_maps(rules, sets):
-    initials, constants = sets[:ARITY], (("A", sets[ARITY]), ("B", sets[ARITY + 1]))
-    f = augment_constants(SetMap(tuple(rules), BOX, constants))
+    initials = sets[:ARITY]
+    f = frozen_map(rules, BOX, *sets[ARITY:])
     gens = [s for s in dict.fromkeys(sets) if not s.is_empty()]
     p = build_partition(gens, BOX)
     enc = translate_map(f, p)
@@ -538,21 +554,21 @@ def pinned_systems(draw):
     to three more sets, so that several cells often share a pinned pattern."""
     n_free = draw(st.integers(0, 7))
     c = draw(st.integers(0 if n_free else 1, 3))
-    rules = draw(st.lists(expressions_over(n_free + c, ()), min_size=n_free, max_size=n_free))
+    rules = draw(st.lists(expressions_over(variables(*range(n_free + c))), min_size=n_free, max_size=n_free))
     frozen = draw(st.lists(box_sets, min_size=c, max_size=c))
     others = draw(st.lists(box_sets, max_size=3))
-    f = SetMap(tuple(rules) + tuple(Var(n_free + j) for j in range(c)), BOX, (), tuple(frozen))
+    f = frozen_map(rules, BOX, *frozen)
     return f, build_partition(dedup_generators(frozen + others), BOX)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(pinned_systems(), st.integers(0, 40))
 @example(
-    (SetMap((Var(0) | Var(1), Var(1)), BOX, (), (iv("[2,5]"),)),
+    (frozen_map((Var(0) | Var(1),), BOX, iv("[2,5]")),
      build_partition([iv("[2,5]"), iv("[1,3] | [6,7]")], BOX)),
     40,
 )
-@example((SetMap((Var(0),), BOX, (), (iv("[1,4]"),)), build_partition([iv("[1,4]")], BOX)), 4)
+@example((frozen_map((), BOX, iv("[1,4]")), build_partition([iv("[1,4]")], BOX)), 4)
 def test_truth_table_equilibria_match_word_scan(system, listing):
     f, p = system
     enc = translate_map(f, p)
@@ -594,7 +610,7 @@ def outcome(fn, *args):
 )
 @example([Var(0) | (Var(1) & Var(2)), Var(0) | ~Var(1), ~Var(0) & ~Var(1) & ~Var(2)],
          [iv("[2,5]"), iv("[4,7]"), iv("[6,8]"), iv("empty"), iv("empty")], 1, None)
-@example([ConstRef("A"), Var(0) & ConstRef("B"), Var(1)], [iv("empty")] * 3 + [iv("[1,4]"), BOX.carrier],
+@example([Var(3), Var(0) & Var(4), Var(1)], [iv("empty")] * 3 + [iv("[1,4]"), BOX.carrier],
          None, None)
 def test_word_trajectory_matches_set_level(rules, sets, max_rounds, seed):
     # Runs that close, runs that use up their budget (max_rounds), and runs
@@ -607,12 +623,12 @@ def test_word_trajectory_matches_set_level(rules, sets, max_rounds, seed):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    st.tuples(*(expressions_over(i) for i in range(ARITY))),
+    st.tuples(*(expressions_over(variables(*range(i), ARITY, ARITY + 1)) for i in range(ARITY))),
     st.lists(box_sets, min_size=ARITY + 2, max_size=ARITY + 2),
 )
 def test_word_fixed_point_matches_set_level(rules, sets):
-    # Rule i reads only variables below i, so the map is contractive.
-    f = augment_constants(SetMap(rules, BOX, (("A", sets[ARITY]), ("B", sets[ARITY + 1]))))
+    # Rule i reads only states below i and the constants, so the map is contractive.
+    f = frozen_map(rules, BOX, *sets[ARITY:])
     start = tuple(sets[:ARITY]) + f.frozen_values
     enc = translate_map(f, build_partition(dedup_generators(sets), BOX))
     verdict = is_contractive_sbm(f)
@@ -633,19 +649,20 @@ def contractive_systems(draw):
     """A contractive map with 1-4 free variables, rule i reading only free
     variables below i, and 0-3 constants (frozen once augmented); its start
     state; and the partition of its sets, often a single cell."""
-    names = ("A", "B", "C")[: draw(st.integers(0, 3))]
+    k = draw(st.integers(0, 3))
     n_free = draw(st.integers(1, 4))
-    rules = tuple(draw(expressions_over(i, names)) for i in range(n_free))
+    constants = variables(*range(n_free, n_free + k))
+    rules = tuple(draw(expressions_over(variables(*range(i)) + constants)) for i in range(n_free))
     sets = st.sampled_from([iv("empty"), BOX.carrier]) if draw(st.booleans()) else box_sets
-    values = draw(st.lists(sets, min_size=n_free + len(names), max_size=n_free + len(names)))
-    f = augment_constants(SetMap(rules, BOX, tuple(zip(names, values[n_free:]))))
+    values = draw(st.lists(sets, min_size=n_free + k, max_size=n_free + k))
+    f = frozen_map(rules, BOX, *values[n_free:])
     start = tuple(values[:n_free]) + f.frozen_values
     return f, start, build_partition(dedup_generators(values), BOX)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(contractive_systems(), st.integers(0, 2**16))
-@example((augment_constants(SetMap((ConstRef("A"),), BOX, (("A", BOX.carrier),))),
+@example((frozen_map((Var(1),), BOX, BOX.carrier),
           (iv("empty"), BOX.carrier), build_partition([BOX.carrier], BOX)), 0)
 def test_packed_steps_match_separate_steps(system, word):
     f, start, p = system
@@ -672,8 +689,7 @@ def test_packed_steps_match_separate_steps(system, word):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(contractive_systems())
-@example((augment_constants(SetMap((ConstRef("A") | ConstRef("B"), Var(0) & ~ConstRef("C")), BOX,
-                                   (("A", iv("[1,2]")), ("B", iv("[3,4]")), ("C", iv("[2,3]"))))),
+@example((frozen_map((Var(2) | Var(3), Var(0) & ~Var(4)), BOX, iv("[1,2]"), iv("[3,4]"), iv("[2,3]")),
           (iv("[5,6]"), iv("empty"), iv("[1,2]"), iv("[3,4]"), iv("[2,3]")),
           build_partition([iv("[5,6]"), iv("[1,2]"), iv("[3,4]"), iv("[2,3]")], BOX)))
 def test_fixed_point_decodes_only_the_free_words(system):
@@ -692,8 +708,8 @@ def test_fixed_point_decodes_only_the_free_words(system):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(pinned_systems())
-@example((SetMap((Var(0),), BOX, (), (iv("[1,4]"),)), build_partition([iv("[1,4]")], BOX)))
-@example((SetMap((Var(0),), BOX, (), ()), build_partition([], BOX)))
+@example((frozen_map((), BOX, iv("[1,4]")), build_partition([iv("[1,4]")], BOX)))
+@example((SetMap((Var(0),), BOX), build_partition([], BOX)))
 def test_packed_equilibria_match_per_pattern_steps(system):
     f, p = system
     enc = translate_map(f, p)

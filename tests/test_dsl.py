@@ -1,7 +1,7 @@
 import pytest
 
 from setcons.dsl import MAX_NESTING, Diagnostic, DslError, parse, to_json
-from setcons.expr import ConstRef, Var
+from setcons.expr import Intersect, Union, Var
 
 from helpers import iv
 from oracles import pretty_print, to_lists
@@ -56,8 +56,60 @@ def test_parse_minimal():
 def test_parse_pinned6():
     spec = parse(PINNED6_TEXT)
     assert spec.constants == (("C", iv("[40,60] | [100,120]")),)
-    assert spec.rules[2] == ConstRef("C")
+    assert spec.rules[2] == Var(6)
     assert spec.options_map == {"max_rounds": 40}
+
+
+# Constants are the variables after every state, in declaration order,
+# wherever they are declared.
+INTERLEAVED_TEXT = """\
+universe [0,10]
+state A = [0,1]
+const D = [2,3]
+state B = [4,5]
+const C = [6,7]
+state E = empty
+rule A = D & B
+rule B = C | A
+rule E = E
+"""
+
+
+def test_constant_between_states_follows_every_state():
+    spec = parse(INTERLEAVED_TEXT)
+    assert spec.variables == ("A", "B", "E")
+    assert [name for name, _ in spec.constants] == ["D", "C"]
+    assert spec.rules == (Intersect(Var(3), Var(1)), Union(Var(4), Var(0)), Var(2))
+
+
+def test_constant_used_in_several_rules():
+    spec = parse("universe [0,10]\nconst C = [2,3]\nstate A = [0,1]\nstate B = [4,5]\n"
+                 "rule A = A | C\nrule B = C & ~C\n")
+    assert spec.rules == (Union(Var(0), Var(2)), Intersect(Var(2), ~Var(2)))
+
+
+def test_rule_reading_only_a_constant():
+    spec = parse("universe [0,10]\nstate A = [0,1]\nconst C = [2,3]\nrule A = C\n")
+    assert spec.rules == (Var(1),)
+    f = spec.set_map()
+    assert f.eval((iv("[0,1]"), iv("[2,3]"))) == (iv("[2,3]"), iv("[2,3]"))
+
+
+def test_rule_for_a_constant_is_for_an_undeclared_variable():
+    with pytest.raises(DslError) as err:
+        parse("universe [0,10]\nconst C = [2,3]\nstate A = [0,1]\nrule A = A\nrule C = C\n")
+    [diag] = err.value.diagnostics
+    assert diag.render() == "5:6: error: rule for undeclared variable C (declare it with 'state' first)"
+
+
+def test_set_map_freezes_constants_in_declaration_order():
+    f = parse(INTERLEAVED_TEXT).set_map()
+    assert f.components[3:] == (Var(3), Var(4))
+    assert f.frozen_values == (iv("[2,3]"), iv("[6,7]"))
+    # Frozen rows are identity rules, reported as zero incidence rows.
+    assert f.incidence().rows[3:] == (0, 0)
+    state = (iv("[0,1]"), iv("[4,5]"), iv("empty")) + f.frozen_values
+    assert f.eval(state)[3:] == f.frozen_values
 
 
 def test_undefined_identifier():

@@ -4,7 +4,7 @@ import pytest
 
 from setcons.encoding import build_partition, translate_map
 from setcons.errors import CellEncodingError
-from setcons.expr import SetMap, Var, augment_constants
+from setcons.expr import SetMap, Var
 from setcons.intervals import Interval, IntervalSet, Universe
 
 from helpers import (
@@ -156,13 +156,11 @@ def test_translate_identity_map():
         assert enc.map.step(words) == words
 
 
-def test_translate_requires_constant_free():
+def test_translate_encodes_frozen_values():
+    # The frozen value is a generator, so it encodes: bit 1 on the
+    # generator's cell, 0 on the complement cell.
     p = build_partition([iv("[40,60] | [100,120]")], BOX200)
-    with pytest.raises(ValueError):
-        translate_map(pinned6_map(), p)
-    # After augmentation the frozen value is a generator, so it encodes:
-    # bit 1 on the generator's cell, 0 on the complement cell.
-    enc = translate_map(augment_constants(pinned6_map()), p)
+    enc = translate_map(pinned6_map(), p)
     assert enc.pinned_words == (0b01,)
 
 
@@ -221,7 +219,7 @@ def test_block_incidence_reference_systems():
     ident = SetMap((Var(0), Var(1)), u)
     p = build_partition([iv("[1,2]"), iv("[5,9)")], u)
     assert block_incidence_check(ident, p)
-    aug = augment_constants(pinned6_map())
-    gens = list(CYCLIC3_START) + [aug.frozen_values[0]]
+    f = pinned6_map()
+    gens = list(CYCLIC3_START) + [f.frozen_values[0]]
     p6 = build_partition([g & BOX200.carrier for g in gens], BOX200)
-    assert block_incidence_check(aug, p6)
+    assert block_incidence_check(f, p6)

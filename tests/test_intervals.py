@@ -107,6 +107,14 @@ def test_measure():
     assert iv("empty").measure(Interval.closed(0, 10)) == 0
 
 
+def test_measure_of_an_integral_set_is_an_int():
+    # Integral lengths add up as ints, never as Fractions.
+    window = Interval.closed(0, 10)
+    for text in ("[2,5]", "[0,4) | (7,12]", "[3,3]", "empty"):
+        assert type(iv(text).measure(window)) is int
+    assert iv("[1/2,3]").measure(window) == Fraction(5, 2)
+
+
 def test_singletons():
     s = IntervalSet.of(Interval.singleton(13))
     assert s.contains(13) and not s.contains(Fraction(129, 10))

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from setcons.dsl import DslError, SystemSpec, _diagnostic, _tokenize, parse, parse_set_literal
 from setcons.expr import (
     Complement,
-    ConstRef,
     Difference,
     EmptyLit,
     Intersect,
@@ -202,8 +201,8 @@ def sets_in(draw, universe: Universe):
 
 def expressions(n_vars: int, n_consts: int):
     leaves = [st.builds(Var, st.integers(0, n_vars - 1)), st.just(UniverseLit()), st.just(EmptyLit())]
-    if n_consts:
-        leaves.append(st.sampled_from([ConstRef(c) for c in CONSTANTS[:n_consts]]))
+    if n_consts:  # constant j is the variable n_vars + j
+        leaves.append(st.builds(Var, st.integers(n_vars, n_vars + n_consts - 1)))
     binary = [Union, Intersect, Difference, SymDiff]
 
     def extend(children):
@@ -239,7 +238,7 @@ NESTED = SystemSpec(
     variables=("A", "B"),
     initials=(IntervalSet.empty(), UNIVERSES[0].carrier),
     rules=(
-        Difference(Var(0), Difference(Var(1), ConstRef("C"))),
+        Difference(Var(0), Difference(Var(1), Var(2))),
         SymDiff(Var(1), SymDiff(Complement(Complement(Var(0))), Difference(UniverseLit(), EmptyLit()))),
     ),
 )
