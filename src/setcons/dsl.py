@@ -245,7 +245,7 @@ class _Parser:
         while self.at_punct("|"):
             self.advance()
             spans.append(self.parse_interval())
-        return IntervalSet.from_intervals(spans)
+        return IntervalSet.of(*spans)
 
     # -- expressions ---------------------------------------------------------
 

@@ -152,7 +152,7 @@ def build_partition(generators: Sequence[IntervalSet], universe: Universe) -> Pa
                 and pieces[k].lo_key == _succ(pieces[k - 1].hi_key)):
             continue
         a, b = pieces[first], pieces[k - 1]
-        runs[piece_cells[first]].append(a if a is b else Interval(a.lo, b.hi))
+        runs[piece_cells[first]].append(a if a is b else Interval(a.lo_key, b.hi_key))
         first = k
     signatures = tuple(tuple((code >> (m - 1 - i)) & 1 for i in range(m)) for code in order)
     regions = tuple(IntervalSet(tuple(r)) for r in runs)

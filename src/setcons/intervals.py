@@ -1,27 +1,31 @@
 """Exact algebra of finite interval unions over a real-line universe.
 
 Sets are stored in a canonical form: an ordered tuple of pairwise disjoint,
-non-adjacent intervals with exact open/closed endpoints.  Two sets are equal
-as sets of points if and only if they are structurally equal, which keeps set
-equality decidable and bit-stable.  Endpoint values are canonical too
-(:func:`as_value`): an ``int`` when finite and integral, else a
-``fractions.Fraction`` when finite, else a float infinity (always open), so
-parsing, sorts, merges and printing over integral endpoints stay on ints.
-A division of endpoint values goes through ``Fraction`` and ``as_value``.
+non-adjacent intervals.  An interval is two sort keys ``(value, eps)``, one
+for the first and one for the last point it holds: eps 0 is the point
+``value`` itself (a closed end), 1 the point just above it (an open low end)
+and -1 the point just below it (an open high end), so keys compare as the
+points they stand for.  Two sets are equal as sets of points if and only if
+they are structurally equal, which keeps set equality decidable and
+bit-stable.  Values are canonical too (:func:`as_value`): an ``int`` when
+finite and integral, else a ``fractions.Fraction`` when finite, else a float
+infinity (always open), so parsing, sorts, merges and printing over integral
+ends stay on ints.  A division of values goes through ``Fraction`` and
+``as_value``.
 
 Because every operand is already sorted and canonical, union, intersection,
 difference and the subset test are single linear merges over the two
 interval tuples (two pointers, no re-sorting), and each builds only the
-intervals of its result.  The complement inside a universe is the
-universe's carrier minus the set, with no complement against the whole
-line in between; symmetric difference is the union of the two differences.
-The text form ``[a,b] | (c,d]`` is read by the system grammar
-(:func:`parse_interval_set` hands it over).
+intervals of its result, straight from the operands' keys.  The complement
+inside a universe is the universe's carrier minus the set, with no
+complement against the whole line in between; symmetric difference is the
+union of the two differences.  The text form ``[a,b] | (c,d]`` is read by
+the system grammar (:func:`parse_interval_set` hands it over).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union as _Union
@@ -65,63 +69,42 @@ def format_value(v: Value) -> str:
         return text if v.denominator == 1 else f"{text}/{Decimal(v.denominator)}"
 
 
-@dataclass(frozen=True, slots=True)
-class Endpoint:
-    """One interval bound, its value canonical (:func:`as_value`, which the
-    raw constructor does not call); infinite values are always open."""
-
-    value: Value
-    closed: bool
-
-    def __post_init__(self):
-        if self.closed and isinstance(self.value, float):
-            raise ValueError("a closed endpoint must be finite")
-
-    def flip(self) -> "Endpoint":
-        return Endpoint(self.value, not self.closed)
-
-
-def _key(e: Endpoint, eps_open: int):
-    # (value, eps): eps 0 = the point itself, 1 = just above it, -1 = below.
-    return (e.value, 0 if e.closed else eps_open)
-
-
 def _succ(hi_key):
-    # First position strictly after a high key; comparable with low keys.
+    # The low key of the first point after a high key.
     return (hi_key[0], hi_key[1] + 1)
+
+
+def _pred(lo_key):
+    # The high key of the last point before a low key.
+    return (lo_key[0], lo_key[1] - 1)
 
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """A single nonempty interval with exact endpoint closedness.
-
-    ``lo_key``/``hi_key`` are the sort keys of the first and last point the
-    interval contains; they are derived from the endpoints, computed once,
-    and take no part in equality or hashing.  :meth:`make` builds one from
-    any values :func:`as_value` accepts; the set operations build theirs
-    from endpoints they already hold, whose values are canonical.
+    """A single nonempty interval: the sort keys of the first and the last
+    point it contains.  A low key's eps is 0 (closed) or 1 (open), a high
+    key's 0 (closed) or -1 (open); an infinite end is open.  The raw
+    constructor takes the keys as they are and rejects any that no interval
+    has; :meth:`make` builds one from any values :func:`as_value` accepts.
     """
 
-    lo: Endpoint
-    hi: Endpoint
-    lo_key: tuple = field(init=False, repr=False, compare=False)
-    hi_key: tuple = field(init=False, repr=False, compare=False)
+    lo_key: tuple
+    hi_key: tuple
 
     def __post_init__(self):
-        lo_key, hi_key = _key(self.lo, 1), _key(self.hi, -1)
-        if lo_key > hi_key:
+        (lo, lo_eps), (hi, hi_eps) = self.lo_key, self.hi_key
+        if lo_eps not in (0, 1) or hi_eps not in (-1, 0):
+            raise ValueError(f"not the keys of an interval: {self.lo_key}, {self.hi_key}")
+        if (not lo_eps and isinstance(lo, float)) or (not hi_eps and isinstance(hi, float)):
+            raise ValueError("a closed endpoint must be finite")
+        if self.lo_key > self.hi_key:
             raise ValueError(f"empty interval: {self}")
-        object.__setattr__(self, "lo_key", lo_key)
-        object.__setattr__(self, "hi_key", hi_key)
 
     @classmethod
     def make(cls, lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> "Interval":
         lo_v, hi_v = as_value(lo), as_value(hi)
-        if isinstance(lo_v, float):
-            lo_closed = False
-        if isinstance(hi_v, float):
-            hi_closed = False
-        return cls(Endpoint(lo_v, lo_closed), Endpoint(hi_v, hi_closed))
+        return cls((lo_v, 0 if lo_closed and not isinstance(lo_v, float) else 1),
+                   (hi_v, 0 if hi_closed and not isinstance(hi_v, float) else -1))
 
     @classmethod
     def closed(cls, lo, hi) -> "Interval":
@@ -136,14 +119,14 @@ class Interval:
         return cls.make(p, p, True, True)
 
     def length(self) -> Value:
-        if isinstance(self.lo.value, float) or isinstance(self.hi.value, float):
+        lo, hi = self.lo_key[0], self.hi_key[0]
+        if isinstance(lo, float) or isinstance(hi, float):
             return POS_INF
-        return self.hi.value - self.lo.value
+        return hi - lo
 
     def __str__(self) -> str:
-        lb = "[" if self.lo.closed else "("
-        rb = "]" if self.hi.closed else ")"
-        return f"{lb}{format_value(self.lo.value)},{format_value(self.hi.value)}{rb}"
+        (lo, lo_eps), (hi, hi_eps) = self.lo_key, self.hi_key
+        return f"{'(' if lo_eps else '['}{format_value(lo)},{format_value(hi)}{')' if hi_eps else ']'}"
 
 
 def _canonical(spans: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -157,7 +140,7 @@ def _join_sorted(ordered: Iterable[Interval]) -> tuple[Interval, ...]:
     for iv in ordered:
         if out and iv.lo_key <= _succ(out[-1].hi_key):
             if iv.hi_key > out[-1].hi_key:
-                out[-1] = Interval(out[-1].lo, iv.hi)
+                out[-1] = Interval(out[-1].lo_key, iv.hi_key)
         else:
             out.append(iv)
     return tuple(out)
@@ -167,18 +150,14 @@ def _join_sorted(ordered: Iterable[Interval]) -> tuple[Interval, ...]:
 class IntervalSet:
     """Canonical finite union of intervals; immutable and hashable.
 
-    Construct through :meth:`of` / :meth:`from_intervals` (which normalize)
-    rather than the raw constructor.
+    Construct through :meth:`of`, which normalizes, rather than the raw
+    constructor.
     """
 
     intervals: tuple[Interval, ...] = ()
 
     @classmethod
     def of(cls, *spans: Interval) -> "IntervalSet":
-        return cls(_canonical(spans))
-
-    @classmethod
-    def from_intervals(cls, spans: Iterable[Interval]) -> "IntervalSet":
         return cls(_canonical(spans))
 
     @classmethod
@@ -258,7 +237,7 @@ class IntervalSet:
                 if last_start is first_end:
                     out.append(last_start)
                 else:
-                    out.append(Interval(last_start.lo, first_end.hi))
+                    out.append(Interval(last_start.lo_key, first_end.hi_key))
         return IntervalSet(tuple(out))
 
     def complement_in(self, universe: "Universe | IntervalSet") -> "IntervalSet":
@@ -279,17 +258,17 @@ class IntervalSet:
         for a in self.intervals:
             while j < nb and theirs[j].hi_key < a.lo_key:
                 j += 1
-            lo, lo_key = a.lo, a.lo_key  # where the uncut rest of a starts
+            lo = a.lo_key  # where the uncut rest of a starts
             while j < nb and theirs[j].lo_key <= a.hi_key:
                 b = theirs[j]
-                if lo_key < b.lo_key:
-                    out.append(Interval(lo, b.lo.flip()))
+                if lo < b.lo_key:
+                    out.append(Interval(lo, _pred(b.lo_key)))
                 if b.hi_key >= a.hi_key:
                     break  # b covers the rest of a, and may reach the next interval
-                lo, lo_key = b.hi.flip(), _succ(b.hi_key)
+                lo = _succ(b.hi_key)
                 j += 1
             else:
-                out.append(a if lo is a.lo else Interval(lo, a.hi))
+                out.append(a if lo is a.lo_key else Interval(lo, a.hi_key))
         return IntervalSet(tuple(out))
 
     def __xor__(self, other: "IntervalSet") -> "IntervalSet":
@@ -314,19 +293,19 @@ def elementary_pieces(sets: Iterable[IntervalSet]) -> tuple[Interval, ...]:
     open interval.  Every set built from ``sets`` by union, intersection and
     complement holds each piece wholly or not at all."""
     values = sorted({
-        ep.value
+        key[0]
         for s in sets
         for iv in s.intervals
-        for ep in (iv.lo, iv.hi)
-        if not isinstance(ep.value, float)
+        for key in (iv.lo_key, iv.hi_key)
+        if not isinstance(key[0], float)
     })
     pieces = []
-    below = Endpoint(NEG_INF, False)
+    below = (NEG_INF, 1)
     for v in values:
-        point, beside = Endpoint(v, True), Endpoint(v, False)
-        pieces += (Interval(below, beside), Interval(point, point))
-        below = beside
-    pieces.append(Interval(below, Endpoint(POS_INF, False)))
+        point = (v, 0)
+        pieces += (Interval(below, (v, -1)), Interval(point, point))
+        below = (v, 1)
+    pieces.append(Interval(below, (POS_INF, -1)))
     return tuple(pieces)
 
 

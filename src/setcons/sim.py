@@ -65,11 +65,11 @@ def sampling_window(universe: Universe, sets: Iterable[IntervalSet] = ()) -> Int
     initial and constant sets) padded by 10 percent, or else ``[0,100]``."""
     # A set's intervals ascend: its extreme endpoints are in the first and last.
     finite = [
-        ep.value
+        key[0]
         for s in (universe.carrier, *sets) if s
         for iv in (s.intervals[0], s.intervals[-1])
-        for ep in (iv.lo, iv.hi)
-        if not isinstance(ep.value, float)
+        for key in (iv.lo_key, iv.hi_key)
+        if not isinstance(key[0], float)
     ]
     if not finite:
         return Interval.closed(0, 100)
@@ -84,7 +84,7 @@ def random_interval_set(rng: random.Random, universe: Universe, max_parts: int =
     """A random union of up to ``max_parts`` rational-endpoint intervals inside
     the universe (possibly empty), drawn across ``window`` or the universe's."""
     window = window or sampling_window(universe)
-    lo, hi = window.lo.value, window.hi.value
+    lo, hi = window.lo_key[0], window.hi_key[0]
     span = hi - lo
     parts = []
     for _ in range(rng.randint(0, max_parts)):
@@ -98,7 +98,7 @@ def random_interval_set(rng: random.Random, universe: Universe, max_parts: int =
         if a == b:
             continue
         parts.append(Interval.make(a, b, rng.random() < 0.5, rng.random() < 0.5))
-    return IntervalSet.from_intervals(parts) & universe.carrier
+    return IntervalSet.of(*parts) & universe.carrier
 
 
 def simulate(
@@ -165,7 +165,7 @@ def _float(length: Fraction) -> float:
 def render_timeline(traj: Trajectory, window: Interval, width: int = 48) -> str:
     """ASCII bars marking each agent's set across the window, one block of
     rows per round; deterministic for a given trajectory."""
-    lo, hi = window.lo.value, window.hi.value
+    lo, hi = window.lo_key[0], window.hi_key[0]
     if isinstance(lo, float) or isinstance(hi, float):
         raise ValueError("the timeline window must be finite")
     span = hi - lo

@@ -16,7 +16,7 @@ from setcons.boolmat import BoolMatrix
 from setcons.expr import Difference, EmptyLit, SetExpr, SetMap, SymDiff, UniverseLit, Var
 from setcons.intervals import Interval, IntervalSet, Universe, parse_interval_set
 
-from oracles import as_set_map, entry, from_rows
+from oracles import as_set_map, ends, entry, from_rows
 
 # -- reference systems -------------------------------------------------------
 
@@ -111,7 +111,7 @@ def random_set(rng: random.Random, lo=0, hi=24, max_parts=3, denominator=4) -> I
             parts.append(Interval.singleton(a))
         else:
             parts.append(Interval.make(a, b, rng.random() < 0.5, rng.random() < 0.5))
-    return IntervalSet.from_intervals(parts)
+    return IntervalSet.of(*parts)
 
 
 def random_word(rng: random.Random, k: int) -> int:
@@ -161,9 +161,9 @@ def probe_points(*sets: IntervalSet) -> list[Fraction]:
     values = set()
     for s in sets:
         for interval in s.intervals:
-            for ep in (interval.lo, interval.hi):
-                if not isinstance(ep.value, float):
-                    values.add(ep.value)
+            for value, _ in ends(interval):
+                if not isinstance(value, float):
+                    values.add(value)
     points = set()
     offsets = (Fraction(0), Fraction(1, 13), Fraction(-1, 13), Fraction(1), Fraction(-1))
     for v in values:
@@ -188,8 +188,8 @@ def is_canonical_value(v) -> bool:
 def assert_canonical_values(*sets: IntervalSet) -> None:
     for s in sets:
         for interval in s.intervals:
-            for ep in (interval.lo, interval.hi):
-                assert is_canonical_value(ep.value), f"{ep.value!r} in {s}"
+            for value, _ in ends(interval):
+                assert is_canonical_value(value), f"{value!r} in {s}"
 
 
 def assert_same_membership(result: IntervalSet, expected_fn, *operands: IntervalSet) -> int:

@@ -88,16 +88,18 @@ from setcons.expr import (
     postorder,
     truth_columns,
 )
-from setcons.intervals import Endpoint, Interval, IntervalSet, Universe, as_value
+from setcons.intervals import Interval, IntervalSet, Universe, as_value
 from setcons.sim import Trajectory, random_interval_set, sampling_window
 
-
-def _lo_key(iv: Interval):
-    return (iv.lo.value, 0 if iv.lo.closed else 1)
+INF = float("inf")
 
 
-def _hi_key(iv: Interval):
-    return (iv.hi.value, 0 if iv.hi.closed else -1)
+def ends(iv: Interval) -> tuple[tuple, tuple]:
+    """The low and the high end of ``iv`` as ``(value, closed)``, decoded from
+    its sort keys, so that the oracles reason about ends and not about the
+    library's key arithmetic."""
+    (lo, lo_eps), (hi, hi_eps) = iv.lo_key, iv.hi_key
+    return (lo, lo_eps == 0), (hi, hi_eps == 0)
 
 
 def pairwise_and(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -105,16 +107,19 @@ def pairwise_and(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     raw = []
     for x in a.intervals:
         for y in b.intervals:
-            lo = x.lo if _lo_key(x) >= _lo_key(y) else y.lo
-            hi = x.hi if _hi_key(x) <= _hi_key(y) else y.hi
-            if (lo.value, 0 if lo.closed else 1) <= (hi.value, 0 if hi.closed else -1):
-                raw.append(Interval(lo, hi))
-    return IntervalSet.from_intervals(raw)
+            (x_lo, x_hi), (y_lo, y_hi) = ends(x), ends(y)
+            # The later low end and the earlier high end; at equal values an
+            # open end is the later low and the earlier high one.
+            lo = max(x_lo, y_lo, key=lambda end: (end[0], not end[1]))
+            hi = min(x_hi, y_hi, key=lambda end: (end[0], end[1]))
+            if lo[0] < hi[0] or (lo[0] == hi[0] and lo[1] and hi[1]):
+                raw.append(Interval.make(lo[0], hi[0], lo[1], hi[1]))
+    return IntervalSet.of(*raw)
 
 
 def resorting_or(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """Sort and merge the concatenation of both interval tuples."""
-    return IntervalSet.from_intervals(a.intervals + b.intervals)
+    return IntervalSet.of(*a.intervals, *b.intervals)
 
 
 def subset_via_and(a: IntervalSet, b: IntervalSet) -> bool:
@@ -124,16 +129,18 @@ def subset_via_and(a: IntervalSet, b: IntervalSet) -> bool:
 def complement_line(s: IntervalSet) -> IntervalSet:
     """Complement relative to the whole extended real line: the gaps before,
     between and after the set's intervals."""
-    spans = s.intervals
+    spans = [ends(iv) for iv in s.intervals]
     if not spans:
         return full_line()
     out = []
-    if not isinstance(spans[0].lo.value, float):  # a float low end is -inf
-        out.append(Interval(Endpoint(float("-inf"), False), spans[0].lo.flip()))
-    for cur, nxt in zip(spans, spans[1:]):
-        out.append(Interval(cur.hi.flip(), nxt.lo.flip()))
-    if not isinstance(spans[-1].hi.value, float):
-        out.append(Interval(spans[-1].hi.flip(), Endpoint(float("inf"), False)))
+    (first, first_closed), _ = spans[0]
+    if first != -INF:
+        out.append(Interval.make(-INF, first, False, not first_closed))
+    for (_, (v, v_closed)), ((w, w_closed), _) in zip(spans, spans[1:]):
+        out.append(Interval.make(v, w, not v_closed, not w_closed))
+    _, (last, last_closed) = spans[-1]
+    if last != INF:
+        out.append(Interval.make(last, INF, not last_closed, False))
     return IntervalSet(tuple(out))
 
 
@@ -196,13 +203,13 @@ def sort_and_join_regions(partition: Partition) -> tuple[IntervalSet, ...]:
     cells: list[list[Interval]] = [[] for _ in partition.regions]
     for piece, h in zip(partition.pieces, partition.piece_cells):
         cells[h].append(piece)
-    return tuple(IntervalSet.from_intervals(c) for c in cells)
+    return tuple(IntervalSet.of(*c) for c in cells)
 
 
 def measure(s: IntervalSet, window: Interval) -> Fraction:
     """Total length of the part of ``s`` inside a finite window."""
     clipped = pairwise_and(s, IntervalSet((window,)))
-    return sum((iv.hi.value - iv.lo.value for iv in clipped.intervals), Fraction(0))
+    return sum((hi[0] - lo[0] for lo, hi in map(ends, clipped.intervals)), Fraction(0))
 
 
 def set_level_distance_lengths(traj: Trajectory, window: Interval) -> tuple[float, ...]:
@@ -825,7 +832,7 @@ def regex_parse_interval_set(text: str, universe: Universe | None = None) -> Int
             if tokens[i] != "|":
                 raise ValueError(f"expected '|' between intervals, found {tokens[i]!r}")
             i += 1
-    return IntervalSet.from_intervals(spans)
+    return IntervalSet.of(*spans)
 
 
 # -- the hand-counted tokenizer and the three-level expression parser ------------

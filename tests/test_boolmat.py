@@ -103,9 +103,7 @@ def test_analyzers_need_no_dimension_cap():
     # them: the derivative comes as one 3 x 3 block per cell.
     u = Universe.of(Interval.closed_open(0, 2048))
     gens = [
-        IntervalSet.from_intervals(
-            [Interval.closed_open(k, k + (1 << i)) for k in range(1 << i, 2048, 2 << i)]
-        )
+        IntervalSet.of(*(Interval.closed_open(k, k + (1 << i)) for k in range(1 << i, 2048, 2 << i)))
         for i in range(11)
     ]
     p = build_partition(gens, u)

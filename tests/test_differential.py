@@ -50,7 +50,6 @@ from setcons.expr import (
     set_ops,
 )
 from setcons.intervals import (
-    Endpoint,
     Interval,
     IntervalSet,
     Universe,
@@ -71,6 +70,7 @@ from oracles import (
     derivative_blocks,
     difference_via_complement,
     discrete_derivative,
+    ends,
     expr_to_text,
     full_line,
     intersecting_encode,
@@ -126,7 +126,7 @@ def intervals(draw):
     return Interval.make(lo, hi, draw(st.booleans()), draw(st.booleans()))
 
 
-interval_sets = st.lists(intervals(), max_size=6).map(IntervalSet.from_intervals)
+interval_sets = st.lists(intervals(), max_size=6).map(lambda spans: IntervalSet.of(*spans))
 
 ZERO_EIGHT = Universe.of(Interval.closed(0, 8))
 universes = st.sampled_from([
@@ -139,8 +139,10 @@ universes = st.sampled_from([
 
 def assert_canonical(s: IntervalSet) -> None:
     for a, b in zip(s.intervals, s.intervals[1:]):
-        # b starts strictly after the first position past a's end.
-        assert (a.hi.value, (0 if a.hi.closed else -1) + 1) < (b.lo.value, 0 if b.lo.closed else 1)
+        # Disjoint and not touching: a gap between a's end and b's start, or
+        # one point left out between two open ends.
+        (_, (end, end_closed)), ((start, start_closed), _) = ends(a), ends(b)
+        assert end < start or (end == start and not end_closed and not start_closed)
 
 
 @CHECK
@@ -228,8 +230,8 @@ def phi_inverse(x):
 
 def mapped(s: IntervalSet, fn) -> IntervalSet:
     return IntervalSet(tuple(
-        Interval(Endpoint(fn(x.lo.value), x.lo.closed), Endpoint(fn(x.hi.value), x.hi.closed))
-        for x in s.intervals
+        Interval.make(fn(lo), fn(hi), lo_closed, hi_closed)
+        for (lo, lo_closed), (hi, hi_closed) in map(ends, s.intervals)
     ))
 
 
@@ -749,7 +751,7 @@ def test_encode_matches_intersecting_oracle(universe, sets, word, kind, mask, a,
     p = build_partition([s & universe.carrier for s in sets], universe)
     s = p.decode(word % (1 << p.kappa))
     if kind == "pieces":
-        s = s ^ IntervalSet.from_intervals(x for k, x in enumerate(p.pieces) if (mask >> k) & 1)
+        s = s ^ IntervalSet.of(*(x for k, x in enumerate(p.pieces) if (mask >> k) & 1))
     elif kind == "cut":
         s = s ^ (IntervalSet.of(Interval.make(min(a, b), max(a, b))) & universe.carrier)
     elif kind == "escape":

@@ -1,10 +1,11 @@
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from setcons.intervals import Endpoint, Interval, IntervalSet, Universe, as_value, format_value, parse_interval_set
+from setcons.intervals import Interval, IntervalSet, Universe, as_value, format_value, parse_interval_set
 
 from helpers import HALF_LINE, assert_same_membership, iv, probe_points, random_set
 from oracles import full_line
@@ -17,7 +18,7 @@ def test_normalize_merges_adjacent():
 
 
 def test_normalize_empty():
-    assert IntervalSet.from_intervals([]) == IntervalSet.empty()
+    assert IntervalSet.of() == IntervalSet.empty()
 
 
 def test_normalize_merges_overlap():
@@ -30,7 +31,7 @@ def test_normalize_idempotent():
     rng = random.Random(11)
     for _ in range(50):
         s = random_set(rng)
-        assert IntervalSet.from_intervals(s.intervals) == s
+        assert IntervalSet.of(*s.intervals) == s
 
 
 def test_normalize_keeps_true_gaps():
@@ -181,8 +182,27 @@ def test_literal_takes_ascii_digits_only():
 def test_literal_rejects_closed_infinity():
     with pytest.raises(ValueError):
         parse_interval_set("[2,inf]")
+    with pytest.raises(ValueError, match="closed endpoint must be finite"):
+        Interval((2, 0), (float("inf"), 0))
+
+
+def test_interval_is_its_two_keys():
+    assert [f.name for f in fields(Interval)] == ["lo_key", "hi_key"]
+    assert Interval.make(0, float("inf"), False, True) == Interval((0, 1), (float("inf"), -1))
+    assert str(Interval((Fraction(1, 2), 0), (3, -1))) == "[1/2,3)"
+
+
+@pytest.mark.parametrize("lo_key, hi_key", [
+    ((float("-inf"), 0), (1, 0)),
+    ((0, 0), (float("inf"), 0)),
+    ((0, -1), (1, 0)),
+    ((0, 2), (1, 0)),
+    ((0, 0), (1, 1)),
+    ((1, 0), (0, 0)),
+], ids=["closed -inf low", "closed inf high", "low eps -1", "low eps 2", "high eps 1", "reversed"])
+def test_raw_constructor_rejects_malformed_keys(lo_key, hi_key):
     with pytest.raises(ValueError):
-        Endpoint(float("inf"), True)
+        Interval(lo_key, hi_key)
 
 
 def test_interval_rejects_reversed_bounds():

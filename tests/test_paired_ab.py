@@ -16,7 +16,7 @@ def test_paired_ab_runs_one_round_on_the_same_tree():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "equal stdout and exit codes" in proc.stdout
+    assert "equal stdout, stderr and exit codes" in proc.stdout
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["operations"] == 32
     assert result["ratio_q1"] <= result["ratio_p50"] <= result["ratio_q3"]

@@ -11,7 +11,7 @@ from setcons.sim import random_interval_set, render_timeline, sampling_window, s
 from setcons.intervals import Interval, IntervalSet
 
 from helpers import BOX200, TopologyView, iv
-from oracles import real_line
+from oracles import ends, real_line
 from test_dsl import CYCLIC3_TEXT, PINNED6_TEXT
 
 
@@ -139,10 +139,10 @@ def test_dedup_generators():
 
 
 def test_sampling_window():
-    w = sampling_window(BOX200)
-    assert w.lo.value == 0 and w.hi.value == 220 and type(w.hi.value) is int
-    unbounded = sampling_window(real_line())
-    assert unbounded.lo.value == 0 and unbounded.hi.value == 100
+    (lo, _), (hi, _) = ends(sampling_window(BOX200))
+    assert lo == 0 and hi == 220 and type(hi) is int
+    (lo, _), (hi, _) = ends(sampling_window(real_line()))
+    assert lo == 0 and hi == 100
 
 
 def test_sampling_window_spans_the_systems_sets():
@@ -162,7 +162,7 @@ def test_sampling_window_spans_the_systems_sets():
         if not s.is_empty()
     ]
     assert all(s.is_subset(IntervalSet.of(window)) for s in drawn)
-    assert max(s.intervals[-1].hi.value for s in drawn) > 6
+    assert max(ends(s.intervals[-1])[1][0] for s in drawn) > 6
     # The distance lengths measure the gaps inside that window.
     traj = simulate(spec)
     cells_apart = traj.rounds[0][2] ^ traj.rounds[traj.transient][2]

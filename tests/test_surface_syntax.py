@@ -181,7 +181,7 @@ UNIVERSES = [
     Universe.of(Interval.closed(0, 8)),
     HALF_LINE,
     real_line(),
-    Universe(IntervalSet.from_intervals([Interval.closed(0, 2), Interval.make(3, 5, False, False), Interval.closed(6, 8)])),
+    Universe.of(Interval.closed(0, 2), Interval.make(3, 5, False, False), Interval.closed(6, 8)),
 ]
 
 grid = st.integers(0, 16).map(lambda k: Fraction(k, 2))
@@ -196,7 +196,7 @@ def sets_in(draw, universe: Universe):
             spans.append(Interval.singleton(a))
         else:
             spans.append(Interval.make(a, b, draw(st.booleans()), draw(st.booleans())))
-    return IntervalSet.from_intervals(spans) & universe.carrier
+    return IntervalSet.of(*spans) & universe.carrier
 
 
 def expressions(n_vars: int, n_consts: int):
@@ -234,7 +234,7 @@ def systems(draw):
 # Right-nested \ and ^, which keep their parentheses.
 NESTED = SystemSpec(
     universe=UNIVERSES[0],
-    constants=(("C", IntervalSet.from_intervals([Interval.closed(1, 2)])),),
+    constants=(("C", IntervalSet.of(Interval.closed(1, 2))),),
     variables=("A", "B"),
     initials=(IntervalSet.empty(), UNIVERSES[0].carrier),
     rules=(

@@ -6,10 +6,10 @@ Each tree is a checkout with the package under ``src/setcons``.  Both are
 imported side by side under their own package names, and every operation
 of the benchmark workload's pool (``bench/workloads.py``, read only) runs
 on both, back to back, the side that goes first alternating from one
-operation to the next.  The two stdouts and exit codes must be equal.  It
-prints each side's median operation time and the median and quartiles of
-the per-operation ratios change/base, then one JSON line with the same
-figures.
+operation to the next.  The two stdouts, stderrs and exit codes must be
+equal.  It prints each side's median operation time and the median and
+quartiles of the per-operation ratios change/base, then one JSON line with
+the same figures.
 
 Sequential benchmark runs on a shared machine can drift by more than a
 change is worth; two operations timed back to back see the same machine,
@@ -50,16 +50,16 @@ def load_cli(tree: Path, alias: str):
     return importlib.import_module(f"{alias}.cli")
 
 
-def timed(main, argv: list[str]) -> tuple[float, object, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def timed(main, argv: list[str]) -> tuple[float, object, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         start = time.perf_counter()
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         elapsed = time.perf_counter() - start
-    return elapsed, code, out.getvalue()
+    return elapsed, code, out.getvalue(), err.getvalue()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         "ratio_q1": q1,
         "ratio_q3": q3,
     }
-    print(f"{workload.name} seed {args.seed}: {len(ratios)} paired operations, equal stdout and exit codes")
+    print(f"{workload.name} seed {args.seed}: {len(ratios)} paired operations, equal stdout, stderr and exit codes")
     print(f"  base   median {result['base_p50_s'] * 1e3:.3f} ms  ({args.base})")
     print(f"  change median {result['change_p50_s'] * 1e3:.3f} ms  ({args.change})")
     print(f"  change/base per operation: median {q2:.3f}, quartiles {q1:.3f}-{q3:.3f}")
