@@ -8,9 +8,11 @@ translated map on n words of kappa bits, one bit per cell, and equilibria
 step it on truth tables, one bit per free state, for every pinned pattern
 of the cells: no matrix over the n*kappa bits is ever built.  Independent
 evaluations share one wider word, side by side: the fixed point's two runs
-(2*kappa bits), the derivative's n + 1 states ((n+1)*kappa bits) and the
-pinned patterns' truth tables, so each takes the steps of one.  Consensus
-existence for linear maps reduces to the intersection of row unions.
+and the consensus bounds' two states (2*kappa bits each), the derivative's
+n + 1 states ((n+1)*kappa bits) and the pinned patterns' truth tables, so
+each takes the steps of one.  For any map, a common set of the free agents
+is fixed exactly when it lies between the consensus bounds, and for a
+linear map the lower bound is empty.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .boolmat import Permutation, dependency_order
 from .caps import DEFAULT, Caps, check_states
 from .encoding import EncodedSystem, Partition, translate_map
 from .errors import SetconsError
-from .expr import LinearSetMap, SetMap, truth_columns
+from .expr import SetMap, truth_columns
 from .intervals import IntervalSet
 
 SetVector = tuple[IntervalSet, ...]
@@ -50,9 +52,6 @@ class ContractivityVerdict:
     witness: Permutation | None = None
     q: int | None = None
     cycle: tuple[int, ...] | None = None
-
-    def __bool__(self) -> bool:
-        return self.contractive
 
 
 def is_contractive_sbm(f: SetMap) -> ContractivityVerdict:
@@ -83,7 +82,8 @@ def global_fixed_point(
     are decoded; the frozen ones encode the map's own frozen values.
     """
     f = enc.set_map
-    verdict = verdict or is_contractive_sbm(f)
+    if verdict is None:
+        verdict = is_contractive_sbm(f)
     if not verdict.contractive:
         raise ValueError("the map is not contractive; no unique fixed point is guaranteed")
     start = tuple(start)
@@ -203,24 +203,42 @@ def is_locally_attractive_sbm(enc: EncodedSystem, x_eq: Sequence[IntervalSet]) -
 
 
 @dataclass(frozen=True)
-class ConsensusVerdict:
-    """Existence and extent of common fixed points of a linear map: every
-    nonempty subset of ``region`` is a consensus value."""
+class ConsensusBounds:
+    """The consensus values of a system: the common sets S of the free
+    agents that the map fixes, with the constants at their pinned values.
+    S is one exactly when ``lower`` ⊆ S ⊆ ``upper``; ``exists`` says that a
+    nonempty one does, and then ``upper`` is one."""
 
     exists: bool
-    region: IntervalSet
+    upper: IntervalSet
+    lower: IntervalSet
 
     def to_json_dict(self) -> dict:
-        return {"exists": self.exists, "region": str(self.region)}
+        out = {"exists": self.exists, "region": str(self.upper)}
+        if not self.lower.is_empty():
+            out["lower"] = str(self.lower)
+        return out
 
 
-def consensus_region(linear: LinearSetMap) -> ConsensusVerdict:
-    """Intersection over rows of each row's coefficient union."""
-    region = linear.universe.carrier
-    for row in linear.entries:
-        row_union = IntervalSet.empty()
-        for e in row:
-            row_union = row_union | e
-        region = region & row_union
-    return ConsensusVerdict(not region.is_empty(), region)
+def consensus_bounds(enc: EncodedSystem) -> ConsensusBounds:
+    """The bounds of the consensus values, from one step of the word map.
 
+    In each cell a common set S puts every free agent at 1 or every one at
+    0, so S is fixed exactly when every cell inside it fixes the all-ones
+    free state and every cell outside it the all-zeros one: ``upper`` is
+    the union of the cells of the first kind (R1) and ``lower`` of those
+    not of the second (X \\ R0).  The two states step side by side, all
+    ones in the low kappa bits and all zeros in the high ones (the frozen
+    words pinned in both), and the AND over the free i of
+    ``~(out_i ^ in_i)`` holds R1 in its low half and R0 in its high half.
+    """
+    f = enc.set_map
+    kappa, n_free = enc.kappa, f.arity - f.frozen_count
+    full = (1 << kappa) - 1
+    words = (full,) * n_free + tuple(w | w << kappa for w in enc.pinned_words)
+    fixed = (1 << 2 * kappa) - 1
+    for x, y in zip(words[:n_free], enc.map.tile(2).step(words)):
+        fixed &= ~(x ^ y)
+    upper, lower = fixed & full, (fixed >> kappa) ^ full
+    decode = enc.partition.decode
+    return ConsensusBounds(upper != 0 and lower & ~upper == 0, decode(upper), decode(lower))

@@ -45,6 +45,8 @@ def from_env(base: Caps = DEFAULT, env=os.environ) -> Caps:
             overrides[key] = int(value)
         except ValueError:
             raise SetconsError(f"SETCONS_CAPS: {key} needs an integer, got {value!r}") from None
+        if overrides[key] < 0:
+            raise SetconsError(f"SETCONS_CAPS: {key} needs a nonnegative integer, got {value!r}")
     return replace(base, **overrides)
 
 

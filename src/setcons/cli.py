@@ -5,8 +5,13 @@ Subcommands::
     setcons analyze FILE       contractivity, equilibria, consensus, local attractiveness
     setcons simulate FILE      round-based run with optional random initial sets
     setcons encode FILE        partition table and per-variable bit vectors
-    setcons consensus FILE     common-fixed-point region of a linear system
+    setcons consensus FILE     bounds of the common values the map fixes
     setcons equilibria FILE    per-cell equilibrium summary
+
+``consensus`` prints ``exists``, whether a nonempty common set of the free
+agents is fixed, and ``region`` and, when not empty, ``lower`` (never for a
+linear system): the fixed common sets are exactly those between the two.
+``analyze`` reports ``consensus`` for linear systems only.
 
 Exit codes: 0 success, 1 input diagnostics, a usage error or a closed
 stdout, 2 an enumeration cap was hit.
@@ -22,7 +27,7 @@ import sys
 from . import analysis, caps as caps_mod, dsl, sim
 from .encoding import encode_system
 from .errors import CapExceeded, SetconsError
-from .expr import as_linear
+from .expr import is_linear
 
 
 def _load(path: str) -> dsl.SystemSpec:
@@ -56,8 +61,7 @@ def _cmd_analyze(args, caps) -> dict:
     }
     equil = analysis.equilibria_sbm(f, enc.partition, caps, list_all=False)
     report["equilibria_summary"] = equil.to_json_dict()
-    linear = as_linear(f)
-    report["consensus"] = analysis.consensus_region(linear).to_json_dict() if linear else None
+    report["consensus"] = analysis.consensus_bounds(enc).to_json_dict() if is_linear(f) else None
     local = None
     if verdict.contractive:
         fixed = analysis.global_fixed_point(enc, spec.initials + f.frozen_values, verdict=verdict)
@@ -100,10 +104,7 @@ def _cmd_encode(args, caps) -> dict:
 
 def _cmd_consensus(args, caps) -> dict:
     spec = _load(args.file)
-    linear = as_linear(spec.set_map())
-    if linear is None:
-        raise SetconsError("the system is not linear (every rule must be a union of (coefficient & variable) terms)")
-    return analysis.consensus_region(linear).to_json_dict()
+    return analysis.consensus_bounds(encode_system(spec.set_map(), spec.initials)).to_json_dict()
 
 
 def _cmd_equilibria(args, caps):

@@ -266,66 +266,24 @@ def truth_columns(arity: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-def as_linear(f: SetMap) -> "LinearSetMap | None":
-    """Detect the shape 'union of (coefficient & variable) terms' in every
-    free row, over the free variables.
-
-    Returns the coefficient matrix when every free component fits, else
-    None.  A coefficient is a frozen variable (a named constant), the
-    empty or universe literal, or absent from a bare free variable (the
-    universe); absent terms mean empty.
-    """
+def is_linear(f: SetMap) -> bool:
+    """Whether every free component is a union of terms, each ``empty``, a
+    free variable, or a free variable intersected with a coefficient on
+    either side: a frozen variable (a named constant), ``X`` or ``empty``."""
     n = f.arity - f.frozen_count
-    coefficients = {UniverseLit(): f.universe.carrier, EmptyLit(): IntervalSet.empty()}
-    coefficients.update((Var(n + j), value) for j, value in enumerate(f.frozen_values))
-    entries = [[IntervalSet.empty() for _ in range(n)] for _ in range(n)]
 
-    def term_coeff(term: SetExpr) -> tuple[int, IntervalSet] | None:
-        if type(term) is Var:
-            return (term.index, f.universe.carrier) if term.index < n else None
-        if type(term) is not Intersect:
-            return None
-        for var, coeff in ((term.left, term.right), (term.right, term.left)):
-            # Only a leaf is looked up: hashing a deep tree would recurse.
-            if type(var) is Var and var.index < n and type(coeff) in (Var, UniverseLit, EmptyLit):
-                if coeff in coefficients:
-                    return var.index, coefficients[coeff]
-        return None
+    def free(e: SetExpr) -> bool:
+        return type(e) is Var and e.index < n
 
-    for i, comp in enumerate(f.components[:n]):
-        # The union's operands, left to right.
-        terms: list[SetExpr] = []
-        stack = [comp]
-        while stack:
-            term = stack.pop()
-            if type(term) is Union:
-                stack.append(term.right)
-                stack.append(term.left)
-            else:
-                terms.append(term)
-        for term in terms:
-            if type(term) is EmptyLit:
-                continue
-            parsed = term_coeff(term)
-            if parsed is None:
-                return None
-            j, coeff = parsed
-            entries[i][j] = entries[i][j] | coeff
-    return LinearSetMap(tuple(tuple(row) for row in entries), f.universe)
+    def coefficient(e: SetExpr) -> bool:
+        return type(e) in (UniverseLit, EmptyLit) or (type(e) is Var and e.index >= n)
 
-
-@dataclass(frozen=True)
-class LinearSetMap:
-    """Update rule 'next_i = union over j of (entries[i][j] & state_j)'."""
-
-    entries: tuple[tuple[IntervalSet, ...], ...]
-    universe: Universe
-
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("coefficient matrix must be square")
-            for e in row:
-                if not self.universe.contains_set(e):
-                    raise ValueError(f"coefficient {e} escapes the universe")
+    stack = list(f.components[:n])
+    while stack:
+        term = stack.pop()
+        if type(term) is Union:
+            stack += (term.left, term.right)
+        elif not (type(term) is EmptyLit or free(term) or (type(term) is Intersect and (
+                free(term.left) and coefficient(term.right) or free(term.right) and coefficient(term.left)))):
+            return False
+    return True

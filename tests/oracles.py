@@ -19,6 +19,9 @@ Each one is the plain, obviously correct form of a library routine:
   function per question, each dispatching on the node type and calling
   itself on the children.  They use only the node classes and the interval
   set operators.
+- the consensus path for linear maps only that the word map's consensus
+  bounds replaced: the linear shape read off a map, :class:`LinearSetMap`,
+  and the region as the intersection of the rows' coefficient unions.
 - named constants as the library read them before the parser made each
   one a frozen variable: a test-only leaf, :class:`NamedConst`, the
   rewrite of those leaves into trailing frozen variables, and the linear
@@ -77,7 +80,6 @@ from setcons.expr import (
     Difference,
     EmptyLit,
     Intersect,
-    LinearSetMap,
     SetExpr,
     SetMap,
     SymDiff,
@@ -333,7 +335,8 @@ def set_level_fixed_point(
 ) -> tuple[IntervalSet, ...]:
     """The global fixed point by q set-level rounds from the start and q from
     its componentwise complement (frozen components stay pinned)."""
-    verdict = verdict or is_contractive_sbm(f)
+    if verdict is None:
+        verdict = is_contractive_sbm(f)
     if not verdict.contractive:
         raise ValueError("the map is not contractive; no unique fixed point is guaranteed")
     start = tuple(start)
@@ -354,6 +357,97 @@ def set_level_fixed_point(
     if check != state:
         raise SetconsError("two starts reached different fixed points")
     return state
+
+
+# -- the linear-only consensus path that the consensus bounds replaced ------------
+
+
+def as_linear(f: SetMap) -> "LinearSetMap | None":
+    """Detect the shape 'union of (coefficient & variable) terms' in every
+    free row, over the free variables.
+
+    Returns the coefficient matrix when every free component fits, else
+    None.  A coefficient is a frozen variable (a named constant), the
+    empty or universe literal, or absent from a bare free variable (the
+    universe); absent terms mean empty.
+    """
+    n = f.arity - f.frozen_count
+    coefficients = {UniverseLit(): f.universe.carrier, EmptyLit(): IntervalSet.empty()}
+    coefficients.update((Var(n + j), value) for j, value in enumerate(f.frozen_values))
+    entries = [[IntervalSet.empty() for _ in range(n)] for _ in range(n)]
+
+    def term_coeff(term: SetExpr) -> tuple[int, IntervalSet] | None:
+        if type(term) is Var:
+            return (term.index, f.universe.carrier) if term.index < n else None
+        if type(term) is not Intersect:
+            return None
+        for var, coeff in ((term.left, term.right), (term.right, term.left)):
+            # Only a leaf is looked up: hashing a deep tree would recurse.
+            if type(var) is Var and var.index < n and type(coeff) in (Var, UniverseLit, EmptyLit):
+                if coeff in coefficients:
+                    return var.index, coefficients[coeff]
+        return None
+
+    for i, comp in enumerate(f.components[:n]):
+        # The union's operands, left to right.
+        terms: list[SetExpr] = []
+        stack = [comp]
+        while stack:
+            term = stack.pop()
+            if type(term) is Union:
+                stack.append(term.right)
+                stack.append(term.left)
+            else:
+                terms.append(term)
+        for term in terms:
+            if type(term) is EmptyLit:
+                continue
+            parsed = term_coeff(term)
+            if parsed is None:
+                return None
+            j, coeff = parsed
+            entries[i][j] = entries[i][j] | coeff
+    return LinearSetMap(tuple(tuple(row) for row in entries), f.universe)
+
+
+@dataclass(frozen=True)
+class LinearSetMap:
+    """Update rule 'next_i = union over j of (entries[i][j] & state_j)'."""
+
+    entries: tuple[tuple[IntervalSet, ...], ...]
+    universe: Universe
+
+    def __post_init__(self):
+        n = len(self.entries)
+        for row in self.entries:
+            if len(row) != n:
+                raise ValueError("coefficient matrix must be square")
+            for e in row:
+                if not self.universe.contains_set(e):
+                    raise ValueError(f"coefficient {e} escapes the universe")
+
+
+@dataclass(frozen=True)
+class ConsensusVerdict:
+    """Existence and extent of common fixed points of a linear map: every
+    nonempty subset of ``region`` is a consensus value."""
+
+    exists: bool
+    region: IntervalSet
+
+    def to_json_dict(self) -> dict:
+        return {"exists": self.exists, "region": str(self.region)}
+
+
+def consensus_region(linear: LinearSetMap) -> ConsensusVerdict:
+    """Intersection over rows of each row's coefficient union."""
+    region = linear.universe.carrier
+    for row in linear.entries:
+        row_union = IntervalSet.empty()
+        for e in row:
+            row_union = row_union | e
+        region = region & row_union
+    return ConsensusVerdict(not region.is_empty(), region)
 
 
 # -- recursive expression walkers ----------------------------------------------

@@ -6,12 +6,12 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Every check is exact
 
 import random
 
-from setcons.analysis import consensus_region, is_contractive_sbm
+from setcons.analysis import is_contractive_sbm
 from setcons.bindyn import BinaryMap, is_vnn_attractive
 from setcons.boolmat import BoolMatrix, dependency_order, is_nilpotent
 from setcons.dsl import SystemSpec
 from setcons.encoding import build_partition, translate_map
-from setcons.expr import LinearSetMap, Var
+from setcons.expr import Var
 from setcons.intervals import Interval, IntervalSet, Universe
 from setcons.sim import simulate
 
@@ -34,11 +34,13 @@ from helpers import (
     ref3_binary,
 )
 from oracles import (
+    LinearSetMap,
     all_states,
     binary_contractivity,
     check_distance_bound,
     compose,
     conjugate,
+    consensus_region,
     discrete_derivative,
     entry,
     equilibria,

@@ -4,16 +4,16 @@ import pytest
 
 from setcons.analysis import (
     ContractivityVerdict,
-    consensus_region,
+    consensus_bounds,
     equilibria_sbm,
     global_fixed_point,
     is_contractive_sbm,
     is_locally_attractive_sbm,
 )
 from setcons.bindyn import is_vnn_attractive
-from setcons.encoding import EncodedSystem, build_partition, dedup_generators, translate_map
+from setcons.encoding import EncodedSystem, build_partition, dedup_generators, encode_system, translate_map
 from setcons.errors import CellEncodingError, SetconsError
-from setcons.expr import LinearSetMap, SetMap, Var
+from setcons.expr import SetMap, Var
 from setcons.intervals import Interval, IntervalSet, Universe
 
 from helpers import (
@@ -31,11 +31,13 @@ from helpers import (
     unit_embedding_of_ref3,
 )
 from oracles import (
+    LinearSetMap,
     as_set_map,
     block_incidence_verdict,
     cell_map,
     check_distance_bound,
     conjugate,
+    consensus_region,
     entry,
     find_bound_counterexample,
     from_rows,
@@ -280,6 +282,18 @@ def test_theorem6_matches_binary_verdicts_at_kappa_one():
         assert is_locally_attractive_sbm(enc, eq_sets) == is_vnn_attractive(f_bin, eq_bits)
 
 
+def linear_encoding(linear: LinearSetMap) -> EncodedSystem:
+    """The linear map's dynamics over the partition its entries cut."""
+    entries = [e for row in linear.entries for e in row]
+    return translate_map(as_set_map(linear), build_partition(dedup_generators(entries), linear.universe))
+
+
+def fixes_common(f: SetMap, s: IntervalSet) -> bool:
+    """Whether ``f`` fixes every free agent at ``s``, the constants pinned."""
+    state = (s,) * (f.arity - f.frozen_count) + f.frozen_values
+    return f.eval(state) == state
+
+
 def test_consensus_region_all_universe():
     u = box24()
     full = LinearSetMap(((u.carrier, u.carrier), (u.carrier, u.carrier)), u)
@@ -296,6 +310,10 @@ def test_consensus_region_reference():
     verdict = consensus_region(linear)
     assert verdict.exists
     assert verdict.region == iv("[2,4] | [6,8]")
+    # The word map's bounds: the same region, and no lower bound.
+    bounds = consensus_bounds(linear_encoding(linear))
+    assert bounds.lower.is_empty()
+    assert bounds.to_json_dict() == verdict.to_json_dict() == {"exists": True, "region": "[2,4] | [6,8]"}
     # Any nonempty subset of the region is a consensus fixed point; subsets
     # escaping it are not.
     f = as_set_map(linear)
@@ -331,3 +349,19 @@ def test_consensus_region_matches_encoded_oracle():
         oracle = consensus_oracle(linear)
         assert verdict.region == oracle
         assert verdict.exists == (not oracle.is_empty())
+        bounds = consensus_bounds(linear_encoding(linear))
+        assert (bounds.exists, bounds.upper, bounds.lower) == (verdict.exists, oracle, IntervalSet.empty())
+
+
+def test_consensus_bounds_of_pinned6():
+    # X3 = C forces every common value to be C itself.
+    f = pinned6_map()
+    c = f.frozen_values[0]
+    bounds = consensus_bounds(encode_system(f, ()))
+    assert (bounds.exists, bounds.upper, bounds.lower) == (True, c, c)
+    assert bounds.to_json_dict() == {"exists": True, "region": str(c), "lower": str(c)}
+    assert fixes_common(f, c)
+    # One point more than the upper bound, or one point less than the
+    # lower one, and the common value is no longer fixed.
+    assert not fixes_common(f, c | iv("[150,150]"))
+    assert not fixes_common(f, c - iv("[50,50]"))

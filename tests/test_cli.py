@@ -112,11 +112,12 @@ def test_consensus_linear(files, capsys):
     assert report == {"exists": True, "region": "[2,4] | [6,8]"}
 
 
-def test_consensus_rejects_nonlinear(files, capsys):
+def test_consensus_bounds_of_a_nonlinear_system(files, capsys):
+    # X3 = ~X1 & ~X2 & ~X3 fixes no common set: at 1 it steps to 0 and at 0
+    # to 1 in every cell, so the upper bound is empty and the lower one X.
     code, out, err = run(capsys, "consensus", files["cyclic3"])
-    assert (code, out) == (1, "")
-    # No line and column: the whole system is at fault, not a token of it.
-    assert err == "error: the system is not linear (every rule must be a union of (coefficient & variable) terms)\n"
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"exists": False, "region": "empty", "lower": "[0,inf)"}
 
 
 def test_equilibria_output(files, capsys):
@@ -256,6 +257,22 @@ def test_removed_caps_are_unknown_entries(files, capsys, monkeypatch, entry):
     assert code == 1
     assert out == ""
     assert err == f"error: SETCONS_CAPS: unknown entry {entry!r}\n"
+
+
+@pytest.mark.parametrize(
+    "entry, error",
+    [
+        ("enumeration=-1", "enumeration needs a nonnegative integer, got '-1'"),
+        ("listing=-3", "listing needs a nonnegative integer, got '-3'"),
+        ("listing=many", "listing needs an integer, got 'many'"),
+    ],
+)
+def test_bad_cap_values_exit_1(files, capsys, monkeypatch, entry, error):
+    # A negative cap is an input diagnostic, not a cap hit (exit 2).
+    monkeypatch.setenv("SETCONS_CAPS", entry)
+    code, out, err = run(capsys, "equilibria", files["linear2"])
+    assert (code, out) == (1, "")
+    assert err == f"error: SETCONS_CAPS: {error}\n"
 
 
 def test_equilibria_over_a_thousand_cells(tmp_path, capsys):

@@ -9,6 +9,7 @@ Fraction values only."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from setcons import analysis as analysis_module
 from setcons.analysis import (
     ContractivityVerdict,
+    consensus_bounds,
     equilibria_sbm,
     global_fixed_point,
     is_contractive_sbm,
@@ -46,6 +48,7 @@ from setcons.expr import (
     Var,
     bit_ops,
     fold,
+    is_linear,
     postorder,
     set_ops,
 )
@@ -64,9 +67,11 @@ from setcons.sim import sampling_window
 from helpers import HALF_LINE, assert_canonical_values, assert_same_membership, frozen_map, iv, probe_points
 from oracles import (
     NamedConst,
+    as_linear,
     cell_map,
     complement_within,
     compose,
+    consensus_region,
     derivative_blocks,
     difference_via_complement,
     discrete_derivative,
@@ -757,3 +762,58 @@ def test_encode_matches_intersecting_oracle(universe, sets, word, kind, mask, a,
     elif kind == "escape":
         s = s | extra
     assert outcome(p.encode, s) == outcome(intersecting_encode, p, s)
+
+
+# -- the consensus bounds against every common union of cells ------------------
+
+
+@st.composite
+def consensus_systems(draw):
+    """A map with 1-3 free variables and 0-2 constants whose rules are small
+    expressions over them or, as often, unions of linear terms, and the
+    partition cut by its constants and 3 - k more sets: at most 8 cells."""
+    k = draw(st.integers(0, 2))
+    n_free = draw(st.integers(1, 3))
+    free, constants = variables(*range(n_free)), variables(*range(n_free, n_free + k))
+    coeff = st.sampled_from(constants * 2 + [UniverseLit(), EmptyLit()])
+    if draw(st.booleans()):
+        leaf = st.one_of(st.sampled_from(free), coeff)
+        expressions = st.recursive(leaf, lambda inner: st.one_of(
+            st.builds(Complement, inner), *(st.builds(kind, inner, inner) for kind in (Union, Intersect, SymDiff))),
+            max_leaves=6)
+        rules = draw(st.lists(expressions, min_size=n_free, max_size=n_free))
+    else:
+        var = st.sampled_from(free)
+        term = st.one_of(var, st.builds(Intersect, var, coeff), st.builds(Intersect, coeff, var), st.just(EmptyLit()))
+        rules = [functools.reduce(Union, draw(st.lists(term, min_size=1, max_size=3))) for _ in range(n_free)]
+    sets = st.lists(intervals(), min_size=1, max_size=2).map(lambda spans: IntervalSet.of(*spans) & BOX.carrier)
+    values = draw(st.lists(sets, min_size=k, max_size=k))
+    others = draw(st.lists(sets, min_size=3 - k, max_size=3 - k))
+    return frozen_map(rules, BOX, *values), build_partition(dedup_generators(values + others), BOX)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(consensus_systems())
+@example((frozen_map((Var(0) | (Var(1) & Var(2)), Var(0) | ~Var(1), ~Var(0) & ~Var(1) & ~Var(2)), BOX),
+          build_partition([iv("[2,5]"), iv("[4,7]"), iv("[6,8]")], BOX)))
+@example((frozen_map((Var(1) & Var(2), Var(0) | Var(1) & Var(3)), BOX, iv("[0,5]"), iv("[3,8]")),
+          build_partition([iv("[0,5]"), iv("[3,8]"), iv("[1,2]")], BOX)))
+def test_consensus_bounds_match_every_common_union_of_cells(system):
+    # A common value S of the free agents is fixed exactly when
+    # lower <= S <= upper, and a nonempty one exists exactly when ``exists``.
+    f, p = system
+    assert p.kappa <= 8
+    bounds = consensus_bounds(translate_map(f, p))
+    n_free = f.arity - f.frozen_count
+    nonempty_fixed = False
+    for word in range(1 << p.kappa):
+        s = p.decode(word)
+        state = (s,) * n_free + f.frozen_values
+        fixed = f.eval(state) == state
+        assert fixed == (bounds.lower.is_subset(s) and s.is_subset(bounds.upper))
+        nonempty_fixed |= fixed and word != 0
+    assert bounds.exists == nonempty_fixed
+    linear = as_linear(f)
+    assert is_linear(f) == (linear is not None)
+    if linear is not None:
+        assert (bounds.upper, bounds.lower) == (consensus_region(linear).region, IntervalSet.empty())

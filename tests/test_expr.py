@@ -11,13 +11,12 @@ from setcons.expr import (
     Difference,
     EmptyLit,
     Intersect,
-    LinearSetMap,
     SetMap,
     SymDiff,
     Union,
     UniverseLit,
     Var,
-    as_linear,
+    is_linear,
     truth_columns,
 )
 from setcons.intervals import Interval, IntervalSet, Universe
@@ -34,8 +33,10 @@ from helpers import (
     random_set_map,
 )
 from oracles import (
+    LinearSetMap,
     NamedConst,
     _rebuild,
+    as_linear,
     as_set_map,
     check_composition_bound,
     compose,
@@ -223,6 +224,7 @@ def check_as_linear(rules, values) -> "LinearSetMap | None":
     f = SetMap(recursive_augmented_components(rules, names), LINEAR_BOX, tuple(values))
     linear = as_linear(f)
     assert linear == named_as_linear(rules, dict(zip(names, values)), LINEAR_BOX)
+    assert is_linear(f) == (linear is not None)
     return linear
 
 
@@ -246,6 +248,31 @@ def test_as_linear_term_shapes():
     # variables together, and a bare universe.
     for rules in ((A & UniverseLit(), x2), (A | x1, x2), (x1 & x2, x2), (x1, UniverseLit())):
         assert check_as_linear(rules, (a, b)) is None
+
+
+@pytest.mark.parametrize(
+    "rule, linear",
+    [
+        ("C", False),
+        ("X", False),
+        ("A & B", False),
+        ("(A | B) & C", False),
+        ("A & C & D", False),
+        ("C & A", True),
+        ("A & empty", True),
+        ("empty", True),
+        ("A | A", True),
+    ],
+)
+def test_is_linear_edge_shapes(rule, linear):
+    # A and B are states, C and D constants.
+    spec = parse(
+        "universe [0,10]\nconst C = [1,2]\nconst D = [3,4]\n"
+        f"state A = [0,1]\nstate B = [2,3]\nrule A = {rule}\nrule B = B\n"
+    )
+    f = spec.set_map()
+    assert is_linear(f) is linear
+    assert (as_linear(f) is not None) is linear
 
 
 @st.composite
