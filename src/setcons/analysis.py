@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bindyn import is_vnn_attractive, repunit
 from .boolmat import Permutation, dependency_order
@@ -39,8 +38,7 @@ SetVector = tuple[IntervalSet, ...]
 PACKED_BITS = 1 << 20
 
 
-@dataclass(frozen=True)
-class ContractivityVerdict:
+class ContractivityVerdict(NamedTuple):
     """Outcome of the global convergence test on an n-variable map.
 
     ``witness`` triangularizes the 0/1 incidence projection when the map is
@@ -107,8 +105,7 @@ def global_fixed_point(
     return tuple(enc.partition.decode(w) for w in state[:n_visible]) + f.frozen_values
 
 
-@dataclass(frozen=True)
-class CellEquilibriaReport:
+class CellEquilibriaReport(NamedTuple):
     """Fixed points of the translated map, cell by cell.
 
     The map's equilibria are exactly the independent combinations of one
@@ -202,8 +199,7 @@ def is_locally_attractive_sbm(enc: EncodedSystem, x_eq: Sequence[IntervalSet]) -
     return is_vnn_attractive(enc.map, enc.encode_state(x_eq))
 
 
-@dataclass(frozen=True)
-class ConsensusBounds:
+class ConsensusBounds(NamedTuple):
     """The consensus values of a system: the common sets S of the free
     agents that the map fixes, with the constants at their pinned values.
     S is one exactly when ``lower`` ⊆ S ⊆ ``upper``; ``exists`` says that a

@@ -13,7 +13,7 @@ as independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def _bits_of(mask: int):
@@ -25,29 +25,28 @@ def _bits_of(mask: int):
         j += 1
 
 
-@dataclass(frozen=True, slots=True)
-class BoolMatrix:
-    n: int
-    rows: tuple[int, ...]
+class BoolMatrix(namedtuple("BoolMatrix", "n rows")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or len(self.rows) != self.n:
+    def __new__(cls, n: int, rows: tuple[int, ...]):
+        if n < 0 or len(rows) != n:
             raise ValueError("row count must equal the declared dimension")
-        mask = (1 << self.n) - 1
-        for r in self.rows:
+        mask = (1 << n) - 1
+        for r in rows:
             if r & ~mask:
                 raise ValueError("row mask has bits outside the matrix")
+        return tuple.__new__(cls, (n, rows))
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "order")):
     """order[k] = original index placed at position k."""
 
-    order: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
+    def __new__(cls, order: tuple[int, ...]):
+        if sorted(order) != list(range(len(order))):
             raise ValueError("not a permutation")
+        return tuple.__new__(cls, (order,))
 
 
 def dependency_order(a: BoolMatrix) -> tuple[Permutation, int] | tuple[None, tuple[int, ...]]:

@@ -11,20 +11,17 @@ expanded into set vectors.  Every cap can be overridden through the
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .errors import CapExceeded, SetconsError
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     enumeration: int = 20     # the largest n of a 2**n table or scan
     listing: int = 10_000     # max equilibria expanded into full set vectors
 
 
 DEFAULT = Caps()
-
-_FIELD_NAMES = {f.name for f in fields(Caps)}
 
 
 def from_env(base: Caps = DEFAULT, env=os.environ) -> Caps:
@@ -39,15 +36,15 @@ def from_env(base: Caps = DEFAULT, env=os.environ) -> Caps:
             continue
         key, sep, value = item.partition("=")
         key = key.strip()
-        if not sep or key not in _FIELD_NAMES:
+        if not sep or key not in Caps._fields:
             raise SetconsError(f"SETCONS_CAPS: unknown entry {item!r}")
-        try:
-            overrides[key] = int(value)
-        except ValueError:
-            raise SetconsError(f"SETCONS_CAPS: {key} needs an integer, got {value!r}") from None
+        number = value.strip()  # ASCII digits, as in a system file, after an optional "-"
+        if not (number.isascii() and number.removeprefix("-").isdigit()):
+            raise SetconsError(f"SETCONS_CAPS: {key} needs an integer, got {value!r}")
+        overrides[key] = int(number)
         if overrides[key] < 0:
             raise SetconsError(f"SETCONS_CAPS: {key} needs a nonnegative integer, got {value!r}")
-    return replace(base, **overrides)
+    return base._replace(**overrides)
 
 
 def check_states(n: int, caps: Caps, what: str) -> None:

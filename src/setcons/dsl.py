@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -47,8 +46,7 @@ OPTION_KEYS = {"max_rounds"}
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     line: int      # 1-based
     column: int    # 1-based, points inside the offending token
@@ -68,8 +66,7 @@ class DslError(ValueError):
         super().__init__("; ".join(d.render() for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """Parsed system description; structurally comparable.
 
     In ``rules`` constant j is the variable ``len(variables) + j``: the
@@ -421,16 +418,16 @@ def parse_set_literal(text: str, universe: Universe | None = None) -> IntervalSe
 
 
 def _jsonify(obj):
+    if isinstance(obj, str):  # most leaves: a report prints its sets itself
+        return obj
     if hasattr(obj, "to_json_dict"):
         return _jsonify(obj.to_json_dict())
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (IntervalSet, Fraction)):  # a set is a tuple too, but prints as a set
+        return str(obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, IntervalSet):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
     return obj
 
 

@@ -23,9 +23,8 @@ they report.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bindyn import BinaryMap, repunit
 from .errors import CellEncodingError
@@ -36,8 +35,7 @@ Bits = tuple[int, ...]
 Words = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Nonempty cells generated by the distinguished sets.
 
     Cells are listed with the all-generators-in signature first, then in
@@ -182,8 +180,7 @@ def _membership(s: IntervalSet, pieces: Sequence[Interval]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class EncodedSystem:
+class EncodedSystem(NamedTuple):
     """A map together with its binary translation.
 
     A state is n words, one per variable, with bit h of a word standing

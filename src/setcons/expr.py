@@ -3,7 +3,9 @@
 A :class:`SetMap` bundles one expression per variable together with the
 universe.  Expressions use union, intersection, complement, difference and
 symmetric difference over the variables and the literals ``X`` and
-``empty``.  A named constant set is a frozen variable from the parser on:
+``empty``.  A node is a named tuple of its children (a :class:`Var` of
+its index) that compares its type too: ``Union(a, b) != Intersect(a, b)``.
+A named constant set is a frozen variable from the parser on:
 the map's trailing variables, each with the identity rule and a pinned
 value in :attr:`SetMap.frozen_values`.
 
@@ -28,7 +30,7 @@ any depth are evaluated without recursion.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Sequence
 
 from .boolmat import BoolMatrix
@@ -36,9 +38,18 @@ from .intervals import IntervalSet, Universe
 
 
 class SetExpr:
-    """Base class for expression nodes; instances are immutable."""
+    """Base class for expression nodes.  A node lists it first among its
+    bases, so that two nodes are equal only when their types are too."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __or__(self, other: "SetExpr") -> "SetExpr":
         return Union(self, other)
@@ -50,48 +61,36 @@ class SetExpr:
         return Complement(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Var(SetExpr):
-    index: int
+class Var(SetExpr, namedtuple("Var", "index")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class UniverseLit(SetExpr):
-    pass
+class UniverseLit(SetExpr, namedtuple("UniverseLit", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class EmptyLit(SetExpr):
-    pass
+class EmptyLit(SetExpr, namedtuple("EmptyLit", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Union(SetExpr):
-    left: SetExpr
-    right: SetExpr
+class Union(SetExpr, namedtuple("Union", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Intersect(SetExpr):
-    left: SetExpr
-    right: SetExpr
+class Intersect(SetExpr, namedtuple("Intersect", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Complement(SetExpr):
-    child: SetExpr
+class Complement(SetExpr, namedtuple("Complement", "child")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Difference(SetExpr):
-    left: SetExpr
-    right: SetExpr
+class Difference(SetExpr, namedtuple("Difference", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SymDiff(SetExpr):
-    left: SetExpr
-    right: SetExpr
+class SymDiff(SetExpr, namedtuple("SymDiff", "left right")):
+    __slots__ = ()
 
 
 # -- the one walk and the one fold ---------------------------------------------
@@ -112,11 +111,8 @@ def postorder(e: SetExpr) -> tuple[SetExpr, ...]:
         node = stack.pop()
         out.append(node)
         arity = _ARITY.get(type(node))
-        if arity == 2:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif arity == 1:
-            stack.append(node.child)
+        if arity:
+            stack += node  # a node is the tuple of its children, left before right
         elif arity is None and type(node) is not Var:
             raise TypeError(f"unknown node {node!r}")
     out.reverse()
@@ -185,36 +181,34 @@ def _variables(program: Sequence[SetExpr]) -> set[int]:
 BINARY_OPS = {"|": (Union, 1), "\\": (Difference, 2), "^": (SymDiff, 2), "&": (Intersect, 3)}
 
 
-@dataclass(frozen=True)
-class SetMap:
+class SetMap(namedtuple("SetMap", "components universe frozen_values programs")):
     """A vector of update expressions: component i defines the next value of
     variable i.  ``frozen_values`` pins the values of the trailing
     variables, the system's named constants; their rules are the identity
     and their incidence rows are reported as zero (they act as sources
-    feeding the rest of the system)."""
+    feeding the rest of the system).  ``programs``, the postorder program
+    of each component, is compiled once by the constructor."""
 
-    components: tuple[SetExpr, ...]
-    universe: Universe
-    frozen_values: tuple[IntervalSet, ...] = ()
-    # The postorder program of each component, compiled once.
-    programs: tuple[tuple[SetExpr, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.components)
+    def __new__(cls, components: tuple[SetExpr, ...], universe: Universe,
+                frozen_values: tuple[IntervalSet, ...] = ()):
+        n = len(components)
         if n < 1:
             raise ValueError("a map needs at least one component")
-        if len(self.frozen_values) > n:
+        if len(frozen_values) > n:
             raise ValueError("more frozen values than components")
-        object.__setattr__(self, "programs", tuple(postorder(c) for c in self.components))
-        for i, program in enumerate(self.programs):
+        programs = tuple(postorder(c) for c in components)
+        for i, program in enumerate(programs):
             for v in _variables(program):
                 if not 0 <= v < n:
                     raise ValueError(f"component {i} references variable index {v} outside arity {n}")
-        k = len(self.frozen_values)
+        k = len(frozen_values)
         for offset in range(k):
             idx = n - k + offset
-            if self.components[idx] != Var(idx):
+            if components[idx] != Var(idx):
                 raise ValueError("frozen components must be identity rules")
+        return tuple.__new__(cls, (components, universe, frozen_values, programs))
 
     @property
     def arity(self) -> int:

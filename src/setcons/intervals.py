@@ -1,17 +1,18 @@
 """Exact algebra of finite interval unions over a real-line universe.
 
 Sets are stored in a canonical form: an ordered tuple of pairwise disjoint,
-non-adjacent intervals.  An interval is two sort keys ``(value, eps)``, one
-for the first and one for the last point it holds: eps 0 is the point
-``value`` itself (a closed end), 1 the point just above it (an open low end)
-and -1 the point just below it (an open high end), so keys compare as the
-points they stand for.  Two sets are equal as sets of points if and only if
-they are structurally equal, which keeps set equality decidable and
-bit-stable.  Values are canonical too (:func:`as_value`): an ``int`` when
-finite and integral, else a ``fractions.Fraction`` when finite, else a float
-infinity (always open), so parsing, sorts, merges and printing over integral
-ends stay on ints.  A division of values goes through ``Fraction`` and
-``as_value``.
+non-adjacent intervals.  An interval is the tuple of two sort keys
+``(value, eps)``, one for the first and one for the last point it holds:
+eps 0 is the point ``value`` itself (a closed end), 1 the point just above
+it (an open low end) and -1 the point just below it (an open high end), so
+keys compare as the points they stand for and intervals sort as their key
+pairs.  Intervals, sets and universes are named tuples.  Two sets are equal
+as sets of points if and only if they are structurally equal, which keeps
+set equality decidable and bit-stable.  Values are canonical too
+(:func:`as_value`): an ``int`` when finite and integral, else a
+``fractions.Fraction`` when finite, else a float infinity (always open), so
+parsing, sorts, merges and printing over integral ends stay on ints.  A
+division of values goes through ``Fraction`` and ``as_value``.
 
 Because every operand is already sorted and canonical, union, intersection,
 difference and the subset test are single linear merges over the two
@@ -25,7 +26,7 @@ the system grammar (:func:`parse_interval_set` hands it over).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union as _Union
@@ -79,8 +80,7 @@ def _pred(lo_key):
     return (lo_key[0], lo_key[1] - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo_key hi_key")):
     """A single nonempty interval: the sort keys of the first and the last
     point it contains.  A low key's eps is 0 (closed) or 1 (open), a high
     key's 0 (closed) or -1 (open); an infinite end is open.  The raw
@@ -88,17 +88,18 @@ class Interval:
     has; :meth:`make` builds one from any values :func:`as_value` accepts.
     """
 
-    lo_key: tuple
-    hi_key: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        (lo, lo_eps), (hi, hi_eps) = self.lo_key, self.hi_key
+    def __new__(cls, lo_key, hi_key):
+        (lo, lo_eps), (hi, hi_eps) = lo_key, hi_key
         if lo_eps not in (0, 1) or hi_eps not in (-1, 0):
-            raise ValueError(f"not the keys of an interval: {self.lo_key}, {self.hi_key}")
+            raise ValueError(f"not the keys of an interval: {lo_key}, {hi_key}")
         if (not lo_eps and isinstance(lo, float)) or (not hi_eps and isinstance(hi, float)):
             raise ValueError("a closed endpoint must be finite")
-        if self.lo_key > self.hi_key:
+        self = tuple.__new__(cls, (lo_key, hi_key))
+        if lo_key > hi_key:
             raise ValueError(f"empty interval: {self}")
+        return self
 
     @classmethod
     def make(cls, lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> "Interval":
@@ -131,7 +132,7 @@ class Interval:
 
 def _canonical(spans: Iterable[Interval]) -> tuple[Interval, ...]:
     """Sort and merge overlapping or adjacent intervals."""
-    return _join_sorted(sorted(spans, key=lambda iv: (iv.lo_key, iv.hi_key)))
+    return _join_sorted(sorted(spans))
 
 
 def _join_sorted(ordered: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -146,15 +147,14 @@ def _join_sorted(ordered: Iterable[Interval]) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalSet:
+class IntervalSet(namedtuple("IntervalSet", "intervals", defaults=((),))):
     """Canonical finite union of intervals; immutable and hashable.
 
     Construct through :meth:`of`, which normalizes, rather than the raw
     constructor.
     """
 
-    intervals: tuple[Interval, ...] = ()
+    __slots__ = ()
 
     @classmethod
     def of(cls, *spans: Interval) -> "IntervalSet":
@@ -284,7 +284,7 @@ class IntervalSet:
     def __str__(self) -> str:
         if not self.intervals:
             return "empty"
-        return " | ".join(str(iv) for iv in self.intervals)
+        return " | ".join(map(Interval.__str__, self.intervals))
 
 
 def elementary_pieces(sets: Iterable[IntervalSet]) -> tuple[Interval, ...]:
@@ -312,15 +312,15 @@ def elementary_pieces(sets: Iterable[IntervalSet]) -> tuple[Interval, ...]:
 _EMPTY = IntervalSet(())
 
 
-@dataclass(frozen=True, slots=True)
-class Universe:
+class Universe(namedtuple("Universe", "carrier")):
     """The unity element: every set in a system lives inside ``carrier``."""
 
-    carrier: IntervalSet
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.carrier.is_empty():
+    def __new__(cls, carrier: IntervalSet):
+        if carrier.is_empty():
             raise ValueError("universe must be nonempty")
+        return tuple.__new__(cls, (carrier,))
 
     @classmethod
     def of(cls, *spans: Interval) -> "Universe":

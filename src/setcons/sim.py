@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bindyn import walk
 from .dsl import SystemSpec
@@ -24,8 +23,7 @@ from .errors import SetconsError
 from .intervals import Interval, IntervalSet, Universe
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One simulation run over the visible agents.
 
     ``distances[t]`` is the number of encoded bits by which round t differs

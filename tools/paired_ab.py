@@ -11,6 +11,11 @@ equal.  It prints each side's median operation time and the median and
 quartiles of the per-operation ratios change/base, then one JSON line with
 the same figures.
 
+``--starts N`` also times N fresh starts of each tree, alternating: each
+from launching ``python -I`` until ``import setcons.cli`` returns, as the
+benchmark's ``setup_s`` counts it.  The JSON line then adds each side's
+median start and the median of the paired ratios change/base.
+
 Sequential benchmark runs on a shared machine can drift by more than a
 change is worth; two operations timed back to back see the same machine,
 so their ratio resolves a few percent.
@@ -25,6 +30,7 @@ import importlib.util
 import io
 import json
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -62,6 +68,35 @@ def timed(main, argv: list[str]) -> tuple[float, object, str, str]:
     return elapsed, code, out.getvalue(), err.getvalue()
 
 
+# Run in a fresh ``python -I``, which ignores PYTHONPATH: the tree's
+# ``src`` is its argument, and the ready stamp its output.
+START = "import sys, time; sys.path.insert(0, sys.argv[1]); import setcons.cli; print(repr(time.monotonic()))"
+
+
+def start_s(tree: Path, cache: str) -> float:
+    """Seconds from launching a fresh interpreter until it has imported
+    ``setcons.cli`` from ``tree``; compiled files go to ``cache``."""
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-I", "-X", f"pycache_prefix={cache}", "-c", START, str(tree / "src")],
+                          capture_output=True, text=True, timeout=60)
+    if proc.returncode != 0:
+        raise SystemExit(f"paired_ab: a start of {tree} failed: {proc.stderr.strip()}")
+    return float(proc.stdout) - start
+
+
+def paired_starts(trees: tuple[Path, Path], count: int) -> tuple[list[float], list[float]]:
+    """``count`` starts of each tree, the side that goes first alternating,
+    after one start each that only fills the bytecode cache."""
+    times: tuple[list[float], list[float]] = ([], [])
+    with tempfile.TemporaryDirectory() as cache:
+        for tree in trees:
+            start_s(tree, cache)
+        for turn in range(count):
+            for side in ((0, 1) if turn % 2 == 0 else (1, 0)):
+                times[side].append(start_s(trees[side], cache))
+    return times
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
@@ -69,9 +104,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="analyze-dag")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=8, help="passes over the pool")
+    parser.add_argument("--starts", type=int, default=0, help="fresh starts of each tree to time")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.starts < 0:
+        parser.error("--starts must not be negative")
 
     workload = WORKLOADS[args.workload]
     sides = (load_cli(args.base.resolve(), "setcons_base").main,
@@ -113,6 +151,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  base   median {result['base_p50_s'] * 1e3:.3f} ms  ({args.base})")
     print(f"  change median {result['change_p50_s'] * 1e3:.3f} ms  ({args.change})")
     print(f"  change/base per operation: median {q2:.3f}, quartiles {q1:.3f}-{q3:.3f}")
+    if args.starts:
+        starts = paired_starts((args.base.resolve(), args.change.resolve()), args.starts)
+        result.update(base_setup_s=statistics.median(starts[0]), change_setup_s=statistics.median(starts[1]),
+                      setup_ratio_p50=statistics.median(c / b for b, c in zip(*starts)))
+        print(f"  {args.starts} paired starts: base median {result['base_setup_s'] * 1e3:.1f} ms, change median "
+              f"{result['change_setup_s'] * 1e3:.1f} ms, change/base median {result['setup_ratio_p50']:.3f}")
     print(json.dumps(result))
     return 0
 
