@@ -1,6 +1,6 @@
 import pytest
 
-from setcons.dsl import MAX_NESTING, Diagnostic, DslError, parse, to_json
+from setcons.dsl import MAX_NESTING, Diagnostic, DslError, parse, parse_set_literal, to_json
 from setcons.expr import Intersect, Union, Var
 
 from helpers import iv
@@ -291,6 +291,138 @@ def test_crlf_line_ends_keep_diagnostic_positions():
             parse(variant)
         diag = err.value.diagnostics[0]
         assert (diag.line, diag.column) == (3, 16)
+
+
+# -- every diagnostic, pinned ----------------------------------------------------
+
+# At least one input for each place in ``dsl`` that raises or records a
+# diagnostic, with every line it renders: bad characters after numbers and
+# blanks and as the last character, errors at the end of the text after
+# blanks, after a ``\r``, across line breaks in a set literal, and a
+# warning kept before a later error.
+H = "universe [0,10]\nconst C = [2,3]\nstate A = [0,1]\n"
+R = "rule A = A\n"
+DIAGNOSTICS = [
+    ("unexpected-character", parse, "universe [0,1] $",
+     ["1:16: error: unexpected character '$'"]),
+    ("bad-after-decimal-point", parse, "universe [0,3.]",
+     ["1:14: error: unexpected character '.'"]),
+    ("bad-after-slash", parse, "universe [0,1/]",
+     ["1:14: error: unexpected character '/'"]),
+    ("non-ascii-digit", parse, "universe [0,\u0663]",
+     ["1:13: error: unexpected character '\u0663'"]),
+    ("bad-last-character", parse, H + "rule A = A$",
+     ["4:11: error: unexpected character '$'"]),
+    ("bad-after-comment-and-blanks", parse, "# c\n\t \r\f\v@",
+     ["2:6: error: unexpected character '@'"]),
+    ("expected-punct-found", parse, "universe [0 1]",
+     ["1:13: error: expected ',', found '1'"]),
+    ("expected-punct-at-end", parse, "universe [0",
+     ["1:12: error: expected ','"]),
+    ("expected-punct-at-end-after-blanks", parse, H + "rule A \t  ",
+     ["4:11: error: expected '='"]),
+    ("after-statement", parse, "universe [0,1] [2,3]",
+     ["1:16: error: unexpected '[' after statement (one declaration per line)"]),
+    ("after-statement-after-cr", parse, "universe [0,1]\rstate A = [0,1]",
+     ["1:16: error: unexpected 'state' after statement (one declaration per line)"]),
+    ("unreadable-number", parse, "universe [0,1/0]",
+     ["1:13: error: cannot read the number 1/0 (a zero denominator, a '.' before '/', or too many digits)"]),
+    ("expected-number", parse, "universe [0,x]",
+     ["1:13: error: expected a number or 'inf', found 'x'"]),
+    ("expected-number-at-end-after-blanks", parse, "universe [0,  \t ",
+     ["1:17: error: expected a number or 'inf', found ''"]),
+    ("expected-interval", parse, "universe 5",
+     ["1:10: error: expected an interval, found '5'"]),
+    ("expected-interval-at-end", parse, "universe",
+     ['1:9: error: expected an interval']),
+    ("expected-closer", parse, "universe [0,1,",
+     ["1:14: error: expected ']' or ')', found ','"]),
+    ("closed-infinite-low", parse, "universe [-inf,0]",
+     ["1:10: error: an infinite endpoint cannot be closed (use '(' before -inf/inf)"]),
+    ("closed-infinite-high", parse, "universe [0,inf]",
+     ["1:16: error: an infinite endpoint cannot be closed (use ')' after -inf/inf)"]),
+    ("empty-interval", parse, "universe [1,0]",
+     ['1:10: error: empty interval: lower endpoint does not precede upper']),
+    ("universe-literal-in-universe", parse, "universe X",
+     ['1:10: error: the universe literal X cannot be used here']),
+    ("nesting", parse, H + "rule A = " + "(" * (MAX_NESTING + 1) + "A" + ")" * (MAX_NESTING + 1),
+     ['4:110: error: parentheses nested deeper than 100 levels']),
+    ("undefined-identifier", parse, H + "rule A = A | B",
+     ["4:14: error: undefined identifier B (declare it with 'state' or 'const')"]),
+    ("expected-expression", parse, H + "rule A = A | ]",
+     ["4:14: error: expected an expression, found ']'"]),
+    ("end-of-input", parse, H + "rule A = A |  ",
+     ['4:15: error: unexpected end of input']),
+    ("no-universe", parse, "state A = [0,1]",
+     ['1:1: error: a system must start with a universe declaration (universe [a,b] | ...)']),
+    ("empty-universe", parse, "universe empty",
+     ['1:1: error: the universe must be nonempty']),
+    ("expected-keyword", parse, H + "[0,1]",
+     ["4:1: error: expected a declaration keyword, found '['"]),
+    ("declaration-after-rules", parse, H + R + "state B = [0,1]",
+     ["5:1: error: 'state' declarations must precede the rules"]),
+    ("fresh-identifier", parse, H + "state X = [0,1]",
+     ["4:7: error: expected a fresh identifier, found 'X'"]),
+    ("duplicate-declaration", parse, H + "const A = [0,1]",
+     ['4:7: error: duplicate declaration of A']),
+    ("escapes-universe", parse, H + "state B = [0,20]\n" + R + "rule B = B\n",
+     ['4:7: error: the set for B escapes the universe (clip it to [0,10])']),
+    ("rule-without-name", parse, H + "rule [ = A",
+     ["4:6: error: expected a variable name after 'rule'"]),
+    ("rule-for-undeclared", parse, H + R + "rule D = A\n",
+     ["5:6: error: rule for undeclared variable D (declare it with 'state' first)"]),
+    ("duplicate-rule", parse, H + R + "rule A = ~A\n",
+     ['5:6: error: duplicate rule for A']),
+    ("unknown-option", parse, H + R + "option colour = 3",
+     ["5:8: error: unknown option 'colour' (known options: max_rounds)"]),
+    ("option-not-positive", parse, H + R + "option max_rounds = 0",
+     ['5:21: error: option values must be positive integers']),
+    ("option-at-end", parse, H + R + "option max_rounds =",
+     ['5:20: error: option values must be positive integers']),
+    ("duplicate-option", parse, H + R + "option max_rounds = 5\noption max_rounds = 9\n",
+     ['6:8: error: duplicate option max_rounds']),
+    ("duplicate-universe", parse, H + "universe [0,1]",
+     ['4:1: error: duplicate universe declaration']),
+    ("unknown-declaration", parse, H + "let A = [0,1]",
+     ["4:1: error: unknown declaration 'let' (expected const, state, rule, or option)"]),
+    ("no-state", parse, "universe [0,1]\nconst C = [0,1]\n  ",
+     ['3:3: error: a system needs at least one state variable']),
+    ("no-rule", parse, H + "state B = [0,1]\n" + R,
+     ['4:7: error: variable B has no rule']),
+    ("note-then-fail", parse, H + "state B = [0,20]\nrule A = A\nrule A = A & Q\n",
+     ['4:7: error: the set for B escapes the universe (clip it to [0,10])', "6:14: error: undefined identifier Q (declare it with 'state' or 'const')"]),
+    ("option-not-a-number", parse, H + R + "option max_rounds = 1.5",
+     ['5:21: error: option values must be positive integers']),
+    ("option-too-long", parse, H + R + "option max_rounds = " + "1" * 5000,
+     ["5:21: error: cannot read the number 11111111111111111111 (a zero denominator, a '.' before '/', or too many digits)"]),
+    ("minus-before-a-name", parse, "universe [-x,1]",
+     ["1:12: error: expected a number or 'inf', found 'x'"]),
+    ("interval-expected-after-bar", parse, "universe [0,1] |  ",
+     ['1:19: error: expected an interval']),
+    ("bad-on-a-line-after-cr", parse, "universe [0,1] \r\n\r\n  $",
+     ["3:3: error: unexpected character '$'"]),
+    ("crlf-line-ends", parse, H.replace("\n", "\r\n") + "rule A = A & Y9\r\n",
+     ["4:14: error: undefined identifier Y9 (declare it with 'state' or 'const')"]),
+    ("literal-trailing", parse_set_literal, "[0,1] [2,3]",
+     ["1:7: error: unexpected '[' after the set literal"]),
+    ("literal-trailing-after-line-break", parse_set_literal, "[0,1]\n\n [2,3]",
+     ["3:2: error: unexpected '[' after the set literal"]),
+    ("literal-expected-number-after-line-break", parse_set_literal, "[0,\r\n x]",
+     ["2:2: error: expected a number or 'inf', found 'x'"]),
+    ("literal-universe", parse_set_literal, "X",
+     ['1:1: error: the universe literal X cannot be used here']),
+    ("literal-empty-text", parse_set_literal, "",
+     ['1:1: error: expected an interval']),
+    ("literal-bad-character", parse_set_literal, "[0,1] |\n [2,3] $",
+     ["2:8: error: unexpected character '$'"]),
+]
+
+
+@pytest.mark.parametrize("name, read, text, lines", DIAGNOSTICS, ids=[case[0] for case in DIAGNOSTICS])
+def test_every_diagnostic_renders_as_pinned(name, read, text, lines):
+    with pytest.raises(DslError) as err:
+        read(text)
+    assert [d.render() for d in err.value.diagnostics] == lines
 
 
 def test_round_trip_structural_identity():
