@@ -92,23 +92,18 @@ class SystemSpec(NamedTuple):
         return SetMap(self.rules + identities, self.universe, tuple(value for _, value in self.constants))
 
 
-class _Token(NamedTuple):
-    kind: str  # IDENT NUMBER PUNCT NEWLINE EOF
-    text: str
-    offset: int  # of the token's first character in the text
-
-
-# One match per token.  Blanks and comments before a token are part of its
-# match and skipped; ``bad`` is the first character that starts no token.
+# One match per token, whose one group is the token's text.  Blanks and
+# comments before a token are part of its match and skipped.  ``"\n"`` is a
+# line break and ``""`` the end of the text; a number starts with a digit, a
+# name with a letter or ``_``, and any other one-character token is a mark,
+# or a character that starts no token, which ``_tokenize`` refuses.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\f\v]+|#[^\n]*)*"
-    r"(?:(?P<NEWLINE>\n)"
-    r"|(?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)"
-    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<PUNCT>[\[\]\(\),=|&^~\\\-])"
-    r"|(?P<EOF>\Z)"
-    r"|(?P<bad>.))"
+    r"[ \t\r\f\v]*(?:#[^\n]*)?"
+    r"([\[\]\(\),=|&^~\\\-\n]|[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|\Z|.)"
 )
+# The one-character tokens of the grammar: a mark, a line break, a digit, a name.
+_ONE_CHARACTER_TOKENS = frozenset(
+    "[](),=|&^~\\-\n_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def _diagnostic(text: str, offset: int, message: str, hint: str | None) -> Diagnostic:
@@ -117,15 +112,20 @@ def _diagnostic(text: str, offset: int, message: str, hint: str | None) -> Diagn
     return Diagnostic("error", text.count("\n", 0, line_start) + 1, offset - line_start + 1, message, hint)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise DslError([_diagnostic(text, m.start(kind), f"unexpected character {m[kind]!r}", None)])
-        tokens.append(_Token(kind, m[kind], m.start(kind)))
-        if kind == "EOF":  # the input may end in blanks: the next match would be another EOF
-            break
+def _offsets(text: str, newlines: bool = True) -> list[int]:
+    """The offset of each token of ``_tokenize(text)``, or of each but the
+    line breaks; found only for a diagnostic."""
+    return [m.start(1) for m in _TOKEN_RE.finditer(text) if newlines or m[1] != "\n"]
+
+
+def _tokenize(text: str) -> list[str]:
+    """The text of every token.  Text that ends in blanks or a comment ends
+    in two ``""``; the parser never steps past the first."""
+    tokens = _TOKEN_RE.findall(text)
+    bad = {tok for tok in set(tokens) if len(tok) == 1} - _ONE_CHARACTER_TOKENS
+    if bad:
+        first = min(map(tokens.index, bad))
+        raise DslError([_diagnostic(text, _offsets(text)[first], f"unexpected character {tokens[first]!r}", None)])
     return tokens
 
 
@@ -133,114 +133,99 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.pos = 0  # the index of the next token
         self.depth = 0  # open parentheses around the current expression
         self.diagnostics: list[Diagnostic] = []
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def diagnostic(self, index: int, message: str, hint: str | None) -> Diagnostic:
+        """A diagnostic at token ``index``.  Tokens with no line break left
+        had them dropped (a set literal's), so their offsets skip them."""
+        return _diagnostic(self.text, _offsets(self.text, "\n" in self.tokens)[index], message, hint)
 
-    def advance(self) -> _Token:
+    def fail(self, index: int, message: str, hint: str | None = None):
+        raise DslError(self.diagnostics + [self.diagnostic(index, message, hint)])
+
+    def note(self, index: int, message: str, hint: str | None = None):
+        self.diagnostics.append(self.diagnostic(index, message, hint))
+
+    def expect(self, text: str):
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
-
-    def diagnostic(self, tok: _Token, message: str, hint: str | None) -> Diagnostic:
-        return _diagnostic(self.text, tok.offset, message, hint)
-
-    def fail(self, tok: _Token, message: str, hint: str | None = None):
-        raise DslError(self.diagnostics + [self.diagnostic(tok, message, hint)])
-
-    def note(self, tok: _Token, message: str, hint: str | None = None):
-        self.diagnostics.append(self.diagnostic(tok, message, hint))
-
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if not self.at_punct(text):
-            self.fail(tok, f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}")
-        return self.advance()
-
-    def skip_newlines(self):
-        while self.peek().kind == "NEWLINE":
-            self.advance()
+        if tok != text:
+            self.fail(self.pos, f"expected {text!r}, found {tok!r}" if tok else f"expected {text!r}")
+        self.pos += 1
 
     def end_statement(self):
-        tok = self.peek()
-        if tok.kind == "NEWLINE":
-            self.advance()
-        elif tok.kind != "EOF":
-            self.fail(tok, f"unexpected {tok.text!r} after statement", "one declaration per line")
+        tok = self.tokens[self.pos]
+        if tok == "\n":
+            self.pos += 1
+        elif tok:
+            self.fail(self.pos, f"unexpected {tok!r} after statement", "one declaration per line")
 
     # -- literal values ------------------------------------------------------
 
-    def read_number(self, tok: _Token, read):
-        """``read(tok.text)``, or a diagnostic at the number token when the
-        conversion fails."""
+    def read_number(self, index: int, read):
+        """``read`` of the number token at ``index``, or a diagnostic there
+        when the conversion fails."""
         try:
-            return read(tok.text)
+            return read(self.tokens[index])
         except (ValueError, ZeroDivisionError):
-            self.fail(tok, f"cannot read the number {tok.text[:20]}",
+            self.fail(index, f"cannot read the number {self.tokens[index][:20]}",
                       "a zero denominator, a '.' before '/', or too many digits")
 
     def parse_endpoint_value(self):
-        tok = self.peek()
-        negative = False
-        if self.at_punct("-"):
-            self.advance()
-            negative = True
-            tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            value = self.read_number(tok, as_value)
+        negative = self.tokens[self.pos] == "-"
+        self.pos += negative
+        index = self.pos
+        tok = self.tokens[index]
+        if tok[:1].isdigit():
+            self.pos += 1
+            value = self.read_number(index, int if tok.isdigit() else as_value)
             return -value if negative else value
-        if tok.kind == "IDENT" and tok.text == "inf":
-            self.advance()
+        if tok == "inf":
+            self.pos += 1
             return as_value("-inf" if negative else "inf")
-        self.fail(tok, f"expected a number or 'inf', found {tok.text!r}")
+        self.fail(index, f"expected a number or 'inf', found {tok!r}")
 
     def parse_interval(self) -> Interval:
-        opener = self.peek()
-        if not (self.at_punct("[") or self.at_punct("(")):
-            self.fail(opener, "expected an interval" + (f", found {opener.text!r}" if opener.text else ""))
-        self.advance()
+        start = self.pos
+        opener = self.tokens[start]
+        if opener != "[" and opener != "(":
+            self.fail(start, "expected an interval" + (f", found {opener!r}" if opener else ""))
+        self.pos += 1
         lo = self.parse_endpoint_value()
-        self.expect_punct(",")
+        self.expect(",")
         hi = self.parse_endpoint_value()
-        closer = self.peek()
-        if not (self.at_punct("]") or self.at_punct(")")):
-            self.fail(closer, f"expected ']' or ')', found {closer.text!r}")
-        self.advance()
-        lo_closed = opener.text == "["
-        hi_closed = closer.text == "]"
+        end = self.pos
+        closer = self.tokens[end]
+        if closer != "]" and closer != ")":
+            self.fail(end, f"expected ']' or ')', found {closer!r}")
+        self.pos += 1
+        lo_closed = opener == "["
+        hi_closed = closer == "]"
         if lo_closed and isinstance(lo, float):
-            self.fail(opener, "an infinite endpoint cannot be closed", "use '(' before -inf/inf")
+            self.fail(start, "an infinite endpoint cannot be closed", "use '(' before -inf/inf")
         if hi_closed and isinstance(hi, float):
-            self.fail(closer, "an infinite endpoint cannot be closed", "use ')' after -inf/inf")
-        try:
-            return Interval.make(lo, hi, lo_closed, hi_closed)
+            self.fail(end, "an infinite endpoint cannot be closed", "use ')' after -inf/inf")
+        try:  # the values are canonical already, as Interval.make would make them
+            return Interval((lo, 0 if lo_closed else 1), (hi, 0 if hi_closed else -1))
         except ValueError:
-            self.fail(opener, f"empty interval: lower endpoint does not precede upper")
+            self.fail(start, f"empty interval: lower endpoint does not precede upper")
 
     def parse_interval_set(self, universe: Universe | None) -> IntervalSet:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "empty":
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok == "empty":
+            self.pos += 1
             return IntervalSet.empty()
-        if tok.kind == "IDENT" and tok.text == "X":
+        if tok == "X":
             if universe is None:
-                self.fail(tok, "the universe literal X cannot be used here")
-            self.advance()
+                self.fail(self.pos, "the universe literal X cannot be used here")
+            self.pos += 1
             return universe.carrier
         spans = [self.parse_interval()]
-        while self.at_punct("|"):
-            self.advance()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             spans.append(self.parse_interval())
         return IntervalSet.of(*spans)
 
@@ -252,34 +237,35 @@ class _Parser:
         :data:`~setcons.expr.BINARY_OPS`)."""
         left = self.parse_atom(names)
         while True:
-            op = BINARY_OPS.get(self.peek().text)
+            op = BINARY_OPS.get(self.tokens[self.pos])
             if op is None or op[1] < lowest:
                 return left
-            self.advance()
+            self.pos += 1
             left = op[0](left, self.parse_expr(names, op[1] + 1))
 
     def parse_atom(self, names) -> SetExpr:
         """An identifier or a parenthesised expression, under any number of ``~``."""
         complements = 0
-        while self.at_punct("~"):
-            self.advance()
+        while self.tokens[self.pos] == "~":
+            self.pos += 1
             complements += 1
-        tok = self.peek()
-        if self.at_punct("("):
+        index = self.pos
+        tok = self.tokens[index]
+        if tok == "(":
             if self.depth == MAX_NESTING:
-                self.fail(tok, f"parentheses nested deeper than {MAX_NESTING} levels")
-            self.advance()
+                self.fail(index, f"parentheses nested deeper than {MAX_NESTING} levels")
+            self.pos += 1
             self.depth += 1
             atom = self.parse_expr(names, 0)
             self.depth -= 1
-            self.expect_punct(")")
-        elif tok.kind == "IDENT":
-            self.advance()
-            atom = names.get(tok.text)
-            if atom is None:
-                self.fail(tok, f"undefined identifier {tok.text}", "declare it with 'state' or 'const'")
+            self.expect(")")
+        elif tok in names:
+            self.pos += 1
+            atom = names[tok]
+        elif tok.isidentifier():
+            self.fail(index, f"undefined identifier {tok}", "declare it with 'state' or 'const'")
         else:
-            self.fail(tok, f"expected an expression, found {tok.text!r}" if tok.text else "unexpected end of input")
+            self.fail(index, f"expected an expression, found {tok!r}" if tok else "unexpected end of input")
         for _ in range(complements):
             atom = Complement(atom)
         return atom
@@ -287,56 +273,55 @@ class _Parser:
     # -- declarations ----------------------------------------------------------
 
     def parse_system(self) -> SystemSpec:
-        self.skip_newlines()
-        tok = self.peek()
-        if not (tok.kind == "IDENT" and tok.text == "universe"):
-            self.fail(tok, "a system must start with a universe declaration", "universe [a,b] | ...")
-        self.advance()
+        tokens = self.tokens
+        while tokens[self.pos] == "\n":
+            self.pos += 1
+        start = self.pos
+        if tokens[start] != "universe":
+            self.fail(start, "a system must start with a universe declaration", "universe [a,b] | ...")
+        self.pos += 1
         universe_set = self.parse_interval_set(None)
         if universe_set.is_empty():
-            self.fail(tok, "the universe must be nonempty")
+            self.fail(start, "the universe must be nonempty")
         universe = Universe(universe_set)
         self.end_statement()
 
         constants: list[tuple[str, IntervalSet]] = []
         variables: list[str] = []
         initials: list[IntervalSet] = []
-        decl_tokens: dict[str, _Token] = {}
+        declared_at: dict[str, int] = {}  # the token index of each declared name
         rules: dict[str, SetExpr] = {}
         options: list[tuple[str, int]] = []
         names: dict[str, SetExpr] = {}  # what each identifier in a rule means, set at the first rule
 
         while True:
-            self.skip_newlines()
-            tok = self.peek()
-            if tok.kind == "EOF":
+            while tokens[self.pos] == "\n":
+                self.pos += 1
+            start = self.pos
+            keyword = tokens[start]
+            if not keyword:
                 break
-            if tok.kind != "IDENT":
-                self.fail(tok, f"expected a declaration keyword, found {tok.text!r}")
-            keyword = tok.text
+            if not keyword.isidentifier():
+                self.fail(start, f"expected a declaration keyword, found {keyword!r}")
+            name_at = start + 1
+            name = tokens[name_at]
             if keyword in ("const", "state"):
                 if names:
-                    self.fail(tok, f"'{keyword}' declarations must precede the rules")
-                self.advance()
-                name_tok = self.peek()
-                if name_tok.kind != "IDENT" or name_tok.text in KEYWORDS:
-                    self.fail(name_tok, f"expected a fresh identifier, found {name_tok.text!r}")
-                if name_tok.text in decl_tokens:
-                    self.fail(name_tok, f"duplicate declaration of {name_tok.text}")
-                self.advance()
-                self.expect_punct("=")
+                    self.fail(start, f"'{keyword}' declarations must precede the rules")
+                if not name.isidentifier() or name in KEYWORDS:
+                    self.fail(name_at, f"expected a fresh identifier, found {name!r}")
+                if name in declared_at:
+                    self.fail(name_at, f"duplicate declaration of {name}")
+                self.pos += 2
+                self.expect("=")
                 value = self.parse_interval_set(universe)
                 if not universe.contains_set(value):
-                    self.note(
-                        name_tok,
-                        f"the set for {name_tok.text} escapes the universe",
-                        f"clip it to {universe}",
-                    )
-                decl_tokens[name_tok.text] = name_tok
+                    self.note(name_at, f"the set for {name} escapes the universe", f"clip it to {universe}")
+                declared_at[name] = name_at
                 if keyword == "const":
-                    constants.append((name_tok.text, value))
+                    constants.append((name, value))
                 else:
-                    variables.append(name_tok.text)
+                    variables.append(name)
                     initials.append(value)
                 self.end_statement()
             elif keyword == "rule":
@@ -344,49 +329,44 @@ class _Parser:
                     # Each constant is a variable after every state, in declaration order.
                     names = {"X": UniverseLit(), "empty": EmptyLit()}
                     names.update((v, Var(i)) for i, v in enumerate(variables + [c for c, _ in constants]))
-                self.advance()
-                name_tok = self.peek()
-                if name_tok.kind != "IDENT":
-                    self.fail(name_tok, "expected a variable name after 'rule'")
-                self.advance()
-                self.expect_punct("=")
+                if not name.isidentifier():
+                    self.fail(name_at, "expected a variable name after 'rule'")
+                self.pos += 2
+                self.expect("=")
                 expr = self.parse_expr(names, 0)
-                if name_tok.text not in variables:
-                    self.note(name_tok, f"rule for undeclared variable {name_tok.text}",
-                              "declare it with 'state' first")
-                elif name_tok.text in rules:
-                    self.note(name_tok, f"duplicate rule for {name_tok.text}")
+                if name not in variables:
+                    self.note(name_at, f"rule for undeclared variable {name}", "declare it with 'state' first")
+                elif name in rules:
+                    self.note(name_at, f"duplicate rule for {name}")
                 else:
-                    rules[name_tok.text] = expr
+                    rules[name] = expr
                 self.end_statement()
             elif keyword == "option":
-                self.advance()
-                key_tok = self.peek()
-                if key_tok.kind != "IDENT" or key_tok.text not in OPTION_KEYS:
-                    self.fail(key_tok, f"unknown option {key_tok.text!r}",
+                if name not in OPTION_KEYS:
+                    self.fail(name_at, f"unknown option {name!r}",
                               "known options: " + ", ".join(sorted(OPTION_KEYS)))
-                self.advance()
-                self.expect_punct("=")
-                value_tok = self.advance()
-                value = self.read_number(value_tok, int) if value_tok.text.isdigit() else 0
+                self.pos += 2
+                self.expect("=")
+                value_at = self.pos
+                value = self.read_number(value_at, int) if tokens[value_at].isdigit() else 0
                 if value < 1:
-                    self.fail(value_tok, "option values must be positive integers")
-                if key_tok.text in dict(options):
-                    self.note(key_tok, f"duplicate option {key_tok.text}")
+                    self.fail(value_at, "option values must be positive integers")
+                self.pos += 1
+                if name in dict(options):
+                    self.note(name_at, f"duplicate option {name}")
                 else:
-                    options.append((key_tok.text, value))
+                    options.append((name, value))
                 self.end_statement()
             elif keyword == "universe":
-                self.fail(tok, "duplicate universe declaration")
+                self.fail(start, "duplicate universe declaration")
             else:
-                self.fail(tok, f"unknown declaration {keyword!r}",
-                          "expected const, state, rule, or option")
+                self.fail(start, f"unknown declaration {keyword!r}", "expected const, state, rule, or option")
 
         if not variables:
-            self.note(self.peek(), "a system needs at least one state variable")
+            self.note(self.pos, "a system needs at least one state variable")
         for v in variables:
             if v not in rules:
-                self.note(decl_tokens[v], f"variable {v} has no rule")
+                self.note(declared_at[v], f"variable {v} has no rule")
         if self.diagnostics:
             raise DslError(self.diagnostics)
         return SystemSpec(
@@ -409,11 +389,10 @@ def parse_set_literal(text: str, universe: Universe | None = None) -> IntervalSe
     """Parse a whole text as one set literal (line breaks count as spaces);
     anything after it is refused with a :class:`DslError`, a ``ValueError``."""
     parser = _Parser(text)
-    parser.tokens = [tok for tok in parser.tokens if tok.kind != "NEWLINE"]
+    parser.tokens = [tok for tok in parser.tokens if tok != "\n"]
     value = parser.parse_interval_set(universe)
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.fail(tok, f"unexpected {tok.text!r} after the set literal")
+    if parser.tokens[parser.pos]:
+        parser.fail(parser.pos, f"unexpected {parser.tokens[parser.pos]!r} after the set literal")
     return value
 
 

@@ -210,6 +210,9 @@ class SetMap(namedtuple("SetMap", "components universe frozen_values programs"))
                 raise ValueError("frozen components must be identity rules")
         return tuple.__new__(cls, (components, universe, frozen_values, programs))
 
+    def __getnewargs__(self):  # copy and pickle rebuild a map from its first three fields
+        return self[:3]
+
     @property
     def arity(self) -> int:
         return len(self.components)

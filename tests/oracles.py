@@ -977,13 +977,16 @@ def hand_counted_tokenize(text: str) -> list[HandCountedToken]:
 class ThreeLevelParser(dsl._Parser):
     """The system parser on hand-counted tokens, with one method per
     precedence level of the binary operators: ``|``, then ``\\``/``^``,
-    then ``&``."""
+    then ``&``.  It reads the tokens' text and renders each diagnostic from
+    its own hand-counted line and column."""
 
     def __init__(self, text: str):
         super().__init__("")  # the parser's state, without the library's tokens
-        self.text, self.tokens = text, hand_counted_tokenize(text)
+        self.hand = hand_counted_tokenize(text)
+        self.text, self.tokens = text, [tok.text for tok in self.hand]
 
-    def diagnostic(self, tok, message, hint):
+    def diagnostic(self, index, message, hint):
+        tok = self.hand[index]
         return Diagnostic("error", tok.line, tok.column, message, hint)
 
     def parse_expr(self, names, lowest):
@@ -991,23 +994,24 @@ class ThreeLevelParser(dsl._Parser):
 
     def parse_union(self, names) -> SetExpr:
         left = self.parse_diff(names)
-        while self.at_punct("|"):
-            self.advance()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             left = Union(left, self.parse_diff(names))
         return left
 
     def parse_diff(self, names) -> SetExpr:
         left = self.parse_intersect(names)
-        while self.at_punct("\\") or self.at_punct("^"):
-            op = self.advance().text
+        while self.tokens[self.pos] in ("\\", "^"):
+            op = self.tokens[self.pos]
+            self.pos += 1
             right = self.parse_intersect(names)
             left = Difference(left, right) if op == "\\" else SymDiff(left, right)
         return left
 
     def parse_intersect(self, names) -> SetExpr:
         left = self.parse_atom(names)
-        while self.at_punct("&"):
-            self.advance()
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
             left = Intersect(left, self.parse_atom(names))
         return left
 
@@ -1018,11 +1022,11 @@ def three_level_parse(text: str) -> SystemSpec:
 
 def three_level_parse_set_literal(text: str, universe: Universe | None = None) -> IntervalSet:
     parser = ThreeLevelParser(text)
-    parser.tokens = [tok for tok in parser.tokens if tok.kind != "NEWLINE"]
+    parser.hand = [tok for tok in parser.hand if tok.kind != "NEWLINE"]
+    parser.tokens = [tok.text for tok in parser.hand]
     value = parser.parse_interval_set(universe)
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.fail(tok, f"unexpected {tok.text!r} after the set literal")
+    if parser.tokens[parser.pos]:
+        parser.fail(parser.pos, f"unexpected {parser.tokens[parser.pos]!r} after the set literal")
     return value
 
 

@@ -35,3 +35,16 @@ def test_paired_ab_times_fresh_starts():
     assert result["operations"] == 16
     assert 0 < result["base_setup_s"] < 10 and 0 < result["change_setup_s"] < 10
     assert result["setup_ratio_p50"] > 0
+
+
+def test_paired_ab_runs_every_workload_in_turn():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired_ab.py"), str(ROOT), str(ROOT),
+         "--workload", "all", "--seed", "0", "--rounds", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    assert [r["workload"] for r in results] == ["analyze-dag", "simulate-chain", "simulate-cyclic"]
+    assert [r["operations"] for r in results] == [32, 16, 64]
+    assert proc.stdout.count("equal stdout, stderr and exit codes") == 3

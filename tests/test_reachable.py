@@ -32,6 +32,8 @@ UNENTERED = {
                           "equilibria, never raises",
     "bindyn.BinaryMap.tile.fn": "steps segment by segment a map built without a tile function, as 0/1 maps "
                                 "are; the CLI's word maps tile themselves",
+    "expr.SetMap.__getnewargs__": "runs when a map is copied or pickled (tests/test_values.py); the package "
+                                  "does neither",
 }
 
 INLINE = (

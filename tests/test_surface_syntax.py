@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setcons.dsl import DslError, SystemSpec, _diagnostic, _tokenize, parse, parse_set_literal
+from setcons.dsl import DslError, SystemSpec, _diagnostic, _offsets, _tokenize, parse, parse_set_literal
 from setcons.expr import (
     Complement,
     Difference,
@@ -47,12 +47,21 @@ def outcome(parse_fn, *args):
         return [(d.severity, d.line, d.column, d.message, d.hint) for d in err.diagnostics]
 
 
+def kind(tok: str) -> str:
+    """The kind of a library token, read from its text alone."""
+    if tok in ("", "\n"):
+        return "EOF" if not tok else "NEWLINE"
+    return "NUMBER" if tok[0].isdigit() else "IDENT" if tok.isidentifier() else "PUNCT"
+
+
 def positioned_tokens(text: str):
-    """The library's tokens with the line and column of their offset."""
+    """The library's tokens up to the first end of text, each with its kind
+    and the line and column of its offset, found on demand."""
+    tokens = _tokenize(text)
     out = []
-    for tok in _tokenize(text):
-        d = _diagnostic(text, tok.offset, "", None)
-        out.append((tok.kind, tok.text, d.line, d.column))
+    for tok, offset in zip(tokens[: tokens.index("") + 1], _offsets(text)):
+        d = _diagnostic(text, offset, "", None)
+        out.append((kind(tok), tok, d.line, d.column))
     return out
 
 

@@ -1,12 +1,15 @@
 """Every value type of the library is an immutable named tuple.
 
 Each one refuses a new value for a field and any new attribute, two equal
-values built apart hash alike, and an expression node equals only a node
-of its own type.  Importing the CLI loads neither ``dataclasses`` nor
+values built apart hash alike, each survives ``copy.copy``,
+``copy.deepcopy`` and a ``pickle`` round trip, and an expression node
+equals only a node of its own type.  Importing the CLI loads neither ``dataclasses`` nor
 ``inspect``: with them, their import and the methods they generate took
 most of the CLI's start-up time.
 """
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +78,14 @@ def test_value_is_immutable_and_hashes_by_value(name):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert value == twin
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_value_survives_copy_deepcopy_and_pickle(name):
+    value = build()[name]
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
 
 
 def test_interval_repr_names_its_keys():

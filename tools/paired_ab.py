@@ -9,12 +9,15 @@ on both, back to back, the side that goes first alternating from one
 operation to the next.  The two stdouts, stderrs and exit codes must be
 equal.  It prints each side's median operation time and the median and
 quartiles of the per-operation ratios change/base, then one JSON line with
-the same figures.
+the same figures.  ``--workload all`` runs every workload in turn
+(analyze-dag, simulate-chain, simulate-cyclic), each with its report and
+JSON line, so one command compares every workload a change touches.
 
 ``--starts N`` also times N fresh starts of each tree, alternating: each
 from launching ``python -I`` until ``import setcons.cli`` returns, as the
-benchmark's ``setup_s`` counts it.  The JSON line then adds each side's
-median start and the median of the paired ratios change/base.
+benchmark's ``setup_s`` counts it.  The starts are timed once, before the
+workloads, and every JSON line adds each side's median start and the
+median of the paired ratios change/base.
 
 Sequential benchmark runs on a shared machine can drift by more than a
 change is worth; two operations timed back to back see the same machine,
@@ -97,11 +100,49 @@ def paired_starts(trees: tuple[Path, Path], count: int) -> tuple[list[float], li
     return times
 
 
+def paired_operations(sides, workload, seed: int, rounds: int) -> dict | None:
+    """Every operation of the workload's pool on both sides, ``rounds``
+    times; the figures, or None when the sides disagree on an operation."""
+    times: tuple[list[float], list[float]] = ([], [])
+    ratios = []
+    with tempfile.TemporaryDirectory() as workdir:
+        files = []
+        for i in range(workload.pool):
+            path = Path(workdir) / f"{i:03d}.sbm"
+            path.write_text(workload.make(seed, i).text, encoding="utf-8")
+            files.append(str(path))
+        turn = 0
+        for _ in range(rounds):
+            for path in files:
+                argv_op = [*workload.command[:1], path, *workload.command[1:]]
+                order = (0, 1) if turn % 2 == 0 else (1, 0)
+                turn += 1
+                runs = {side: timed(sides[side], argv_op) for side in order}
+                if runs[0][1:] != runs[1][1:]:
+                    print(f"paired_ab: the trees disagree on {' '.join(argv_op)}", file=sys.stderr)
+                    return None
+                times[0].append(runs[0][0])
+                times[1].append(runs[1][0])
+                ratios.append(runs[1][0] / runs[0][0])
+
+    q1, q2, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return {
+        "workload": workload.name,
+        "seed": seed,
+        "operations": len(ratios),
+        "base_p50_s": statistics.median(times[0]),
+        "change_p50_s": statistics.median(times[1]),
+        "ratio_p50": q2,
+        "ratio_q1": q1,
+        "ratio_q3": q3,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="analyze-dag")
+    parser.add_argument("--workload", choices=[*sorted(WORKLOADS), "all"], default="analyze-dag")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=8, help="passes over the pool")
     parser.add_argument("--starts", type=int, default=0, help="fresh starts of each tree to time")
@@ -111,53 +152,27 @@ def main(argv: list[str] | None = None) -> int:
     if args.starts < 0:
         parser.error("--starts must not be negative")
 
-    workload = WORKLOADS[args.workload]
+    names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
     sides = (load_cli(args.base.resolve(), "setcons_base").main,
              load_cli(args.change.resolve(), "setcons_change").main)
-    times: tuple[list[float], list[float]] = ([], [])
-    ratios = []
-    with tempfile.TemporaryDirectory() as workdir:
-        files = []
-        for i in range(workload.pool):
-            path = Path(workdir) / f"{i:03d}.sbm"
-            path.write_text(workload.make(args.seed, i).text, encoding="utf-8")
-            files.append(str(path))
-        turn = 0
-        for _ in range(args.rounds):
-            for path in files:
-                argv_op = [*workload.command[:1], path, *workload.command[1:]]
-                order = (0, 1) if turn % 2 == 0 else (1, 0)
-                turn += 1
-                runs = {side: timed(sides[side], argv_op) for side in order}
-                if runs[0][1:] != runs[1][1:]:
-                    print(f"paired_ab: the trees disagree on {' '.join(argv_op)}", file=sys.stderr)
-                    return 1
-                times[0].append(runs[0][0])
-                times[1].append(runs[1][0])
-                ratios.append(runs[1][0] / runs[0][0])
-
-    q1, q2, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    result = {
-        "workload": workload.name,
-        "seed": args.seed,
-        "operations": len(ratios),
-        "base_p50_s": statistics.median(times[0]),
-        "change_p50_s": statistics.median(times[1]),
-        "ratio_p50": q2,
-        "ratio_q1": q1,
-        "ratio_q3": q3,
-    }
-    print(f"{workload.name} seed {args.seed}: {len(ratios)} paired operations, equal stdout, stderr and exit codes")
-    print(f"  base   median {result['base_p50_s'] * 1e3:.3f} ms  ({args.base})")
-    print(f"  change median {result['change_p50_s'] * 1e3:.3f} ms  ({args.change})")
-    print(f"  change/base per operation: median {q2:.3f}, quartiles {q1:.3f}-{q3:.3f}")
+    figures = {}
     if args.starts:
         starts = paired_starts((args.base.resolve(), args.change.resolve()), args.starts)
-        result.update(base_setup_s=statistics.median(starts[0]), change_setup_s=statistics.median(starts[1]),
-                      setup_ratio_p50=statistics.median(c / b for b, c in zip(*starts)))
-        print(f"  {args.starts} paired starts: base median {result['base_setup_s'] * 1e3:.1f} ms, change median "
-              f"{result['change_setup_s'] * 1e3:.1f} ms, change/base median {result['setup_ratio_p50']:.3f}")
-    print(json.dumps(result))
+        figures = dict(base_setup_s=statistics.median(starts[0]), change_setup_s=statistics.median(starts[1]),
+                       setup_ratio_p50=statistics.median(c / b for b, c in zip(*starts)))
+        print(f"{args.starts} paired starts: base median {figures['base_setup_s'] * 1e3:.1f} ms, change median "
+              f"{figures['change_setup_s'] * 1e3:.1f} ms, change/base median {figures['setup_ratio_p50']:.3f}")
+    for name in names:
+        result = paired_operations(sides, WORKLOADS[name], args.seed, args.rounds)
+        if result is None:
+            return 1
+        print(f"{name} seed {args.seed}: {result['operations']} paired operations, "
+              f"equal stdout, stderr and exit codes")
+        print(f"  base   median {result['base_p50_s'] * 1e3:.3f} ms  ({args.base})")
+        print(f"  change median {result['change_p50_s'] * 1e3:.3f} ms  ({args.change})")
+        print(f"  change/base per operation: median {result['ratio_p50']:.3f}, "
+              f"quartiles {result['ratio_q1']:.3f}-{result['ratio_q3']:.3f}")
+        print(json.dumps({**result, **figures}))
     return 0
 
 
