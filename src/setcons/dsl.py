@@ -23,6 +23,11 @@ space and tab.  Parentheses nest at most :data:`MAX_NESTING` levels deep;
 ``~`` may repeat any number of times.
 :func:`parse_set_literal` reads one set literal with this same grammar.
 
+A token is its text alone (``"\n"`` a line break, ``""`` the end of the
+text), read by one regex pass over the whole text; the parser compares
+strings.  Token offsets, and from them lines and columns, are found only
+when a diagnostic is raised.
+
 The only option is ``max_rounds``, the simulator's round budget: a
 positive integer, given at most once (the ``simulate --rounds`` flag
 overrides it).  Resource caps are set through the ``SETCONS_CAPS``
