@@ -22,7 +22,7 @@ import math
 import re
 from typing import NamedTuple, Sequence
 
-from .bindyn import is_vnn_attractive, repunit
+from .bindyn import BinaryMap, is_vnn_attractive, repunit
 from .boolmat import Permutation, dependency_order
 from .caps import DEFAULT, Caps, check_states
 from .encoding import EncodedSystem, Partition, translate_map
@@ -162,7 +162,7 @@ def equilibria_sbm(
         )
         words = tuple(column * rep for column in columns) + pinned
         fixed = (1 << width) - 1
-        for x, y in zip(words[:n_free], enc.word_map(pinned, width).step(words)):
+        for x, y in zip(words[:n_free], BinaryMap(f.programs[:n_free], pinned, width).step(words)):
             fixed &= ~(x ^ y)
         states: list[list[tuple[int, ...]]] = [[] for _ in group]
         for m in re.finditer("1", bin(fixed)[:1:-1]):  # character ``i`` is bit ``i``

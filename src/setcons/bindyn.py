@@ -1,9 +1,10 @@
-"""Iteration and local convergence of Boolean maps.
+"""Iteration and local convergence of the translated Boolean map.
 
 A state is n words of ``width`` bits, and bit h of every output word
-depends only on bit h of the inputs, as with bitwise operations: the map
-is ``width`` copies of one n-bit map, stepped together.  A 0/1 state is
-width 1.  Independent states of one map step together in the same way:
+depends only on bit h of the inputs: each free component folds its
+program with bitwise operations on the words, and each frozen one outputs
+its pinned word, so the map is ``width`` copies of one n-bit map, stepped
+together.  Independent states of one map step together in the same way:
 :meth:`BinaryMap.tile` lays them side by side in wider words, so the
 derivative at a state and at its n single-word flips takes one step.
 :func:`walk` follows one run to its first repeated state, and
@@ -13,15 +14,12 @@ derivative.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Sequence
 
 from .boolmat import BoolMatrix, column_at_most_one, is_nilpotent
+from .expr import SetExpr, bit_ops, fold
 
 State = tuple[int, ...]
-
-
-def format_bits(x: State) -> str:
-    return "".join(str(b) for b in x)
 
 
 def repunit(width: int, copies: int) -> int:
@@ -31,36 +29,22 @@ def repunit(width: int, copies: int) -> int:
 
 
 class BinaryMap:
-    """A total deterministic map on states of n words of ``width`` bits.
+    """The map on n words of ``width`` bits whose free components are the
+    postorder ``programs`` on bitwise operations and whose frozen ones
+    output the ``pinned`` words."""
 
-    ``tile(copies)``, when given, returns the same map on words of
-    ``copies * width`` bits, every ``width``-bit segment stepped as one
-    state; a bitwise map builds it without leaving its words.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        fn: Callable[[State], State],
-        width: int = 1,
-        tile: Callable[[int], "BinaryMap"] | None = None,
-    ):
-        if n < 1:
-            raise ValueError("arity must be positive")
-        if width < 1:
-            raise ValueError("word width must be positive")
-        self.n = n
-        self._fn = fn
+    def __init__(self, programs: Sequence[Sequence[SetExpr]], pinned: State, width: int):
+        self.programs = tuple(programs)
+        self.pinned = tuple(pinned)
+        self.n = len(self.programs) + len(self.pinned)
         self.width = width
-        self._tile = tile
+        self._ops = bit_ops((1 << width) - 1)
 
     def step(self, x: State) -> State:
         if len(x) != self.n:
             raise ValueError(f"state has {len(x)} words, map expects {self.n}")
-        y = self._fn(tuple(x))
-        if len(y) != self.n:
-            raise ValueError("evaluator returned a state of the wrong arity")
-        return tuple(y)
+        ops = self._ops
+        return tuple([fold(program, x, ops) for program in self.programs]) + self.pinned
 
     def iterate(self, x: State, steps: int) -> State:
         for _ in range(steps):
@@ -70,22 +54,11 @@ class BinaryMap:
     def tile(self, copies: int) -> "BinaryMap":
         """This map on words of ``copies * width`` bits: segment c of every
         word (bits c*width and up) holds one state, and the states step
-        independently.  Without a ``tile`` function the segments are
-        stepped one after another inside each step."""
+        independently, with every pinned word repeated in each segment."""
         if copies < 1:
             raise ValueError("copies must be positive")
-        if self._tile is not None:
-            return self._tile(copies)
-        w, mask = self.width, (1 << self.width) - 1
-
-        def fn(words: State) -> State:
-            out = [0] * self.n
-            for shift in range(0, copies * w, w):
-                for i, y in enumerate(self.step(tuple((x >> shift) & mask for x in words))):
-                    out[i] |= y << shift
-            return tuple(out)
-
-        return BinaryMap(self.n, fn, copies * w)
+        rep = repunit(self.width, copies)
+        return BinaryMap(self.programs, tuple(word * rep for word in self.pinned), self.width * copies)
 
 
 def walk(f: BinaryMap, x0: State, budget: int) -> tuple[list[State], int | None]:
@@ -139,5 +112,5 @@ def is_vnn_attractive(f: BinaryMap, x_eq: State) -> bool:
     segment 0.  Each distinct block is checked once."""
     image, blocks = _derivative(f, x_eq)
     if image != tuple(x_eq):
-        raise ValueError(f"{format_bits(tuple(x_eq))} is not an equilibrium")
+        raise ValueError(f"{tuple(x_eq)} is not an equilibrium")
     return all(is_nilpotent(d) and column_at_most_one(d) for d in dict.fromkeys(blocks))

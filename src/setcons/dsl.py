@@ -52,14 +52,15 @@ MAX_NESTING = 100
 
 
 class Diagnostic(NamedTuple):
-    severity: str  # "error" or "warning"
-    line: int      # 1-based
-    column: int    # 1-based, points inside the offending token
+    """An error in a system text, rendered ``line:column: error: message``."""
+
+    line: int    # 1-based
+    column: int  # 1-based, points inside the offending token
     message: str
     hint: str | None = None
 
     def render(self) -> str:
-        text = f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        text = f"{self.line}:{self.column}: error: {self.message}"
         if self.hint:
             text += f" ({self.hint})"
         return text
@@ -114,7 +115,13 @@ _ONE_CHARACTER_TOKENS = frozenset(
 def _diagnostic(text: str, offset: int, message: str, hint: str | None) -> Diagnostic:
     """An error at ``offset``, with its 1-based line and column in ``text``."""
     line_start = text.rfind("\n", 0, offset) + 1
-    return Diagnostic("error", text.count("\n", 0, line_start) + 1, offset - line_start + 1, message, hint)
+    return Diagnostic(text.count("\n", 0, line_start) + 1, offset - line_start + 1, message, hint)
+
+
+def _found(tok: str) -> str:
+    """The ", found X" end of a diagnostic about token ``tok``; nothing at
+    the end of the text."""
+    return f", found {tok!r}" if tok else ""
 
 
 def _offsets(text: str, newlines: bool = True) -> list[int]:
@@ -158,7 +165,7 @@ class _Parser:
     def expect(self, text: str):
         tok = self.tokens[self.pos]
         if tok != text:
-            self.fail(self.pos, f"expected {text!r}, found {tok!r}" if tok else f"expected {text!r}")
+            self.fail(self.pos, f"expected {text!r}" + _found(tok))
         self.pos += 1
 
     def end_statement(self):
@@ -191,13 +198,13 @@ class _Parser:
         if tok == "inf":
             self.pos += 1
             return as_value("-inf" if negative else "inf")
-        self.fail(index, f"expected a number or 'inf', found {tok!r}")
+        self.fail(index, "expected a number or 'inf'" + _found(tok))
 
     def parse_interval(self) -> Interval:
         start = self.pos
         opener = self.tokens[start]
         if opener != "[" and opener != "(":
-            self.fail(start, "expected an interval" + (f", found {opener!r}" if opener else ""))
+            self.fail(start, "expected an interval" + _found(opener))
         self.pos += 1
         lo = self.parse_endpoint_value()
         self.expect(",")
@@ -205,7 +212,7 @@ class _Parser:
         end = self.pos
         closer = self.tokens[end]
         if closer != "]" and closer != ")":
-            self.fail(end, f"expected ']' or ')', found {closer!r}")
+            self.fail(end, "expected ']' or ')'" + _found(closer))
         self.pos += 1
         lo_closed = opener == "["
         hi_closed = closer == "]"
@@ -270,7 +277,7 @@ class _Parser:
         elif tok.isidentifier():
             self.fail(index, f"undefined identifier {tok}", "declare it with 'state' or 'const'")
         else:
-            self.fail(index, f"expected an expression, found {tok!r}" if tok else "unexpected end of input")
+            self.fail(index, "expected an expression" + _found(tok) if tok else "unexpected end of input")
         for _ in range(complements):
             atom = Complement(atom)
         return atom
@@ -307,14 +314,14 @@ class _Parser:
             if not keyword:
                 break
             if not keyword.isidentifier():
-                self.fail(start, f"expected a declaration keyword, found {keyword!r}")
+                self.fail(start, "expected a declaration keyword" + _found(keyword))
             name_at = start + 1
             name = tokens[name_at]
             if keyword in ("const", "state"):
                 if names:
                     self.fail(start, f"'{keyword}' declarations must precede the rules")
                 if not name.isidentifier() or name in KEYWORDS:
-                    self.fail(name_at, f"expected a fresh identifier, found {name!r}")
+                    self.fail(name_at, "expected a fresh identifier" + _found(name))
                 if name in declared_at:
                     self.fail(name_at, f"duplicate declaration of {name}")
                 self.pos += 2
@@ -348,7 +355,7 @@ class _Parser:
                 self.end_statement()
             elif keyword == "option":
                 if name not in OPTION_KEYS:
-                    self.fail(name_at, f"unknown option {name!r}",
+                    self.fail(name_at, f"unknown option {name!r}" if name else "expected an option name",
                               "known options: " + ", ".join(sorted(OPTION_KEYS)))
                 self.pos += 2
                 self.expect("=")

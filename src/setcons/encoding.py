@@ -12,7 +12,8 @@ An update map, whose named constants are its trailing frozen variables
 from the parser on, translates into kappa independent copies of one n-bit
 binary map, which is where all convergence questions are decided.
 The copies are stepped together as one :class:`~setcons.bindyn.BinaryMap`
-of width kappa: a state is n words of kappa bits, and a bitwise operation
+of width kappa, built from the map's free programs and the constants'
+pinned words: a state is n words of kappa bits, and a bitwise operation
 on words is the operation in every cell at once.  Its derivative blocks are
 the cells' derivatives.  Every state reachable from the generators is a
 union of cells, so the simulator and the global fixed point iterate this
@@ -26,9 +27,9 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
-from .bindyn import BinaryMap, repunit
+from .bindyn import BinaryMap
 from .errors import CellEncodingError
-from .expr import SetMap, bit_ops, fold
+from .expr import SetMap
 from .intervals import Interval, IntervalSet, Universe, _succ, elementary_pieces
 
 Bits = tuple[int, ...]
@@ -203,23 +204,7 @@ class EncodedSystem(NamedTuple):
 
     @property
     def map(self) -> BinaryMap:
-        return self.word_map(self.pinned_words, self.kappa)
-
-    def word_map(self, pinned: Words, width: int) -> BinaryMap:
-        """The map on ``width``-bit words whose frozen components output
-        ``pinned``.  Tiled, it is the same map on wider words, with every
-        pinned word repeated in each segment."""
-        programs = self.set_map.programs[: self.arity - len(pinned)]
-        ops = bit_ops((1 << width) - 1)
-
-        def fn(words):
-            return tuple([fold(program, words, ops) for program in programs]) + pinned
-
-        def tile(copies):
-            rep = repunit(width, copies)
-            return self.word_map(tuple(word * rep for word in pinned), width * copies)
-
-        return BinaryMap(self.arity, fn, width, tile)
+        return BinaryMap(self.set_map.programs[: self.arity - len(self.pinned_words)], self.pinned_words, self.kappa)
 
     def encode_state(self, state: Sequence[IntervalSet]) -> Words:
         if len(state) != self.arity:

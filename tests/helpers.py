@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from setcons.bindyn import BinaryMap
 from setcons.boolmat import BoolMatrix
 from setcons.expr import Difference, EmptyLit, SetExpr, SetMap, SymDiff, UniverseLit, Var
 from setcons.intervals import Interval, IntervalSet, Universe, parse_interval_set
 
-from oracles import as_set_map, ends, entry, from_rows
+from oracles import FnMap, as_set_map, ends, entry, from_rows
 
 # -- reference systems -------------------------------------------------------
 
@@ -29,7 +28,7 @@ def iv(text: str, universe: Universe | None = None) -> IntervalSet:
     return parse_interval_set(text, universe)
 
 
-def ref3_binary() -> BinaryMap:
+def ref3_binary() -> FnMap:
     """Three-bit map with two equilibria (one attractive) and a 2-cycle."""
 
     def fn(x):
@@ -40,7 +39,7 @@ def ref3_binary() -> BinaryMap:
             x1,
         )
 
-    return BinaryMap(3, fn)
+    return FnMap(3, fn)
 
 
 def cyclic3_map() -> SetMap:
@@ -148,9 +147,9 @@ def random_bool_matrix(rng: random.Random, n: int, density: float = 0.35) -> Boo
     )
 
 
-def random_binary_map(rng: random.Random, n: int) -> BinaryMap:
+def random_binary_map(rng: random.Random, n: int) -> FnMap:
     table = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(1 << n)]
-    return BinaryMap(n, lambda x: table[sum(bit << j for j, bit in enumerate(x))])
+    return FnMap(n, lambda x: table[sum(bit << j for j, bit in enumerate(x))])
 
 
 # -- oracles -------------------------------------------------------------------
@@ -220,7 +219,7 @@ def brute_force_triangularizable(a: BoolMatrix) -> bool:
     return False
 
 
-def direct_vnn_verdict(f: BinaryMap, x_eq) -> bool:
+def direct_vnn_verdict(f: FnMap, x_eq) -> bool:
     """Neighborhood attractiveness by plain simulation: confinement of one
     step plus absorption of every neighbor within n steps."""
     hood = {x_eq}

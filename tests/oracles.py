@@ -51,11 +51,13 @@ Each one is the plain, obviously correct form of a library routine:
 - direct checks of the paper's bounds and of attractiveness by simulation,
   built on the library's public operations.
 - the parts of the former library that no pipeline path runs and that tests
-  use as references: the 0/1 Boolean-map scans (equilibria, derivative,
-  exact dependencies), orbits and 0/1 contractivity, the matrix product and
-  the other matrix and permutation helpers, set distances, composition,
-  the linear map as a SetMap, the system printer, and the truth columns
-  built by one big-int division.
+  use as references: the map given by a Python function, :class:`FnMap`,
+  which tiles by stepping its segments one after another, the 0/1
+  Boolean-map scans (equilibria, derivative, exact dependencies), orbits,
+  their bit strings and 0/1 contractivity, the matrix product and the
+  other matrix and permutation helpers, set distances, composition, the
+  linear map as a SetMap, the system printer, and the truth columns built
+  by one big-int division.
 """
 
 from __future__ import annotations
@@ -64,11 +66,11 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from setcons import dsl
 from setcons.analysis import ContractivityVerdict, is_contractive_sbm
-from setcons.bindyn import BinaryMap, _derivative, format_bits, walk
+from setcons.bindyn import BinaryMap, _derivative, walk
 from setcons.boolmat import BoolMatrix, Permutation, dependency_order
 from setcons.caps import DEFAULT, Caps, check_states
 from setcons.dsl import Diagnostic, DslError, SystemSpec
@@ -704,7 +706,7 @@ def flat_bits(words: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple((w >> h) & 1 for w in words for h in range(k))
 
 
-def cell_map(enc: EncodedSystem, h: int) -> BinaryMap:
+def cell_map(enc: EncodedSystem, h: int) -> FnMap:
     """The n-bit map acting inside cell h: each free component is its
     expression in the two-element algebra, each frozen one outputs bit h of
     its pinned word."""
@@ -714,10 +716,10 @@ def cell_map(enc: EncodedSystem, h: int) -> BinaryMap:
     def fn(bits):
         return tuple(recursive_bit_evaluate(e, bits) for e in free) + pinned
 
-    return BinaryMap(enc.arity, fn)
+    return FnMap(enc.arity, fn)
 
 
-def flat_map(enc: EncodedSystem) -> BinaryMap:
+def flat_map(enc: EncodedSystem) -> FnMap:
     """The translated map on n*kappa bits in variable-major layout, every
     cell stepped by its own cell map."""
     n, k = enc.arity, enc.kappa
@@ -731,7 +733,7 @@ def flat_map(enc: EncodedSystem) -> BinaryMap:
                 out[i * k + h] = cell_out[i]
         return tuple(out)
 
-    return BinaryMap(n * k, fn)
+    return FnMap(n * k, fn)
 
 
 def flat_derivative_at(enc: EncodedSystem, bits: Sequence[int]) -> BoolMatrix:
@@ -833,8 +835,9 @@ def per_pattern_equilibria(enc: EncodedSystem) -> tuple[tuple[tuple[int, ...], .
     found = {}
     for bits in dict.fromkeys(pins):
         pinned = tuple(full if bit else 0 for bit in bits)
+        g = BinaryMap(enc.set_map.programs[:n_free], pinned, size)
         fixed = full
-        for x, y in zip(columns, enc.word_map(pinned, size).step(columns + pinned)):
+        for x, y in zip(columns, g.step(columns + pinned)):
             fixed &= ~(x ^ y)
         found[bits] = tuple(sorted(
             tuple((mask >> i) & 1 for i in range(n_free)) + bits
@@ -958,7 +961,7 @@ def hand_counted_tokenize(text: str) -> list[HandCountedToken]:
     while pos < len(text):
         m = _HAND_TOKEN_RE.match(text, pos)
         if m is None:
-            raise DslError([Diagnostic("error", line, col, f"unexpected character {text[pos]!r}")])
+            raise DslError([Diagnostic(line, col, f"unexpected character {text[pos]!r}")])
         kind = m.lastgroup
         lexeme = m.group()
         if kind == "newline":
@@ -987,7 +990,7 @@ class ThreeLevelParser(dsl._Parser):
 
     def diagnostic(self, index, message, hint):
         tok = self.hand[index]
-        return Diagnostic("error", tok.line, tok.column, message, hint)
+        return Diagnostic(tok.line, tok.column, message, hint)
 
     def parse_expr(self, names, lowest):
         return self.parse_union(names)
@@ -1103,7 +1106,7 @@ def is_locally_attractive_direct(f: SetMap, x_eq: Sequence[IntervalSet]) -> bool
     return True
 
 
-def is_vnn_attractive_direct(f: BinaryMap, x_eq: tuple[int, ...]) -> bool:
+def is_vnn_attractive_direct(f: FnMap, x_eq: tuple[int, ...]) -> bool:
     """Neighborhood attractiveness by direct simulation: one step never
     leaves the state and its one-bit-flip neighbors, and every neighbor is
     absorbed within n steps."""
@@ -1232,13 +1235,63 @@ def binary_distance(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a ^ b for a, b in zip(x, y))
 
 
-def map_from_components(fns) -> BinaryMap:
+def format_bits(x: tuple[int, ...]) -> str:
+    return "".join(str(b) for b in x)
+
+
+class FnMap:
+    """A total deterministic map on states of n words of ``width`` bits,
+    given by a Python function: the reference that the hand-written maps
+    use and that :meth:`setcons.bindyn.BinaryMap.tile` is checked against.
+    Bit h of every output word must depend only on bit h of the inputs."""
+
+    def __init__(self, n: int, fn: Callable[[tuple[int, ...]], tuple[int, ...]], width: int = 1):
+        if n < 1:
+            raise ValueError("arity must be positive")
+        if width < 1:
+            raise ValueError("word width must be positive")
+        self.n = n
+        self._fn = fn
+        self.width = width
+
+    def step(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        if len(x) != self.n:
+            raise ValueError(f"state has {len(x)} words, map expects {self.n}")
+        y = self._fn(tuple(x))
+        if len(y) != self.n:
+            raise ValueError("evaluator returned a state of the wrong arity")
+        return tuple(y)
+
+    def iterate(self, x: tuple[int, ...], steps: int) -> tuple[int, ...]:
+        for _ in range(steps):
+            x = self.step(x)
+        return x
+
+    def tile(self, copies: int) -> "FnMap":
+        """This map on words of ``copies * width`` bits: segment c of every
+        word (bits c*width and up) holds one state, and the segments are
+        stepped one after another inside each step."""
+        if copies < 1:
+            raise ValueError("copies must be positive")
+        w, mask = self.width, (1 << self.width) - 1
+
+        def fn(words):
+            out = [0] * self.n
+            for shift in range(0, copies * w, w):
+                for i, y in enumerate(self.step(tuple((x >> shift) & mask for x in words))):
+                    out[i] |= y << shift
+            return tuple(out)
+
+        return FnMap(self.n, fn, copies * w)
+
+
+def map_from_components(fns) -> FnMap:
     """The 0/1 map whose output bit i is ``fns[i](x)``."""
     fns = list(fns)
-    return BinaryMap(len(fns), lambda x: tuple(f(x) for f in fns))
+    return FnMap(len(fns), lambda x: tuple(f(x) for f in fns))
 
 
-def _bit_states(f: BinaryMap, caps: Caps, scan: str):
+def _bit_states(f: FnMap, caps: Caps, scan: str):
     """The 2**n states of a 0/1 map, once the width and the cap allow it."""
     if f.width != 1:
         raise ValueError(f"the {scan} runs over 0/1 states, not {f.width}-bit words")
@@ -1246,17 +1299,17 @@ def _bit_states(f: BinaryMap, caps: Caps, scan: str):
     return all_states(f.n)
 
 
-def equilibria(f: BinaryMap, caps: Caps = DEFAULT) -> list[tuple[int, ...]]:
+def equilibria(f: FnMap, caps: Caps = DEFAULT) -> list[tuple[int, ...]]:
     """All fixed points of a 0/1 map, sorted; exhaustive over the 2**n states."""
     return sorted(x for x in _bit_states(f, caps, "equilibria enumeration") if f.step(x) == x)
 
 
-def derivative_blocks(f: BinaryMap, x) -> tuple[BoolMatrix, ...]:
+def derivative_blocks(f: BinaryMap | FnMap, x) -> tuple[BoolMatrix, ...]:
     """The derivative at ``x`` in every bit position (the library's one tiled step)."""
     return _derivative(f, x)[1]
 
 
-def discrete_derivative(f: BinaryMap, x) -> BoolMatrix:
+def discrete_derivative(f: FnMap, x) -> BoolMatrix:
     """Entry (i, j) = 1 iff flipping input j changes output i at ``x``: the
     one derivative block of a 0/1 map."""
     if f.width != 1:
@@ -1264,7 +1317,7 @@ def discrete_derivative(f: BinaryMap, x) -> BoolMatrix:
     return derivative_blocks(f, x)[0]
 
 
-def semantic_incidence(f: BinaryMap, caps: Caps = DEFAULT) -> BoolMatrix:
+def semantic_incidence(f: FnMap, caps: Caps = DEFAULT) -> BoolMatrix:
     """Exact dependency matrix: the join of the derivative over all states."""
     rows = [0] * f.n
     for x in _bit_states(f, caps, "dependency scan"):
@@ -1273,7 +1326,7 @@ def semantic_incidence(f: BinaryMap, caps: Caps = DEFAULT) -> BoolMatrix:
     return BoolMatrix(f.n, tuple(rows))
 
 
-def dependency_witness(f: BinaryMap, i: int, j: int, caps: Caps = DEFAULT) -> tuple[int, ...] | None:
+def dependency_witness(f: FnMap, i: int, j: int, caps: Caps = DEFAULT) -> tuple[int, ...] | None:
     """A state where flipping input j changes output i, if one exists."""
     for x in _bit_states(f, caps, "dependency scan"):
         if f.step(x)[i] != f.step(flip(x, j))[i]:
@@ -1301,7 +1354,7 @@ class OrbitSummary:
         }
 
 
-def orbit(f: BinaryMap, x0, max_steps: int | None = None) -> OrbitSummary:
+def orbit(f: FnMap, x0, max_steps: int | None = None) -> OrbitSummary:
     """Follow iterates until a state repeats; closes within 2**(n*width) steps."""
     budget = (1 << f.n * f.width) if max_steps is None else max_steps
     if budget < 1:
@@ -1323,7 +1376,7 @@ class BinaryContraction:
 
 
 def binary_contractivity(
-    f: BinaryMap, incidence: BoolMatrix | None = None, caps: Caps = DEFAULT
+    f: FnMap, incidence: BoolMatrix | None = None, caps: Caps = DEFAULT
 ) -> BinaryContraction:
     """Contractivity of a 0/1 map by one dependency walk over the supplied
     incidence matrix, or else the exact dependency scan; ``q`` is its

@@ -7,7 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Every check is exact
 import random
 
 from setcons.analysis import is_contractive_sbm
-from setcons.bindyn import BinaryMap, is_vnn_attractive
+from setcons.bindyn import is_vnn_attractive
 from setcons.boolmat import BoolMatrix, dependency_order, is_nilpotent
 from setcons.dsl import SystemSpec
 from setcons.encoding import build_partition, translate_map
@@ -34,6 +34,7 @@ from helpers import (
     ref3_binary,
 )
 from oracles import (
+    FnMap,
     LinearSetMap,
     all_states,
     binary_contractivity,
@@ -209,7 +210,7 @@ def test_criterion_6_contractive_maps_collapse():
     report(6, "50 random contractive maps: f^q constant, q <= n, one fixed point")
 
 
-def _random_map_with_incidence(rng: random.Random, incidence: BoolMatrix) -> BinaryMap:
+def _random_map_with_incidence(rng: random.Random, incidence: BoolMatrix) -> FnMap:
     n = incidence.n
     components = []
     for i in range(n):

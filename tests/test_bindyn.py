@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from setcons.bindyn import BinaryMap, format_bits, is_vnn_attractive, walk
+from setcons.bindyn import is_vnn_attractive, walk
 from setcons.boolmat import BoolMatrix
 from setcons.caps import Caps
+from setcons.dsl import parse
+from setcons.encoding import encode_system
 from setcons.errors import CapExceeded
 
 from helpers import direct_vnn_verdict, random_binary_map, ref3_binary
 from oracles import (
+    FnMap,
     OrbitLimitError,
     all_states,
     binary_contractivity,
@@ -19,6 +22,7 @@ from oracles import (
     entry,
     equilibria,
     flip,
+    format_bits,
     from_rows,
     identity_matrix,
     is_vnn_attractive_direct,
@@ -29,6 +33,7 @@ from oracles import (
     semantic_incidence,
     zero_matrix,
 )
+from test_dsl import PINNED6_TEXT
 
 
 def test_orbit_reference_cycle():
@@ -47,13 +52,13 @@ def test_orbit_from_equilibrium():
 
 
 def test_orbit_constant_map():
-    f = BinaryMap(3, lambda x: (1, 0, 1))
+    f = FnMap(3, lambda x: (1, 0, 1))
     summary = orbit(f, (0, 0, 0))
     assert summary.transient <= 1 and summary.period == 1
 
 
 def test_orbit_budget_error():
-    f = BinaryMap(2, lambda x: (x[0] ^ x[1], x[0]))
+    f = FnMap(2, lambda x: (x[0] ^ x[1], x[0]))
     with pytest.raises(OrbitLimitError):
         orbit(f, (1, 0), max_steps=1)
 
@@ -72,14 +77,14 @@ def test_walk_returns_distinct_states_and_the_repeat():
     assert walk(f, (0, 1, 0), 0) == ([(0, 1, 0)], None)
 
 
-def _copies(f: BinaryMap, width: int) -> BinaryMap:
+def _copies(f: FnMap, width: int) -> FnMap:
     """``width`` copies of a 0/1 map stepped together, copy h in bit h."""
 
     def fn(words):
         outs = [f.step(tuple((w >> h) & 1 for w in words)) for h in range(width)]
         return tuple(sum(out[i] << h for h, out in enumerate(outs)) for i in range(f.n))
 
-    return BinaryMap(f.n, fn, width)
+    return FnMap(f.n, fn, width)
 
 
 def _pack(states) -> tuple[int, ...]:
@@ -126,14 +131,14 @@ def test_equilibria_reference():
 
 
 def test_equilibria_identity_and_negation():
-    ident = BinaryMap(2, lambda x: x)
+    ident = FnMap(2, lambda x: x)
     assert equilibria(ident) == sorted(all_states(2))
-    neg = BinaryMap(1, lambda x: (1 - x[0],))
+    neg = FnMap(1, lambda x: (1 - x[0],))
     assert equilibria(neg) == []
 
 
 def test_equilibria_cap():
-    f = BinaryMap(6, lambda x: x)
+    f = FnMap(6, lambda x: x)
     with pytest.raises(CapExceeded):
         equilibria(f, Caps(enumeration=5))
 
@@ -173,7 +178,7 @@ def test_discrete_derivative_reference():
 
 
 def test_derivative_of_constant_map():
-    f = BinaryMap(3, lambda x: (0, 1, 0))
+    f = FnMap(3, lambda x: (0, 1, 0))
     for x in all_states(3):
         assert discrete_derivative(f, x) == zero_matrix(3)
 
@@ -182,12 +187,21 @@ def test_vnn_reference_verdicts():
     f = ref3_binary()
     assert is_vnn_attractive(f, (0, 1, 0))
     assert not is_vnn_attractive(f, (1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\(0, 0, 0\) is not an equilibrium$"):
         is_vnn_attractive(f, (0, 0, 0))
 
 
+def test_vnn_names_a_state_that_is_not_an_equilibrium_by_its_words():
+    spec = parse(PINNED6_TEXT)
+    enc = encode_system(spec.set_map(), spec.initials)
+    words = enc.encode_state(spec.initials + enc.set_map.frozen_values)
+    assert words == (7, 25, 104, 928, 1243, 2304, 104)
+    with pytest.raises(ValueError, match=r"^\(7, 25, 104, 928, 1243, 2304, 104\) is not an equilibrium$"):
+        is_vnn_attractive(enc.map, words)
+
+
 def test_vnn_constant_map():
-    f = BinaryMap(2, lambda x: (1, 0))
+    f = FnMap(2, lambda x: (1, 0))
     assert is_vnn_attractive(f, (1, 0))
     assert is_vnn_attractive_direct(f, (1, 0))
 
@@ -211,9 +225,9 @@ def test_semantic_incidence_reference():
 
 
 def test_semantic_incidence_dead_dependency():
-    f = BinaryMap(2, lambda x: (x[0] & (1 - x[0]), x[1]))
+    f = FnMap(2, lambda x: (x[0] & (1 - x[0]), x[1]))
     assert semantic_incidence(f) == from_rows([[0, 0], [0, 1]])
-    ident = BinaryMap(3, lambda x: x)
+    ident = FnMap(3, lambda x: x)
     assert semantic_incidence(ident) == identity_matrix(3)
 
 
@@ -241,7 +255,7 @@ def test_contractivity_reference_negative():
 
 
 def test_contractivity_shift_map():
-    f = BinaryMap(3, lambda x: (0, x[0], x[1]))
+    f = FnMap(3, lambda x: (0, x[0], x[1]))
     verdict = binary_contractivity(f)
     assert verdict.contractive and verdict.q == 3
     assert verdict.fixed_point == (0, 0, 0)
@@ -250,7 +264,7 @@ def test_contractivity_shift_map():
 
 
 def test_contractivity_constant_map():
-    f = BinaryMap(2, lambda x: (1, 1))
+    f = FnMap(2, lambda x: (1, 1))
     verdict = binary_contractivity(f)
     assert verdict.contractive and verdict.q == 1 and verdict.fixed_point == (1, 1)
 
@@ -289,7 +303,7 @@ def test_contraction_inequality():
             assert all(a <= b for a, b in zip(lhs, rhs))
 
 
-def _map_with_incidence(rng: random.Random, incidence: BoolMatrix) -> BinaryMap:
+def _map_with_incidence(rng: random.Random, incidence: BoolMatrix) -> FnMap:
     """A random map whose component i reads only the inputs its row allows."""
     n = incidence.n
     components = []

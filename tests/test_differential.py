@@ -66,6 +66,7 @@ from setcons.sim import sampling_window
 
 from helpers import HALF_LINE, assert_canonical_values, assert_same_membership, frozen_map, iv, probe_points
 from oracles import (
+    FnMap,
     NamedConst,
     as_linear,
     cell_map,
@@ -668,10 +669,10 @@ def contractive_systems(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(contractive_systems(), st.integers(0, 2**16))
+@given(contractive_systems(), st.integers(0, 2**16), st.integers(1, 5))
 @example((frozen_map((Var(1),), BOX, BOX.carrier),
-          (iv("empty"), BOX.carrier), build_partition([BOX.carrier], BOX)), 0)
-def test_packed_steps_match_separate_steps(system, word):
+          (iv("empty"), BOX.carrier), build_partition([BOX.carrier], BOX)), 0, 3)
+def test_packed_steps_match_separate_steps(system, word, copies):
     f, start, p = system
     enc = translate_map(f, p)
     verdict = is_contractive_sbm(f)
@@ -685,13 +686,13 @@ def test_packed_steps_match_separate_steps(system, word):
     drawn = tuple((word >> (3 * i)) & full for i in range(f.arity - f.frozen_count)) + enc.pinned_words
     for state in (enc.encode_state(start), drawn):
         assert derivative_blocks(enc.map, state) == stepwise_derivative_blocks(enc.map, state)
-    # The map tiled three times steps each segment as the map does.
+    # The map tiled ``copies`` times steps as the map given by its own step,
+    # tiled by stepping the segments one after another.
     states = [enc.encode_state(start), drawn, tuple(w ^ full for w in drawn)]
+    states = [states[c % 3] for c in range(copies)]
     packed = tuple(sum(x[i] << (c * p.kappa) for c, x in enumerate(states)) for i in range(f.arity))
-    stepped = enc.map.tile(3).step(packed)
-    assert [tuple((w >> (c * p.kappa)) & full for w in stepped) for c in range(3)] == [
-        enc.map.step(x) for x in states
-    ]
+    reference = FnMap(enc.arity, enc.map.step, p.kappa).tile(copies)
+    assert enc.map.tile(copies).step(packed) == reference.step(packed)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -297,9 +297,9 @@ def test_crlf_line_ends_keep_diagnostic_positions():
 
 # At least one input for each place in ``dsl`` that raises or records a
 # diagnostic, with every line it renders: bad characters after numbers and
-# blanks and as the last character, errors at the end of the text after
-# blanks, after a ``\r``, across line breaks in a set literal, and a
-# warning kept before a later error.
+# blanks and as the last character, errors at the end of the text (with no
+# "found" part) and after blanks, after a ``\r``, across line breaks in a
+# set literal, and a recorded error kept before a later one.
 H = "universe [0,10]\nconst C = [2,3]\nstate A = [0,1]\n"
 R = "rule A = A\n"
 DIAGNOSTICS = [
@@ -330,13 +330,19 @@ DIAGNOSTICS = [
     ("expected-number", parse, "universe [0,x]",
      ["1:13: error: expected a number or 'inf', found 'x'"]),
     ("expected-number-at-end-after-blanks", parse, "universe [0,  \t ",
-     ["1:17: error: expected a number or 'inf', found ''"]),
+     ["1:17: error: expected a number or 'inf'"]),
+    ("expected-number-at-end", parse, "universe [0,",
+     ["1:13: error: expected a number or 'inf'"]),
+    ("expected-number-at-end-after-opener", parse, "universe (",
+     ["1:11: error: expected a number or 'inf'"]),
     ("expected-interval", parse, "universe 5",
      ["1:10: error: expected an interval, found '5'"]),
     ("expected-interval-at-end", parse, "universe",
      ['1:9: error: expected an interval']),
     ("expected-closer", parse, "universe [0,1,",
      ["1:14: error: expected ']' or ')', found ','"]),
+    ("expected-closer-at-end", parse, "universe [0,1",
+     ["1:14: error: expected ']' or ')'"]),
     ("closed-infinite-low", parse, "universe [-inf,0]",
      ["1:10: error: an infinite endpoint cannot be closed (use '(' before -inf/inf)"]),
     ("closed-infinite-high", parse, "universe [0,inf]",
@@ -363,6 +369,10 @@ DIAGNOSTICS = [
      ["5:1: error: 'state' declarations must precede the rules"]),
     ("fresh-identifier", parse, H + "state X = [0,1]",
      ["4:7: error: expected a fresh identifier, found 'X'"]),
+    ("fresh-identifier-at-end", parse, "universe [0,1]\nstate",
+     ['2:6: error: expected a fresh identifier']),
+    ("fresh-identifier-at-end-after-blank", parse, "universe [0,1]\nconst ",
+     ['2:7: error: expected a fresh identifier']),
     ("duplicate-declaration", parse, H + "const A = [0,1]",
      ['4:7: error: duplicate declaration of A']),
     ("escapes-universe", parse, H + "state B = [0,20]\n" + R + "rule B = B\n",
@@ -375,6 +385,8 @@ DIAGNOSTICS = [
      ['5:6: error: duplicate rule for A']),
     ("unknown-option", parse, H + R + "option colour = 3",
      ["5:8: error: unknown option 'colour' (known options: max_rounds)"]),
+    ("option-name-at-end", parse, "universe [0,1]\noption",
+     ['2:7: error: expected an option name (known options: max_rounds)']),
     ("option-not-positive", parse, H + R + "option max_rounds = 0",
      ['5:21: error: option values must be positive integers']),
     ("option-at-end", parse, H + R + "option max_rounds =",

@@ -2,6 +2,7 @@
 this checkout on both sides."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +49,20 @@ def test_paired_ab_runs_every_workload_in_turn():
     assert [r["workload"] for r in results] == ["analyze-dag", "simulate-chain", "simulate-cyclic"]
     assert [r["operations"] for r in results] == [32, 16, 64]
     assert proc.stdout.count("equal stdout, stderr and exit codes") == 3
+
+
+def test_paired_ab_counts_each_trees_source_lines(tmp_path):
+    # The change side is a copy of the package with one line more.
+    shutil.copytree(ROOT / "src" / "setcons", tmp_path / "src" / "setcons",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "setcons" / "errors.py", "a", encoding="utf-8") as file:
+        file.write("# one more line\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired_ab.py"), str(ROOT), str(tmp_path),
+         "--workload", "simulate-chain", "--seed", "0", "--rounds", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (ROOT / "src" / "setcons").glob("*.py"))
+    assert (result["base_src_lines"], result["change_src_lines"]) == (lines, lines + 1)

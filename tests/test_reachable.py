@@ -28,10 +28,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "setcons"
 
 UNENTERED = {
-    "bindyn.format_bits": "names the state in is_vnn_attractive's error, which the CLI, asking only at "
-                          "equilibria, never raises",
-    "bindyn.BinaryMap.tile.fn": "steps segment by segment a map built without a tile function, as 0/1 maps "
-                                "are; the CLI's word maps tile themselves",
     "expr.SetMap.__getnewargs__": "runs when a map is copied or pickled (tests/test_values.py); the package "
                                   "does neither",
 }

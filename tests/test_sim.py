@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from setcons.bindyn import BinaryMap
 from setcons.dsl import parse, to_json
 from setcons.encoding import EncodedSystem, dedup_generators
 from setcons.errors import SetconsError
@@ -11,7 +10,7 @@ from setcons.sim import random_interval_set, render_timeline, sampling_window, s
 from setcons.intervals import Interval, IntervalSet
 
 from helpers import BOX200, TopologyView, iv
-from oracles import ends, real_line
+from oracles import FnMap, ends, real_line
 from test_dsl import CYCLIC3_TEXT, PINNED6_TEXT
 
 
@@ -84,7 +83,7 @@ def test_simulate_checks_the_last_word_step_on_sets(monkeypatch):
     # A word map that disagrees with the set map is caught by the one
     # set-level step at the end of the run.
     spec = parse(CYCLIC3_TEXT)
-    wrong = property(lambda enc: BinaryMap(enc.arity, lambda words: tuple(0 for _ in words)))
+    wrong = property(lambda enc: FnMap(enc.arity, lambda words: tuple(0 for _ in words)))
     monkeypatch.setattr(EncodedSystem, "map", wrong)
     with pytest.raises(SetconsError, match="disagree"):
         simulate(spec, max_rounds=5)
@@ -105,7 +104,7 @@ def test_simulate_checks_the_closing_word_step_on_sets(monkeypatch):
             out = g.step(words)
             return visited[0] if out == words else out
 
-        return BinaryMap(g.n, fn, g.width)
+        return FnMap(g.n, fn, g.width)
 
     monkeypatch.setattr(EncodedSystem, "map", property(wrong))
     with pytest.raises(SetconsError, match="disagree"):

@@ -44,7 +44,7 @@ def outcome(parse_fn, *args):
     try:
         return parse_fn(*args)
     except DslError as err:
-        return [(d.severity, d.line, d.column, d.message, d.hint) for d in err.diagnostics]
+        return [(d.line, d.column, d.message, d.hint) for d in err.diagnostics]
 
 
 def kind(tok: str) -> str:

@@ -19,6 +19,10 @@ benchmark's ``setup_s`` counts it.  The starts are timed once, before the
 workloads, and every JSON line adds each side's median start and the
 median of the paired ratios change/base.
 
+Every JSON line also carries ``base_src_lines`` and ``change_src_lines``,
+the line counts of each tree's ``src/setcons/*.py`` as ``wc -l`` gives
+them, so one command gives a change's size and its timing.
+
 Sequential benchmark runs on a shared machine can drift by more than a
 change is worth; two operations timed back to back see the same machine,
 so their ratio resolves a few percent.
@@ -57,6 +61,11 @@ def load_cli(tree: Path, alias: str):
     sys.modules[alias] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{alias}.cli")
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of ``tree``'s ``src/setcons/*.py``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "setcons").glob("*.py"))
 
 
 def timed(main, argv: list[str]) -> tuple[float, object, str, str]:
@@ -155,10 +164,11 @@ def main(argv: list[str] | None = None) -> int:
     names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
     sides = (load_cli(args.base.resolve(), "setcons_base").main,
              load_cli(args.change.resolve(), "setcons_change").main)
-    figures = {}
+    figures = dict(base_src_lines=src_lines(args.base), change_src_lines=src_lines(args.change))
+    print(f"src/setcons: base {figures['base_src_lines']} lines, change {figures['change_src_lines']} lines")
     if args.starts:
         starts = paired_starts((args.base.resolve(), args.change.resolve()), args.starts)
-        figures = dict(base_setup_s=statistics.median(starts[0]), change_setup_s=statistics.median(starts[1]),
+        figures.update(base_setup_s=statistics.median(starts[0]), change_setup_s=statistics.median(starts[1]),
                        setup_ratio_p50=statistics.median(c / b for b, c in zip(*starts)))
         print(f"{args.starts} paired starts: base median {figures['base_setup_s'] * 1e3:.1f} ms, change median "
               f"{figures['change_setup_s'] * 1e3:.1f} ms, change/base median {figures['setup_ratio_p50']:.3f}")
